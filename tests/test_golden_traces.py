@@ -1,0 +1,183 @@
+"""Frozen traces: sha256 digests of full runs, pinned from a known-good build.
+
+The determinism tests elsewhere compare the code with itself, so a change to
+the draw order, the mutation law or the evaluation count would still pass
+them.  These digests were computed once and are compared against fresh runs:
+any change to a single draw, evaluation, milestone or kept member changes a
+digest.  A digest may only be updated by a change that means to alter traces.
+"""
+
+import hashlib
+import json
+from fractions import Fraction
+
+import pytest
+
+from qdpb.algorithms import QualityTarget, RunConfig, RunTrace, run_ea, run_map_elites
+from qdpb.analysis import brute_force_opt
+from qdpb.core import RandomSource
+from qdpb.harness import ExperimentConfig, ProblemSpec, report_to_dict, run_experiment
+from qdpb.instances import (
+    Example1Params,
+    Example2Params,
+    example1_local_optimum,
+    example1_max_coverage,
+    example2_local_optimum,
+    example2_set_cover,
+    random_max_coverage,
+    random_set_cover,
+)
+from qdpb.problems import make_problem
+
+
+def digest(data) -> str:
+    return hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()
+
+
+def trace_digest(trace: RunTrace) -> str:
+    """Digest of everything a run produced: counts, milestones and what it kept."""
+    best = trace.best_solution
+    data = {
+        "algorithm": trace.algorithm,
+        "evaluations_used": trace.evaluations_used,
+        "first_hit": trace.first_hit,
+        "best_fitness": trace.best_fitness,
+        "best_solution": None if best is None else best.to_string(),
+        "milestones": [
+            [m.evaluations, m.best_fitness, m.occupied, m.best_solution] for m in trace.milestones
+        ],
+    }
+    if trace.archive is not None:
+        archive = trace.archive
+        data["archive"] = {
+            "solutions": [None if s is None else s.to_string() for s in archive.solutions],
+            "fitnesses": archive.fitnesses,
+            "occupied": archive.occupied,
+        }
+    if trace.population is not None:
+        population = trace.population
+        data["population"] = {
+            "solutions": [s.to_string() for s in population.solutions],
+            "fitnesses": population.fitnesses,
+        }
+    return digest(data)
+
+
+def example1(n=30):
+    params = Example1Params(n, Fraction(1, 10))
+    return make_problem(example1_max_coverage(params), known_opt=params.opt_fitness), params
+
+
+def example2(n=12):
+    params = Example2Params(n)
+    return make_problem(example2_set_cover(params), known_opt=params.opt_fitness), params
+
+
+def random_coverage():
+    return make_problem(random_max_coverage(20, 40, 0.15, 5, RandomSource(11))), None
+
+
+def random_cover():
+    return make_problem(random_set_cover(20, 30, 0.15, 9, RandomSource(12))), None
+
+
+# case id -> (problem factory, engine, seed, seeded trap start, expected digest)
+CASES = {
+    "example1-map-elites": (
+        example1, "map-elites", 1, False,
+        "dd4ee4fa07b6639a26fd4b91bb26490a2d5c4ee4567790c35103b0647bdc9036",
+    ),
+    "example1-ea": (
+        example1, "ea", 2, False,
+        "fa4acf153ab7dec2b8e04ffa3042a3d60c50ce7e156ffa45a30b4bd6130ecb52",
+    ),
+    "example1-ea-trap": (
+        example1, "ea", 3, True,
+        "a46b70d0b0dfc59eb26efd6dcbc44c31c11c821e08c9a3a1a1605e85ddfd1b3d",
+    ),
+    "example2-map-elites": (
+        example2, "map-elites", 4, False,
+        "3a98742ab6b2f107cf28a1af70a68b9db9d66b89d6dcb27942e8b510af2c9674",
+    ),
+    "example2-ea": (
+        example2, "ea", 5, False,
+        "02947aebdde14f65419b6d964641671b2b64eeaf12e85c0b52dde165453026e5",
+    ),
+    "example2-ea-trap": (
+        example2, "ea", 6, True,
+        "24c8744fcda682b0eccc4bd324dccbfc70ff50af42a81fde648b6ad018c7671b",
+    ),
+    "random-coverage-map-elites": (
+        random_coverage, "map-elites", 7, False,
+        "993e276c7f92cb9e3182401a5fb363c5eba192db416759d9aaa6bc1c6b7990f3",
+    ),
+    "random-coverage-ea": (
+        random_coverage, "ea", 8, False,
+        "601b8b3edcbc64becec99fba73792c535e5f3759ea839a2d8bc79ab4363ecaa1",
+    ),
+    "random-cover-map-elites": (
+        random_cover, "map-elites", 9, False,
+        "89fa7ee7031d26f93d325b7b814119668e4975493d79b1db17d8a2e679b99423",
+    ),
+    "random-cover-ea": (
+        random_cover, "ea", 10, False,
+        "e9b1d1ae8193bc57d8c23bb8f43c3db8222407327a3a9f908ea141f85fa0ab2a",
+    ),
+}
+
+
+def run_case(case_id: str) -> RunTrace:
+    factory, engine, seed, trap, _ = CASES[case_id]
+    problem, params = factory()
+    target = None
+    if problem.known_opt is not None:
+        # Hits are recorded but the full budget is spent, so the trace covers it all.
+        target = QualityTarget(threshold=problem.known_opt)
+    initial = None
+    if trap:
+        local = example1_local_optimum if factory is example1 else example2_local_optimum
+        initial = (local(params),) * problem.num_cells
+    config = RunConfig(
+        budget=20_000,
+        init_count=problem.num_cells,
+        seed=seed,
+        target=target,
+        stop_on_target=False,
+        initial_population=initial,
+    )
+    runner = run_map_elites if engine == "map-elites" else run_ea
+    return runner(problem, config)
+
+
+@pytest.mark.parametrize("case_id", sorted(CASES))
+def test_run_trace_is_frozen(case_id):
+    assert trace_digest(run_case(case_id)) == CASES[case_id][-1]
+
+
+def test_trial_records_are_frozen():
+    config = ExperimentConfig(
+        problem=ProblemSpec(kind="example1", n=30, delta="1/10"),
+        algorithm="ea",
+        budget=5_000,
+        trials=2,
+        master_seed=21,
+        target=QualityTarget(threshold=Example1Params(30, Fraction(1, 10)).opt_fitness),
+        stop_on_target=False,
+        seed_population="local",
+        workers=1,
+    )
+    records = report_to_dict(run_experiment(config))["records"]
+    assert digest(records) == "036b0f4e1c53db40fc1a640b547ba75a85aafdb1f16dc49326ff5cd6a5db3fad"
+
+
+@pytest.mark.parametrize(
+    "problem, expected",
+    [
+        (make_problem(random_max_coverage(16, 30, 0.2, 4, RandomSource(31))), ("1000000101000010", 25, 1)),
+        (make_problem(random_set_cover(16, 24, 0.2, 9, RandomSource(32))), ("0001000001100111", 26, 2)),
+    ],
+    ids=["max-coverage", "set-cover"],
+)
+def test_brute_force_results_are_frozen(problem, expected):
+    result = brute_force_opt(problem)
+    assert (result.solution.to_string(), result.fitness, result.optima_count) == expected
