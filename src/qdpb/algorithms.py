@@ -11,17 +11,25 @@ trace bit for bit.
 Per-step random draws happen in a fixed order (parent index, mutation mask,
 then — only when an eviction has several tied victims — one tie-break draw),
 which is what makes traces reproducible.
+
+Archive and population keep each member's ``probe`` result next to it.  An
+offspring that mutation left unchanged (``bitwise_mutate`` returned the
+parent itself) reuses its parent's result instead of being probed again; it
+still counts as one evaluation and still goes through the keep step.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from math import ceil
 from typing import Callable, Optional
 
-from .core import RandomSource, Solution, bitwise_mutate, random_solution
-from .errors import ParameterError, StateError
+from .core import RandomSource, Solution, bitwise_mutate, randbelow, random_solution
+from .errors import ParameterError, StateError, require_ints
 from .problems import Direction, Fitness, Problem, is_better
+
+Result = tuple[Fitness, int, bool]  # what Problem.probe returns: (fitness, cell, feasible)
 
 __all__ = [
     "QualityTarget",
@@ -84,6 +92,7 @@ class RunConfig:
     milestone_every: Optional[int] = None
 
     def __post_init__(self) -> None:
+        require_ints(self, ("budget", "init_count"), optional=("milestone_every",))
         if self.init_count < 1:
             raise ParameterError(f"init_count must be positive, got {self.init_count}")
         if self.budget < self.init_count:
@@ -138,10 +147,11 @@ class Archive:
 
     Cells never empty once filled; an occupant is replaced only by strictly
     better fitness (or at-least-as-good with ``strict=False``), so per-cell
-    fitness can only move in the improving direction.
+    fitness can only move in the improving direction.  ``results`` holds each
+    occupant's ``probe`` result when the inserter passed it, else None.
     """
 
-    __slots__ = ("num_cells", "solutions", "fitnesses", "occupied")
+    __slots__ = ("num_cells", "solutions", "fitnesses", "occupied", "results")
 
     def __init__(self, num_cells: int):
         if num_cells < 1:
@@ -150,6 +160,7 @@ class Archive:
         self.solutions: list[Optional[Solution]] = [None] * num_cells
         self.fitnesses: list[Optional[Fitness]] = [None] * num_cells
         self.occupied: list[int] = []  # fill order; supports O(1) uniform parent choice
+        self.results: list[Optional[Result]] = [None] * num_cells
 
     def __len__(self) -> int:
         return len(self.occupied)
@@ -183,8 +194,12 @@ class Archive:
         direction: Direction,
         *,
         strict: bool = True,
+        result: Optional[Result] = None,
     ) -> bool:
-        """Insert ``solution`` if the cell is empty or the incumbent is beaten."""
+        """Insert ``solution`` if the cell is empty or the incumbent is beaten.
+
+        ``result`` is the solution's ``probe`` result, kept for its copies.
+        """
         if not 0 <= cell < self.num_cells:
             raise ParameterError(f"cell {cell} outside 0..{self.num_cells - 1}")
         incumbent = self.fitnesses[cell]
@@ -194,28 +209,40 @@ class Archive:
             return False
         self.solutions[cell] = solution
         self.fitnesses[cell] = fitness
+        self.results[cell] = result
         return True
 
 
 class Population:
     """Fixed-size multiset of solutions for the (mu+1) EA.
 
-    Takes ownership of the two lists it is given.  The worst-member scan is
-    cached between evictions, which makes stagnating runs (the interesting
-    ones) cheap.
+    Takes ownership of the lists it is given.  ``results`` holds each
+    member's ``probe`` result, or None where it is not known.  The
+    worst-member scan is cached between evictions, which makes stagnating
+    runs (the interesting ones) cheap.
     """
 
-    __slots__ = ("solutions", "fitnesses", "_worst_cache")
+    __slots__ = ("solutions", "fitnesses", "results", "_worst_cache")
 
-    def __init__(self, solutions: list[Solution], fitnesses: list[Fitness]):
+    def __init__(
+        self,
+        solutions: list[Solution],
+        fitnesses: list[Fitness],
+        results: Optional[list[Optional[Result]]] = None,
+    ):
         if not solutions:
             raise ParameterError("population must not be empty")
         if len(solutions) != len(fitnesses):
             raise ParameterError(
                 f"{len(solutions)} solutions but {len(fitnesses)} fitness values"
             )
+        if results is None:
+            results = [None] * len(solutions)
+        elif len(results) != len(solutions):
+            raise ParameterError(f"{len(solutions)} solutions but {len(results)} probe results")
         self.solutions = solutions
         self.fitnesses = fitnesses
+        self.results = results
         self._worst_cache: Optional[tuple[Direction, Fitness, list[int]]] = None
 
     def __len__(self) -> int:
@@ -249,9 +276,12 @@ class Population:
         value = max(fits) if direction is Direction.MAXIMIZE else min(fits)
         return self.solutions[fits.index(value)], value
 
-    def replace(self, index: int, solution: Solution, fitness: Fitness) -> None:
+    def replace(
+        self, index: int, solution: Solution, fitness: Fitness, result: Optional[Result] = None
+    ) -> None:
         self.solutions[index] = solution
         self.fitnesses[index] = fitness
+        self.results[index] = result
         self._worst_cache = None
 
     def replace_worst_if_better(
@@ -262,14 +292,22 @@ class Population:
         rng: RandomSource,
         *,
         strict: bool = True,
+        result: Optional[Result] = None,
     ) -> Optional[int]:
         """Evict one worst member if ``solution`` beats it; ties for worst are
-        broken uniformly at random.  Returns the replaced index, or None."""
-        worst_value, candidates = self.worst(direction)
+        broken uniformly at random.  Returns the replaced index, or None.
+        ``result`` is the solution's ``probe`` result, kept for its copies."""
+        # worst()'s cache hit, read inline: this runs for every offspring, and
+        # a stagnating population keeps its cache.
+        cache = self._worst_cache
+        if cache is not None and cache[0] is direction:
+            worst_value, candidates = cache[1], cache[2]
+        else:
+            worst_value, candidates = self.worst(direction)
         if not is_better(fitness, worst_value, direction, strict=strict):
             return None
         victim = candidates[rng.randrange(len(candidates))] if len(candidates) > 1 else candidates[0]
-        self.replace(victim, solution, fitness)
+        self.replace(victim, solution, fitness, result)
         return victim
 
 
@@ -291,10 +329,14 @@ def map_elites_step(
     occupied = archive.occupied
     if not occupied:
         raise StateError("cannot step an empty archive; initialize it first")
-    parent = archive.solutions[occupied[rng.randrange(len(occupied))]]
+    index = occupied[randbelow(rng, len(occupied))]
+    parent = archive.solutions[index]
     child = bitwise_mutate(parent, rng)
-    fitness, cell, feasible = problem.probe(child)
-    accepted = archive.consider(cell, child, fitness, problem.direction, strict=strict)
+    result = archive.results[index] if child is parent else None
+    if result is None:
+        result = problem.probe(child)
+    fitness, cell, feasible = result
+    accepted = archive.consider(cell, child, fitness, problem.direction, strict=strict, result=result)
     return child, fitness, cell, feasible, accepted
 
 
@@ -309,11 +351,15 @@ def mu_plus_one_step(
 
     Returns ``(offspring, fitness, cell, feasible, replaced_index)``.
     """
-    parent = population.solutions[rng.randrange(len(population.solutions))]
+    index = randbelow(rng, len(population.solutions))
+    parent = population.solutions[index]
     child = bitwise_mutate(parent, rng)
-    fitness, cell, feasible = problem.probe(child)
+    result = population.results[index] if child is parent else None
+    if result is None:
+        result = problem.probe(child)
+    fitness, cell, feasible = result
     replaced = population.replace_worst_if_better(
-        child, fitness, problem.direction, rng, strict=strict
+        child, fitness, problem.direction, rng, strict=strict, result=result
     )
     return child, fitness, cell, feasible, replaced
 
@@ -335,8 +381,9 @@ def map_elites_init(
     archive = Archive(problem.num_cells)
     for _ in range(count):
         x = random_solution(problem.n, rng)
-        fitness, cell, _feasible = problem.probe(x)
-        archive.consider(cell, x, fitness, problem.direction, strict=strict)
+        result = problem.probe(x)
+        fitness, cell, _feasible = result
+        archive.consider(cell, x, fitness, problem.direction, strict=strict, result=result)
     return archive
 
 
@@ -344,8 +391,7 @@ def ea_init(problem: Problem, mu: int, rng: RandomSource) -> Population:
     """A population of ``mu`` uniform random solutions (one evaluation each)."""
     if mu < 1:
         raise ParameterError(f"mu must be positive, got {mu}")
-    solutions = [random_solution(problem.n, rng) for _ in range(mu)]
-    return Population(solutions, [problem.probe(x)[0] for x in solutions])
+    return _evaluated_population([random_solution(problem.n, rng) for _ in range(mu)], problem)
 
 
 def seed_population(solutions, problem: Problem) -> Population:
@@ -358,7 +404,12 @@ def seed_population(solutions, problem: Problem) -> Population:
             raise ParameterError(
                 f"seed member has {x.n} variables, problem has {problem.n}"
             )
-    return Population(members, [problem.probe(x)[0] for x in members])
+    return _evaluated_population(members, problem)
+
+
+def _evaluated_population(members: list[Solution], problem: Problem) -> Population:
+    results = [problem.probe(x) for x in members]
+    return Population(members, [r[0] for r in results], results)
 
 
 # ---------------------------------------------------------------------------
@@ -371,6 +422,8 @@ class _Bookkeeper:
     __slots__ = (
         "algorithm",
         "direction",
+        "better",
+        "reaches",
         "target",
         "stop_on_target",
         "interval",
@@ -385,6 +438,11 @@ class _Bookkeeper:
     def __init__(self, algorithm: str, problem: Problem, config: RunConfig):
         self.algorithm = algorithm
         self.direction = problem.direction
+        maximize = problem.direction is Direction.MAXIMIZE
+        self.better = operator.gt if maximize else operator.lt
+        # Reaching the threshold at least weakly is necessary for target.met,
+        # and much cheaper to test on every evaluation.
+        self.reaches = operator.ge if maximize else operator.le
         self.target = config.target
         self.stop_on_target = config.stop_on_target and config.target is not None
         self.interval = config.milestone_interval
@@ -399,16 +457,17 @@ class _Bookkeeper:
         self.evals += 1
         improved = False
         if feasible and (
-            self.best_fitness is None
-            or is_better(fitness, self.best_fitness, self.direction)
+            self.best_fitness is None or self.better(fitness, self.best_fitness)
         ):
             self.best_fitness = fitness
             self.best_solution = x
             improved = True
+        target = self.target
         if (
-            self.target is not None
+            target is not None
             and self.first_hit is None
-            and self.target.met(fitness, cell, feasible, self.direction)
+            and self.reaches(fitness, target.threshold)
+            and target.met(fitness, cell, feasible, self.direction)
         ):
             self.first_hit = self.evals
         if improved or self.evals % self.interval == 0:
@@ -456,8 +515,9 @@ def run_map_elites(problem: Problem, config: RunConfig) -> RunTrace:
     strict = config.strict
     for _ in range(config.init_count):
         x = random_solution(problem.n, rng)
-        fitness, cell, feasible = probe(x)
-        archive.consider(cell, x, fitness, direction, strict=strict)
+        result = probe(x)
+        fitness, cell, feasible = result
+        archive.consider(cell, x, fitness, direction, strict=strict, result=result)
         book.record(x, fitness, cell, feasible)
     budget = config.budget
     while book.evals < budget and not book.stop_now():
@@ -476,6 +536,7 @@ def run_ea(problem: Problem, config: RunConfig) -> RunTrace:
     descriptor = problem.descriptor
     solutions: list[Solution] = []
     fitnesses: list[Fitness] = []
+    results: list[Result] = []
     book.occupancy = lambda: len({descriptor(s) for s in solutions})
     if config.initial_population is not None:
         members = config.initial_population
@@ -487,11 +548,13 @@ def run_ea(problem: Problem, config: RunConfig) -> RunTrace:
     else:
         members = [random_solution(problem.n, rng) for _ in range(config.init_count)]
     for x in members:
-        fitness, cell, feasible = probe(x)
+        result = probe(x)
+        fitness, cell, feasible = result
         solutions.append(x)
         fitnesses.append(fitness)
+        results.append(result)
         book.record(x, fitness, cell, feasible)
-    population = Population(solutions, fitnesses)  # shares the lists the closure reads
+    population = Population(solutions, fitnesses, results)  # shares the lists the closure reads
     budget = config.budget
     strict = config.strict
     while book.evals < budget and not book.stop_now():

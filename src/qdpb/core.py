@@ -23,6 +23,7 @@ __all__ = [
     "sample_flip_mask",
     "apply_mask",
     "bitwise_mutate",
+    "randbelow",
 ]
 
 
@@ -167,6 +168,42 @@ def _flip_count_cdf(n: int) -> tuple[float, ...]:
     return tuple(cdf)
 
 
+def randbelow(rng: RandomSource, n: int) -> int:
+    """A uniform int in ``0..n-1``, drawing exactly what ``rng.randrange(n)`` draws.
+
+    This is the rejection loop CPython's ``randrange`` runs for a positive
+    int: ``n.bit_length()`` random bits per try until the value is below
+    ``n``, so the stream and the result match ``randrange`` draw for draw,
+    without its argument checks.
+    """
+    getrandbits = rng.getrandbits
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
+def _flip_word(n: int, rng: RandomSource) -> int:
+    # A binomial flip count, then that many distinct uniform positions: the
+    # draws behind both sample_flip_mask and bitwise_mutate.
+    count = bisect_right(_flip_count_cdf(n), rng.random())
+    word = 0
+    if count:
+        getrandbits = rng.getrandbits
+        k = n.bit_length()
+        while count:
+            # randbelow(rng, n), inlined: this runs once per drawn position.
+            r = getrandbits(k)
+            while r >= n:
+                r = getrandbits(k)
+            bit = 1 << r
+            if not word & bit:
+                word |= bit
+                count -= 1
+    return word
+
+
 def sample_flip_mask(n: int, rng: RandomSource) -> FlipMask:
     """Draw a mask that includes each position independently with probability 1/n.
 
@@ -176,14 +213,7 @@ def sample_flip_mask(n: int, rng: RandomSource) -> FlipMask:
     """
     if n < 1:
         raise ParameterError(f"need at least one variable, got n={n}")
-    count = bisect_right(_flip_count_cdf(n), rng.random())
-    word = 0
-    while count:
-        bit = 1 << rng.randrange(n)
-        if not word & bit:
-            word |= bit
-            count -= 1
-    return FlipMask(n, word)
+    return FlipMask(n, _flip_word(n, rng))
 
 
 def apply_mask(x: Solution, mask: FlipMask) -> Solution:
@@ -194,5 +224,14 @@ def apply_mask(x: Solution, mask: FlipMask) -> Solution:
 
 
 def bitwise_mutate(x: Solution, rng: RandomSource) -> Solution:
-    """Standard bit-wise mutation: flip each position independently with probability 1/n."""
-    return apply_mask(x, sample_flip_mask(x.n, rng))
+    """Standard bit-wise mutation: flip each position independently with probability 1/n.
+
+    Draws the same stream as ``apply_mask(x, sample_flip_mask(x.n, rng))``.
+    When no position flips (probability about 1/e) the offspring is a copy,
+    and ``x`` itself is returned: callers may test ``child is x`` to reuse
+    what they know about ``x``.
+    """
+    mask = _flip_word(x.n, rng)
+    if not mask:
+        return x
+    return Solution(x.n, x.word ^ mask)

@@ -29,7 +29,7 @@ from .algorithms import (
 )
 from .analysis import approximation_ratio, brute_force_opt, qd_metrics
 from .core import RandomSource, Solution
-from .errors import ParameterError, ValidationError
+from .errors import ParameterError, ValidationError, require_ints
 from .instances import (
     Example1Params,
     Example2Params,
@@ -175,6 +175,11 @@ class ExperimentConfig:
     milestone_every: Optional[int] = None
 
     def __post_init__(self) -> None:
+        require_ints(
+            self,
+            ("budget", "trials", "master_seed"),
+            optional=("init_count", "workers", "milestone_every"),
+        )
         if self.algorithm not in ("map-elites", "ea"):
             raise ParameterError(
                 f"unknown algorithm {self.algorithm!r}; expected 'map-elites' or 'ea'"
@@ -305,12 +310,14 @@ def _record_from_trace(
     )
 
 
-def _run_one_trial(config: ExperimentConfig, problem: Problem, trial: int) -> TrialRecord:
+def _run_one_trial(
+    config: ExperimentConfig,
+    problem: Problem,
+    initial: Optional[tuple[Solution, ...]],
+    trial: int,
+) -> TrialRecord:
     seed = config.master_seed + trial
     init_count = config.init_count if config.init_count is not None else problem.num_cells
-    initial = None
-    if config.seed_population is not None:
-        initial = resolve_seed_members(config.seed_population, problem, init_count)
     run_config = RunConfig(
         budget=config.budget,
         init_count=init_count,
@@ -328,8 +335,8 @@ def _run_one_trial(config: ExperimentConfig, problem: Problem, trial: int) -> Tr
 def _trial_job(args) -> TrialRecord:
     # Worker-side entry point: rebuilds the problem from its picklable
     # instance (closures do not cross process boundaries).
-    config, instance, known_opt, trial = args
-    return _run_one_trial(config, make_problem(instance, known_opt=known_opt), trial)
+    config, instance, known_opt, initial, trial = args
+    return _run_one_trial(config, make_problem(instance, known_opt=known_opt), initial, trial)
 
 
 def _aggregate(records: tuple[TrialRecord, ...], direction: Direction) -> Aggregate:
@@ -352,15 +359,19 @@ def _aggregate(records: tuple[TrialRecord, ...], direction: Direction) -> Aggreg
 
 
 def effective_workers(config: ExperimentConfig) -> int:
-    if config.workers is not None:
-        return config.workers
-    env = os.environ.get("QDPB_WORKERS", "")
-    if env:
+    """Worker processes for ``config``: the requested count (``workers``, else
+    ``QDPB_WORKERS``, else 1), capped by the trial count and the CPU count.
+
+    The cap matters because a process pool starts all its workers at once.
+    """
+    requested = config.workers
+    if requested is None:
+        env = os.environ.get("QDPB_WORKERS", "")
         try:
-            return max(1, int(env))
+            requested = max(1, int(env)) if env else 1
         except ValueError as exc:
             raise ParameterError(f"QDPB_WORKERS must be an integer, got {env!r}") from exc
-    return 1
+    return min(requested, config.trials, os.cpu_count() or 1)
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
@@ -372,17 +383,18 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             f"init_count {init_count} differs from the cell count {problem.num_cells}; "
             "pass allow_unfair=True if an uneven comparison is intended"
         )
+    initial = None
     if config.seed_population is not None:
-        # Validate once up front so a bad seed string fails before any trial runs.
-        resolve_seed_members(config.seed_population, problem, init_count)
+        # Resolved once, before any trial runs, and shared by every trial.
+        initial = resolve_seed_members(config.seed_population, problem, init_count)
     workers = effective_workers(config)
     trials = range(config.trials)
     if workers > 1:
-        jobs = [(config, problem.instance, problem.known_opt, t) for t in trials]
+        jobs = [(config, problem.instance, problem.known_opt, initial, t) for t in trials]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             records = tuple(pool.map(_trial_job, jobs))
     else:
-        records = tuple(_run_one_trial(config, problem, t) for t in trials)
+        records = tuple(_run_one_trial(config, problem, initial, t) for t in trials)
     return ExperimentReport(
         config=config,
         problem_name=problem.name,

@@ -18,6 +18,7 @@ round trip (2^53).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -256,23 +257,47 @@ def is_feasible(x: Solution, problem: Problem) -> bool:
     return problem.feasible(x)
 
 
+def _chunk_tables(values, combine) -> tuple[tuple, ...]:
+    """For each 8-bit chunk of a word, the ``combine`` of ``values`` over every subset.
+
+    Table ``c`` maps a byte ``b`` to the combination of ``values[8c + i]``
+    over the set bits ``i`` of ``b`` (``0`` for the empty byte), so the
+    combination over a whole word is the combination of one entry per byte.
+    Each entry extends a smaller subset by one value, so a table costs 255
+    ``combine`` calls; the last chunk's table covers only its own bits.
+    """
+    tables = []
+    for base in range(0, len(values), 8):
+        chunk = values[base : base + 8]
+        table = [0] * (1 << len(chunk))
+        for b in range(1, len(table)):
+            low = b & -b
+            table[b] = combine(table[b ^ low], chunk[low.bit_length() - 1])
+        tables.append(tuple(table))
+    return tuple(tables)
+
+
 def make_max_coverage_problem(
     inst: MaxCoverageInstance, known_opt: Fitness | None = None
 ) -> Problem:
-    masks = inst.set_masks
+    """The coverage problem; ``probe`` ORs one precomputed union per byte of the word.
+
+    The tables hold at most 256 union masks per 8-bit chunk, ⌈n/8⌉·256 masks
+    of ``m_elements`` bits in all.
+    """
+    tables = _chunk_tables(inst.set_masks, operator.or_)
+    width = len(tables)
     k = inst.k
 
     def probe(x: Solution) -> tuple[int, int, bool]:
-        # Mirrors submodular_eval / submodular_descriptor in a single pass.
+        # Agrees with submodular_eval / submodular_descriptor, the per-set reference.
         word = x.word
         ones = word.bit_count()
         if ones > k:
             return -1, ones, False
         union = 0
-        while word:
-            low = word & -word
-            union |= masks[low.bit_length() - 1]
-            word ^= low
+        for table, byte in zip(tables, word.to_bytes(width, "little")):
+            union |= table[byte]
         return union.bit_count(), ones, True
 
     return Problem(
@@ -290,22 +315,28 @@ def make_max_coverage_problem(
 
 
 def make_set_cover_problem(inst: SetCoverInstance, known_opt: Fitness | None = None) -> Problem:
-    masks = inst.set_masks
-    weights = inst.weights
+    """The set-cover problem; ``probe`` adds up one precomputed entry per byte of the word.
+
+    Each entry is the (union mask, weight sum) pair of a subset of one 8-bit
+    chunk: ⌈n/8⌉·256 masks of ``m_elements`` bits and as many ints in all.
+    """
+    tables = tuple(
+        tuple(zip(masks, weights))
+        for masks, weights in zip(
+            _chunk_tables(inst.set_masks, operator.or_), _chunk_tables(inst.weights, operator.add)
+        )
+    )
+    width = len(tables)
     m = inst.m_elements
     penalty = inst.penalty
 
     def probe(x: Solution) -> tuple[int, int, bool]:
-        # Mirrors set_cover_eval / set_cover_descriptor in a single pass.
-        word = x.word
-        weight = 0
-        union = 0
-        while word:
-            low = word & -word
-            i = low.bit_length() - 1
-            weight += weights[i]
-            union |= masks[i]
-            word ^= low
+        # Agrees with set_cover_eval / set_cover_descriptor, the per-set reference.
+        weight = union = 0
+        for table, byte in zip(tables, x.word.to_bytes(width, "little")):
+            mask, chunk_weight = table[byte]
+            union |= mask
+            weight += chunk_weight
         covered = union.bit_count()
         return weight + penalty * (m - covered), covered, covered == m
 

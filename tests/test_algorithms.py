@@ -1,5 +1,6 @@
 """Engine behaviour tests: archive discipline, eviction rules, trace accounting."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qdpb import algorithms
 from qdpb.algorithms import (
     Archive,
     Population,
@@ -316,3 +318,63 @@ def test_run_on_reference_families_smoke():
     p2 = make_problem(example2_set_cover(Example2Params(6)))
     trace2 = run_ea(p2, RunConfig(budget=4000, init_count=6, seed=3))
     assert trace2.best_fitness is not None
+
+
+# ---------------------------------------------------------------------------
+# Copy offspring reuse their parent's probe result
+
+
+@pytest.mark.parametrize("engine", [run_map_elites, run_ea])
+@pytest.mark.parametrize("use_cover", [False, True])
+def test_only_copies_skip_the_probe(engine, use_cover, monkeypatch):
+    if use_cover:
+        base = make_problem(random_set_cover(10, 12, 0.3, 5, RandomSource(2)))
+    else:
+        base = make_problem(random_max_coverage(10, 12, 0.3, 4, RandomSource(2)))
+    probes = copies = 0
+
+    def probe(x):
+        nonlocal probes
+        probes += 1
+        return base.probe(x)
+
+    original_mutate = algorithms.bitwise_mutate
+
+    def mutate(x, rng):
+        nonlocal copies
+        child = original_mutate(x, rng)
+        copies += child is x
+        return child
+
+    monkeypatch.setattr(algorithms, "bitwise_mutate", mutate)
+    problem = dataclasses.replace(base, probe=probe)
+    trace = engine(problem, RunConfig(budget=3000, init_count=problem.num_cells, seed=8))
+    assert trace.evaluations_used == 3000
+    assert copies > 0
+    assert probes == trace.evaluations_used - copies
+    assert trace == engine(base, RunConfig(budget=3000, init_count=base.num_cells, seed=8))
+
+
+def test_kept_members_carry_their_probe_results():
+    problem = small_problem(9)
+    rng = RandomSource(4)
+    archive = map_elites_init(problem, 6, rng)
+    population = ea_init(problem, 6, rng)
+    for _ in range(300):
+        map_elites_step(archive, problem, rng, strict=False)
+        mu_plus_one_step(population, problem, rng, strict=False)
+    for cell in archive.occupied:
+        assert archive.results[cell] == problem.probe(archive.solutions[cell])
+    assert population.results == [problem.probe(x) for x in population.solutions]
+
+
+def test_members_without_results_are_probed():
+    problem = small_problem(9)
+    population = Population([S("000000")] * 3, [problem.evaluate(S("000000"))] * 3)
+    assert population.results == [None] * 3
+    rng = RandomSource(1)
+    for _ in range(50):
+        child, fitness, cell, feasible, _ = mu_plus_one_step(population, problem, rng)
+        assert (fitness, cell, feasible) == problem.probe(child)
+    with pytest.raises(ParameterError, match="probe results"):
+        Population([S("000000")], [0], [])

@@ -128,6 +128,11 @@ def test_run_config_file(star5, tmp_path, capsys):
     assert "algorithm: map-elites" in capsys.readouterr().out
     # Conflicting flag next to --config is a config error.
     assert main(["run", "--config", str(path), "--algo", "ea"]) == 1
+    capsys.readouterr()
+    # So is a number given as a string.
+    path.write_text(json.dumps({**config, "budget": "300"}))
+    assert main(["run", "--config", str(path)]) == 1
+    assert "budget must be an integer" in capsys.readouterr().err
 
 
 def test_run_requires_enough_flags(capsys):

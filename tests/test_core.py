@@ -14,6 +14,7 @@ from qdpb.core import (
     Solution,
     apply_mask,
     bitwise_mutate,
+    randbelow,
     random_solution,
     sample_flip_mask,
 )
@@ -131,6 +132,29 @@ def test_mutation_preserves_length_and_determinism():
     rng2 = RandomSource(4242)
     x2 = random_solution(20, rng2)
     assert [bitwise_mutate(x2, rng2) for _ in range(50)] == children
+
+
+@given(st.integers(1, 70), st.integers(0, 2**32))
+def test_bitwise_mutate_draws_the_flip_mask_stream(n, seed):
+    # bitwise_mutate must equal apply_mask(x, sample_flip_mask(...)) draw for
+    # draw, and return x itself exactly when the mask is empty.
+    rng, rng_mask = RandomSource(seed), RandomSource(seed)
+    x = random_solution(n, rng)
+    random_solution(n, rng_mask)
+    for _ in range(30):
+        child = bitwise_mutate(x, rng)
+        mask = sample_flip_mask(n, rng_mask)
+        assert child == apply_mask(x, mask)
+        assert (child is x) == (mask.word == 0)
+        x = child
+    assert rng.getstate() == rng_mask.getstate()
+
+
+@given(st.integers(1, 300), st.integers(0, 2**32))
+def test_randbelow_matches_randrange(n, seed):
+    rng, reference = RandomSource(seed), RandomSource(seed)
+    assert [randbelow(rng, n) for _ in range(20)] == [reference.randrange(n) for _ in range(20)]
+    assert rng.getstate() == reference.getstate()
 
 
 def test_n_equal_one_always_flips():

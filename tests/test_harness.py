@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from qdpb.algorithms import QualityTarget
+from qdpb import harness
+from qdpb.algorithms import QualityTarget, RunConfig
 from qdpb.analysis import brute_force_opt
 from qdpb.core import RandomSource
 from qdpb.errors import ParameterError, ValidationError
@@ -94,6 +95,20 @@ def test_config_rejects_bad_settings():
         small_me_config(seed_population="local")
 
 
+@pytest.mark.parametrize("name", ["budget", "trials", "master_seed", "init_count", "workers", "milestone_every"])
+@pytest.mark.parametrize("value", [100.5, "100", True])
+def test_config_numbers_must_be_ints(name, value):
+    with pytest.raises(ParameterError, match=f"{name} must be an integer"):
+        small_me_config(**{name: value})
+
+
+@pytest.mark.parametrize("name", ["budget", "init_count", "milestone_every"])
+def test_run_config_numbers_must_be_ints(name):
+    settings = dict(budget=100, init_count=5, seed=1)
+    with pytest.raises(ParameterError, match=f"{name} must be an integer"):
+        RunConfig(**{**settings, name: 100.5})
+
+
 def test_fairness_guard():
     config = small_me_config(init_count=3)
     with pytest.raises(ParameterError, match="allow_unfair"):
@@ -147,10 +162,16 @@ def test_workers_do_not_change_results():
     parallel = run_experiment(small_me_config(trials=4, workers=2))
     assert serial.records == parallel.records
     assert serial.aggregate == parallel.aggregate
+    # Seed members are resolved once and shipped to the workers.
+    seeded = small_me_config(algorithm="ea", trials=2, seed_population="local", target=None)
+    assert run_experiment(seeded).records == run_experiment(
+        small_me_config(algorithm="ea", trials=2, seed_population="local", target=None, workers=2)
+    ).records
 
 
 def test_effective_workers_env_fallback(monkeypatch):
     config = small_me_config()
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 8)
     monkeypatch.delenv("QDPB_WORKERS", raising=False)
     assert effective_workers(config) == 1
     monkeypatch.setenv("QDPB_WORKERS", "3")
@@ -159,6 +180,43 @@ def test_effective_workers_env_fallback(monkeypatch):
     monkeypatch.setenv("QDPB_WORKERS", "lots")
     with pytest.raises(ParameterError, match="QDPB_WORKERS"):
         effective_workers(config)
+
+
+def test_effective_workers_is_bounded_by_trials_and_cpus(monkeypatch):
+    # Computed only: no pool is started.
+    monkeypatch.delenv("QDPB_WORKERS", raising=False)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
+    assert effective_workers(small_me_config(workers=5000, trials=2)) == 2
+    assert effective_workers(small_me_config(workers=5000, trials=10)) == 4
+    assert effective_workers(small_me_config(workers=3, trials=10)) == 3
+    monkeypatch.setenv("QDPB_WORKERS", "5000")
+    assert effective_workers(small_me_config(trials=10)) == 4
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: None)
+    assert effective_workers(small_me_config(workers=5000, trials=10)) == 1
+
+
+def test_seed_members_are_resolved_once_per_experiment(monkeypatch):
+    calls = 0
+    identify = harness.identify_instance
+
+    def counted(inst):
+        nonlocal calls
+        calls += 1
+        return identify(inst)
+
+    monkeypatch.setattr(harness, "identify_instance", counted)
+    config = ExperimentConfig(
+        problem=ProblemSpec(kind="example2", n=5),
+        algorithm="ea",
+        budget=200,
+        trials=3,
+        master_seed=1,
+        seed_population="local",
+        workers=1,
+    )
+    report = run_experiment(config)
+    assert calls == 1
+    assert len(report.records) == 3
 
 
 def test_small_map_elites_experiment_succeeds():

@@ -166,9 +166,13 @@ def test_is_better_truth_table():
     assert is_better(2, 2, Direction.MINIMIZE, strict=False)
 
 
+# Sizes on both sides of the 8-bit chunk boundaries of the probe's tables.
+sizes = st.one_of(st.integers(1, 9), st.sampled_from((16, 17, 60, 65)))
+
+
 @st.composite
 def coverage_instances(draw):
-    n = draw(st.integers(1, 7))
+    n = draw(sizes)
     m = draw(st.integers(1, 9))
     sets = tuple(
         tuple(sorted(draw(st.sets(st.integers(0, m - 1))))) for _ in range(n)
@@ -179,7 +183,7 @@ def coverage_instances(draw):
 
 @st.composite
 def cover_instances(draw):
-    n = draw(st.integers(1, 7))
+    n = draw(sizes)
     m = draw(st.integers(1, 9))
     raw = [draw(st.sets(st.integers(0, m - 1))) for _ in range(n)]
     raw[0] |= set(range(m)) - set().union(*raw)  # guarantee coverability
@@ -202,6 +206,7 @@ def test_max_coverage_probe_agrees_with_parts(inst, data):
         problem.feasible(x),
     )
     assert problem.evaluate(x) == submodular_eval(x, inst)
+    assert problem.descriptor(x) == submodular_descriptor(x)
 
 
 @given(cover_instances(), st.data())
@@ -215,4 +220,5 @@ def test_set_cover_probe_agrees_with_parts(inst, data):
         problem.feasible(x),
     )
     assert problem.evaluate(x) == set_cover_eval(x, inst)
+    assert problem.descriptor(x) == set_cover_descriptor(x, inst)
     assert problem.descriptor(x) == coverage_count(x, inst.sets, inst.m_elements)
