@@ -47,6 +47,7 @@ from .analysis import (
     gamma_min,
     greedy_max_coverage,
     greedy_set_cover,
+    reference_probe,
     submodularity_ratio,
     trap_escape_probability_bound,
 )
@@ -62,7 +63,7 @@ from .instances import (
     random_max_coverage,
     random_set_cover,
 )
-from .problems import Direction, is_better, make_problem
+from .problems import is_better, make_problem
 
 __all__ = [
     "CriterionResult",
@@ -250,9 +251,7 @@ def _c5_umbrella_trap() -> tuple[bool, str]:
         ) == n
         for n in range(4, 11)
     )
-    trapped_ratio = approximation_ratio(
-        params.local_fitness, params.opt_fitness, Direction.MINIMIZE
-    )
+    trapped_ratio = approximation_ratio(params.local_fitness, params.opt_fitness)
     ok = (
         improvements == 0
         and stuck
@@ -397,30 +396,34 @@ def _check_greedy_gain_inequality() -> Optional[str]:
     return None
 
 
-def _check_archive_cell_monotonicity() -> Optional[str]:
-    from .algorithms import map_elites_init, map_elites_step
+def _prefix_states(run, problem, init_count: int, seed: int, steps: int):
+    """The container after init and after each of ``steps`` steps, one run per prefix.
 
+    A run's draws do not depend on its budget, so the run with budget
+    ``init_count + s`` ends in the state after step ``s`` of a longer run.
+    """
+    for budget in range(init_count, init_count + steps + 1):
+        trace = run(problem, RunConfig(budget=budget, init_count=init_count, seed=seed))
+        yield trace.archive if trace.archive is not None else trace.population
+
+
+def _check_archive_cell_monotonicity() -> Optional[str]:
     problem = make_problem(example1_max_coverage(Example1Params(9, Fraction(1, 3))))
-    rng = RandomSource(7400)
-    archive = map_elites_init(problem, 10, rng)
-    for step in range(500):
-        before = list(archive.fitnesses)
-        map_elites_step(archive, problem, rng)
+    states = _prefix_states(run_map_elites, problem, 10, 7400, 500)
+    before = next(states).fitnesses
+    for step, archive in enumerate(states):
         for cell, (old, new) in enumerate(zip(before, archive.fitnesses)):
             if old is not None and (new is None or new < old):
                 return f"cell {cell} worsened from {old} to {new} at step {step}"
+        before = archive.fitnesses
     return None
 
 
 def _check_population_worst_monotonicity() -> Optional[str]:
-    from .algorithms import ea_init, mu_plus_one_step
-
     problem = make_problem(example2_set_cover(Example2Params(8)))
-    rng = RandomSource(7500)
-    population = ea_init(problem, 8, rng)
-    worst_before = population.worst(problem.direction)[0]
-    for step in range(500):
-        mu_plus_one_step(population, problem, rng)
+    states = _prefix_states(run_ea, problem, 8, 7500, 500)
+    worst_before = next(states).worst(problem.direction)[0]
+    for step, population in enumerate(states):
         worst_now = population.worst(problem.direction)[0]
         if worst_now > worst_before:  # minimization: the worst may only shrink
             return f"population worst went from {worst_before} to {worst_now} at step {step}"
@@ -428,19 +431,20 @@ def _check_population_worst_monotonicity() -> Optional[str]:
     return None
 
 
-def _check_descriptor_coherence() -> Optional[str]:
+def _check_probe_oracle() -> Optional[str]:
+    # Every word, not a sample: a wrong entry in one of the probe's 8-bit
+    # chunk tables shows only on the 1 in 256 words whose byte selects it.
     problems = (
         make_problem(example1_max_coverage(Example1Params(9, Fraction(1, 3)))),
         make_problem(example2_set_cover(Example2Params(8))),
     )
-    rng = RandomSource(7450)
     for problem in problems:
-        for _ in range(300):
-            x = Solution(problem.n, rng.getrandbits(problem.n))
+        for word in range(1 << problem.n):
+            x = Solution(problem.n, word)
             probed = problem.probe(x)
-            direct = (problem.evaluate(x), problem.descriptor(x), problem.feasible(x))
-            if probed != direct:
-                return f"{problem.name}: probe {probed} != piecewise {direct} on {x.to_string()}"
+            expected = reference_probe(x, problem.instance)
+            if probed != expected:
+                return f"{problem.name}: probe {probed} != reference {expected} on {x.to_string()}"
             if not 0 <= probed[1] < problem.num_cells:
                 return f"{problem.name}: descriptor {probed[1]} outside the cell range"
     return None
@@ -474,7 +478,7 @@ _INVARIANT_CHECKS: tuple[tuple[str, Callable[[], Optional[str]]], ...] = (
     ("greedy-gain", _check_greedy_gain_inequality),
     ("archive-cells", _check_archive_cell_monotonicity),
     ("population-worst", _check_population_worst_monotonicity),
-    ("descriptor-coherence", _check_descriptor_coherence),
+    ("probe-oracle", _check_probe_oracle),
     ("conservation", _check_evaluation_conservation),
     ("determinism", _check_determinism),
 )

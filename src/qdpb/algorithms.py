@@ -4,9 +4,11 @@ Both engines share the same primitive moves (uniform parent choice, standard
 bit-flip mutation, one evaluation per offspring) and differ only in what they
 keep: the archive retains the best solution seen per behaviour cell, the EA a
 fixed-size population whose worst member is evicted by strictly better
-offspring.  Every generated solution costs exactly one evaluation, so a run
-uses ``init_count + steps`` evaluations and a fixed seed reproduces the full
-trace bit for bit.
+offspring.  So both run through one loop, ``_run``, with ``Archive.consider``
+or ``Population.replace_worst_if_better`` as its keep policy.  Every
+generated solution costs exactly one evaluation, so a run uses
+``init_count + steps`` evaluations and a fixed seed reproduces the full trace
+bit for bit.
 
 Per-step random draws happen in a fixed order (parent index, mutation mask,
 then — only when an eviction has several tied victims — one tie-break draw),
@@ -26,7 +28,7 @@ from math import ceil
 from typing import Callable, Optional
 
 from .core import RandomSource, Solution, bitwise_mutate, randbelow, random_solution
-from .errors import ParameterError, StateError, require_ints
+from .errors import ParameterError, require_ints, require_numbers
 from .problems import Direction, Fitness, Problem, is_better
 
 Result = tuple[Fitness, int, bool]  # what Problem.probe returns: (fitness, cell, feasible)
@@ -38,12 +40,7 @@ __all__ = [
     "RunTrace",
     "Archive",
     "Population",
-    "map_elites_init",
-    "map_elites_step",
     "run_map_elites",
-    "ea_init",
-    "seed_population",
-    "mu_plus_one_step",
     "run_ea",
 ]
 
@@ -61,6 +58,10 @@ class QualityTarget:
     strict: bool = False
     require_feasible: bool = True
     required_cell: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        require_numbers(self, ("threshold",))
+        require_ints(self, (), optional=("required_cell",))
 
     def met(self, fitness: Fitness, cell: int, feasible: bool, direction: Direction) -> bool:
         if self.require_feasible and not feasible:
@@ -257,9 +258,6 @@ class Population:
 
     __hash__ = None
 
-    def members(self) -> list[tuple[Solution, Fitness]]:
-        return list(zip(self.solutions, self.fitnesses))
-
     def worst(self, direction: Direction) -> tuple[Fitness, list[int]]:
         """Worst fitness value and the indices holding it (i.e. eviction candidates)."""
         cache = self._worst_cache
@@ -270,11 +268,6 @@ class Population:
         indices = [i for i, f in enumerate(fits) if f == value]
         self._worst_cache = (direction, value, indices)
         return value, indices
-
-    def best(self, direction: Direction) -> tuple[Solution, Fitness]:
-        fits = self.fitnesses
-        value = max(fits) if direction is Direction.MAXIMIZE else min(fits)
-        return self.solutions[fits.index(value)], value
 
     def replace(
         self, index: int, solution: Solution, fitness: Fitness, result: Optional[Result] = None
@@ -309,107 +302,6 @@ class Population:
         victim = candidates[rng.randrange(len(candidates))] if len(candidates) > 1 else candidates[0]
         self.replace(victim, solution, fitness, result)
         return victim
-
-
-# ---------------------------------------------------------------------------
-# Engine steps
-
-
-def map_elites_step(
-    archive: Archive,
-    problem: Problem,
-    rng: RandomSource,
-    *,
-    strict: bool = True,
-) -> tuple[Solution, Fitness, int, bool, bool]:
-    """One iteration: uniform parent from occupied cells, mutate, evaluate, insert.
-
-    Returns ``(offspring, fitness, cell, feasible, accepted)``.
-    """
-    occupied = archive.occupied
-    if not occupied:
-        raise StateError("cannot step an empty archive; initialize it first")
-    index = occupied[randbelow(rng, len(occupied))]
-    parent = archive.solutions[index]
-    child = bitwise_mutate(parent, rng)
-    result = archive.results[index] if child is parent else None
-    if result is None:
-        result = problem.probe(child)
-    fitness, cell, feasible = result
-    accepted = archive.consider(cell, child, fitness, problem.direction, strict=strict, result=result)
-    return child, fitness, cell, feasible, accepted
-
-
-def mu_plus_one_step(
-    population: Population,
-    problem: Problem,
-    rng: RandomSource,
-    *,
-    strict: bool = True,
-) -> tuple[Solution, Fitness, int, bool, Optional[int]]:
-    """One iteration: uniform parent, mutate, evaluate, maybe evict a worst member.
-
-    Returns ``(offspring, fitness, cell, feasible, replaced_index)``.
-    """
-    index = randbelow(rng, len(population.solutions))
-    parent = population.solutions[index]
-    child = bitwise_mutate(parent, rng)
-    result = population.results[index] if child is parent else None
-    if result is None:
-        result = problem.probe(child)
-    fitness, cell, feasible = result
-    replaced = population.replace_worst_if_better(
-        child, fitness, problem.direction, rng, strict=strict, result=result
-    )
-    return child, fitness, cell, feasible, replaced
-
-
-# ---------------------------------------------------------------------------
-# Initialization
-
-
-def map_elites_init(
-    problem: Problem,
-    count: int,
-    rng: RandomSource,
-    *,
-    strict: bool = True,
-) -> Archive:
-    """Fill a fresh archive with ``count`` uniform random solutions (one evaluation each)."""
-    if count < 1:
-        raise ParameterError(f"count must be positive, got {count}")
-    archive = Archive(problem.num_cells)
-    for _ in range(count):
-        x = random_solution(problem.n, rng)
-        result = problem.probe(x)
-        fitness, cell, _feasible = result
-        archive.consider(cell, x, fitness, problem.direction, strict=strict, result=result)
-    return archive
-
-
-def ea_init(problem: Problem, mu: int, rng: RandomSource) -> Population:
-    """A population of ``mu`` uniform random solutions (one evaluation each)."""
-    if mu < 1:
-        raise ParameterError(f"mu must be positive, got {mu}")
-    return _evaluated_population([random_solution(problem.n, rng) for _ in range(mu)], problem)
-
-
-def seed_population(solutions, problem: Problem) -> Population:
-    """Build a population from explicit members (evaluating each one)."""
-    members = list(solutions)
-    if not members:
-        raise ParameterError("seed population must not be empty")
-    for x in members:
-        if x.n != problem.n:
-            raise ParameterError(
-                f"seed member has {x.n} variables, problem has {problem.n}"
-            )
-    return _evaluated_population(members, problem)
-
-
-def _evaluated_population(members: list[Solution], problem: Problem) -> Population:
-    results = [problem.probe(x) for x in members]
-    return Population(members, [r[0] for r in results], results)
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +345,8 @@ class _Bookkeeper:
         self.milestones: list[Milestone] = []
         self.occupancy: Callable[[], int] = lambda: 0
 
-    def record(self, x: Solution, fitness: Fitness, cell: int, feasible: bool) -> None:
+    def record(self, x: Solution, result: Result) -> None:
+        fitness, cell, feasible = result
         self.evals += 1
         improved = False
         if feasible and (
@@ -503,63 +396,76 @@ class _Bookkeeper:
 
 
 def run_map_elites(problem: Problem, config: RunConfig) -> RunTrace:
-    """Initialize an archive and step it until the budget runs out or the target is hit."""
-    if config.initial_population is not None:
-        raise ParameterError("initial_population is an EA feature; the archive self-seeds")
-    rng = RandomSource(config.seed)
-    book = _Bookkeeper("map-elites", problem, config)
-    archive = Archive(problem.num_cells)
-    book.occupancy = archive.occupied.__len__
-    probe = problem.probe
-    direction = problem.direction
-    strict = config.strict
-    for _ in range(config.init_count):
-        x = random_solution(problem.n, rng)
-        result = probe(x)
-        fitness, cell, feasible = result
-        archive.consider(cell, x, fitness, direction, strict=strict, result=result)
-        book.record(x, fitness, cell, feasible)
-    budget = config.budget
-    while book.evals < budget and not book.stop_now():
-        child, fitness, cell, feasible, _ = map_elites_step(
-            archive, problem, rng, strict=strict
-        )
-        book.record(child, fitness, cell, feasible)
-    return book.finish(archive=archive)
+    """Fill an archive with random solutions, then step it until the budget runs out or the target is hit."""
+    return _run("map-elites", problem, config)
 
 
 def run_ea(problem: Problem, config: RunConfig) -> RunTrace:
-    """Initialize a population (random or seeded) and run (mu+1) steps."""
-    rng = RandomSource(config.seed)
-    book = _Bookkeeper("ea", problem, config)
-    probe = problem.probe
-    descriptor = problem.descriptor
-    solutions: list[Solution] = []
-    fitnesses: list[Fitness] = []
-    results: list[Result] = []
-    book.occupancy = lambda: len({descriptor(s) for s in solutions})
-    if config.initial_population is not None:
-        members = config.initial_population
+    """Initialize a population (random or seeded), then run (mu+1) steps."""
+    return _run("ea", problem, config)
+
+
+def _run(algorithm: str, problem: Problem, config: RunConfig) -> RunTrace:
+    """The loop both engines share; only the container and its keep policy differ.
+
+    Each init member is probed, kept and recorded in turn.  Each step then
+    picks a parent uniformly from ``slots`` (the archive's occupied cells, or
+    the mu population indices), mutates it, probes the child unless it is a
+    copy, hands it to the keep policy and records it.
+    """
+    n = problem.n
+    members = config.initial_population
+    if members is not None:
+        if algorithm == "map-elites":
+            raise ParameterError("initial_population is an EA feature; the archive self-seeds")
         for x in members:
-            if x.n != problem.n:
-                raise ParameterError(
-                    f"seed member has {x.n} variables, problem has {problem.n}"
-                )
-    else:
-        members = [random_solution(problem.n, rng) for _ in range(config.init_count)]
-    for x in members:
-        result = probe(x)
-        fitness, cell, feasible = result
-        solutions.append(x)
-        fitnesses.append(fitness)
-        results.append(result)
-        book.record(x, fitness, cell, feasible)
-    population = Population(solutions, fitnesses, results)  # shares the lists the closure reads
-    budget = config.budget
+            if x.n != n:
+                raise ParameterError(f"seed member has {x.n} variables, problem has {n}")
+    rng = RandomSource(config.seed)
+    if members is None:
+        members = (random_solution(n, rng) for _ in range(config.init_count))
+    book = _Bookkeeper(algorithm, problem, config)
+    record = book.record
+    probe = problem.probe
+    direction = problem.direction
     strict = config.strict
+    mutate = bitwise_mutate  # the module global at run time, so a rebinding takes effect
+    archive = population = None
+    if algorithm == "map-elites":
+        archive = Archive(problem.num_cells)
+        solutions, results, slots = archive.solutions, archive.results, archive.occupied
+        book.occupancy = slots.__len__
+        consider = archive.consider
+
+        def keep(x: Solution, result: Result) -> None:
+            consider(result[1], x, result[0], direction, strict=strict, result=result)
+
+        def admit(_index: int, x: Solution, result: Result) -> None:
+            keep(x, result)
+
+    else:
+        mu = config.init_count
+        population = Population([None] * mu, [None] * mu, [None] * mu)  # filled by admit
+        solutions, results, slots = population.solutions, population.results, range(mu)
+        book.occupancy = lambda: len({r[1] for r in results if r is not None})
+        replace_worst = population.replace_worst_if_better
+
+        def keep(x: Solution, result: Result) -> None:
+            replace_worst(x, result[0], direction, rng, strict=strict, result=result)
+
+        def admit(index: int, x: Solution, result: Result) -> None:
+            population.replace(index, x, result[0], result)
+
+    for index, x in enumerate(members):
+        result = probe(x)
+        admit(index, x, result)
+        record(x, result)
+    budget = config.budget
     while book.evals < budget and not book.stop_now():
-        child, fitness, cell, feasible, _ = mu_plus_one_step(
-            population, problem, rng, strict=strict
-        )
-        book.record(child, fitness, cell, feasible)
-    return book.finish(population=population)
+        index = slots[randbelow(rng, len(slots))]
+        parent = solutions[index]
+        child = mutate(parent, rng)
+        result = results[index] if child is parent else probe(child)
+        keep(child, result)
+        record(child, result)
+    return book.finish(archive=archive, population=population)

@@ -20,7 +20,6 @@ from .core import Solution
 from .errors import ParameterError, StateError, ValidationError
 from .instances import Example1Params, Example2Params
 from .problems import (
-    Direction,
     Fitness,
     MaxCoverageInstance,
     Problem,
@@ -31,6 +30,7 @@ from .algorithms import Archive
 
 __all__ = [
     "OracleResult",
+    "reference_probe",
     "QdMetrics",
     "SetFunctionTable",
     "brute_force_opt",
@@ -84,6 +84,27 @@ def brute_force_opt(problem: Problem) -> OracleResult:
     if best_word is None:
         raise StateError("no feasible solution exists")
     return OracleResult(Solution(n, best_word), best_fitness, count)
+
+
+def reference_probe(
+    x: Solution, inst: Union[MaxCoverageInstance, SetCoverInstance]
+) -> tuple[Fitness, int, bool]:
+    """``(fitness, cell, feasible)`` of ``x``, computed with Python sets over ``inst.sets``.
+
+    The independent reference for ``Problem.probe``: it reads the selected
+    sets one by one and shares no code with the problems' chunk tables.
+    """
+    if x.n != inst.n:
+        raise ParameterError(f"solution has {x.n} variables, instance has {inst.n}")
+    selected = [i for i, bit in enumerate(x.bits) if bit]
+    covered = set().union(*(inst.sets[i] for i in selected))
+    if isinstance(inst, MaxCoverageInstance):
+        if len(selected) > inst.k:
+            return -1, len(selected), False
+        return len(covered), len(selected), True
+    weight = sum(inst.weights[i] for i in selected)
+    missing = inst.m_elements - len(covered)
+    return weight + inst.penalty * missing, len(covered), missing == 0
 
 
 # ---------------------------------------------------------------------------
@@ -377,10 +398,9 @@ def qd_metrics(archive: Archive, problem: Problem) -> QdMetrics:
     return QdMetrics(optimization=best, coverage=len(archive), qd_score=total)
 
 
-def approximation_ratio(fitness: Fitness, opt: Fitness, direction: Direction) -> float:
+def approximation_ratio(fitness: Fitness, opt: Fitness) -> float:
     """``fitness / opt``; for minimization the reader flips the interpretation (1 is ideal,
-    larger is worse).  ``direction`` is accepted to make call sites self-documenting."""
-    del direction
+    larger is worse)."""
     if opt <= 0:
         raise ParameterError(f"reference optimum must be positive, got {opt}")
     return fitness / opt

@@ -251,7 +251,7 @@ def _cmd_analyze(args) -> int:
     print(f"cell: {cell}")
     print(f"feasible: {'yes' if feasible else 'no'}")
     if problem.known_opt is not None:
-        ratio = approximation_ratio(fitness, problem.known_opt, problem.direction)
+        ratio = approximation_ratio(fitness, problem.known_opt)
         print(f"ratio: {ratio:g} (OPT={problem.known_opt})")
     if args.escape_radius:
         radius = escape_radius(x, problem)

@@ -23,9 +23,18 @@ def require_ints(obj, names, optional=()) -> None:
     ``bool`` is refused although it subclasses ``int``; attributes named in
     ``optional`` may also be None.
     """
+    _require(obj, names, optional, int, "an integer")
+
+
+def require_numbers(obj, names, optional=()) -> None:
+    """Like ``require_ints``, but a float is accepted too."""
+    _require(obj, names, optional, (int, float), "a number")
+
+
+def _require(obj, names, optional, types, what: str) -> None:
     for name in (*names, *optional):
         value = getattr(obj, name)
         if value is None and name in optional:
             continue
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ParameterError(f"{name} must be an integer, got {value!r}")
+        if not isinstance(value, types) or isinstance(value, bool):
+            raise ParameterError(f"{name} must be {what}, got {value!r}")

@@ -29,7 +29,7 @@ from .algorithms import (
 )
 from .analysis import approximation_ratio, brute_force_opt, qd_metrics
 from .core import RandomSource, Solution
-from .errors import ParameterError, ValidationError, require_ints
+from .errors import ParameterError, ValidationError, require_ints, require_numbers
 from .instances import (
     Example1Params,
     Example2Params,
@@ -111,6 +111,8 @@ class ProblemSpec:
         for name in required:
             if getattr(self, name) is None:
                 raise ParameterError(f"problem kind {self.kind!r} requires {name!r}")
+        require_ints(self, (), optional=("n", "m_elements", "k", "max_weight", "instance_seed"))
+        require_numbers(self, (), optional=("density",))
 
 
 def resolve_problem(spec: ProblemSpec) -> Problem:
@@ -282,8 +284,9 @@ def _population_archive(trace: RunTrace, problem: Problem) -> Archive:
     """View the final EA population through the archive's insert rule so the
     diversity metrics mean the same thing for both algorithms."""
     archive = Archive(problem.num_cells)
-    for solution, fitness in trace.population.members():
-        archive.consider(problem.descriptor(solution), solution, fitness, problem.direction)
+    population = trace.population
+    for solution, (fitness, cell, _feasible) in zip(population.solutions, population.results):
+        archive.consider(cell, solution, fitness, problem.direction)
     return archive
 
 
@@ -294,7 +297,7 @@ def _record_from_trace(
     metrics = qd_metrics(archive, problem)
     ratio = None
     if problem.known_opt is not None and trace.best_fitness is not None:
-        ratio = approximation_ratio(trace.best_fitness, problem.known_opt, problem.direction)
+        ratio = approximation_ratio(trace.best_fitness, problem.known_opt)
     best = trace.best_solution
     return TrialRecord(
         trial=trial,

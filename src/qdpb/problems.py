@@ -35,12 +35,6 @@ __all__ = [
     "SetCoverInstance",
     "Problem",
     "make_element_masks",
-    "coverage_count",
-    "submodular_eval",
-    "submodular_descriptor",
-    "set_cover_eval",
-    "set_cover_descriptor",
-    "is_feasible",
     "make_max_coverage_problem",
     "make_set_cover_problem",
     "make_problem",
@@ -84,15 +78,6 @@ def _check_sets(sets, n: int, m_elements: int) -> None:
 def make_element_masks(sets) -> tuple[int, ...]:
     """One int bitmask per candidate set, bit ``e`` for element ``e``."""
     return tuple(sum(1 << e for e in s) for s in sets)
-
-
-def _union_word(word: int, masks) -> int:
-    u = 0
-    while word:
-        low = word & -word
-        u |= masks[low.bit_length() - 1]
-        word ^= low
-    return u
 
 
 @dataclass(frozen=True)
@@ -179,82 +164,43 @@ Instance = Union[MaxCoverageInstance, SetCoverInstance]
 
 
 # ---------------------------------------------------------------------------
-# Evaluators and descriptors
-
-
-def coverage_count(x: Solution, sets, m_elements: int) -> int:
-    """Number of elements covered by the sets selected in ``x``."""
-    if len(sets) != x.n:
-        raise ParameterError(f"{len(sets)} sets but solution has {x.n} variables")
-    union = _union_word(x.word, make_element_masks(sets))
-    if union >> m_elements:
-        raise ParameterError(f"sets reference elements outside 0..{m_elements - 1}")
-    return union.bit_count()
-
-
-def submodular_eval(x: Solution, inst: MaxCoverageInstance) -> int:
-    """Coverage fitness with the size constraint folded in: -1 when more than k sets are picked."""
-    if x.n != inst.n:
-        raise ParameterError(f"solution has {x.n} variables, instance has {inst.n}")
-    if x.word.bit_count() > inst.k:
-        return -1
-    return _union_word(x.word, inst.set_masks).bit_count()
-
-
-def submodular_descriptor(x: Solution) -> int:
-    """Behaviour descriptor for coverage problems: number of selected sets (0..n)."""
-    return x.word.bit_count()
-
-
-def set_cover_eval(x: Solution, inst: SetCoverInstance) -> int:
-    """Selection weight plus ``penalty`` per uncovered element (to be minimized)."""
-    if x.n != inst.n:
-        raise ParameterError(f"solution has {x.n} variables, instance has {inst.n}")
-    word = x.word
-    weight = 0
-    union = 0
-    masks = inst.set_masks
-    weights = inst.weights
-    while word:
-        low = word & -word
-        i = low.bit_length() - 1
-        weight += weights[i]
-        union |= masks[i]
-        word ^= low
-    return weight + inst.penalty * (inst.m_elements - union.bit_count())
-
-
-def set_cover_descriptor(x: Solution, inst: SetCoverInstance) -> int:
-    """Behaviour descriptor for set cover: number of covered elements (0..m)."""
-    if x.n != inst.n:
-        raise ParameterError(f"solution has {x.n} variables, instance has {inst.n}")
-    return _union_word(x.word, inst.set_masks).bit_count()
+# The problem bundle
 
 
 @dataclass(frozen=True)
 class Problem:
     """A pseudo-Boolean objective bound to a behaviour grid.
 
-    ``probe`` returns ``(fitness, cell, feasible)`` in one pass and must agree
-    with the three separate accessors; the run loops use it so set-union work
-    is not done twice per evaluation.
+    ``probe`` returns ``(fitness, cell, feasible)`` in one pass and is the
+    only evaluator: the run loops call it directly (unchecked), and
+    ``evaluate``, ``descriptor`` and ``feasible`` return its parts after
+    checking the solution length.
     """
 
     name: str
     n: int
     num_cells: int
     direction: Direction
-    evaluate: Callable[[Solution], Fitness]
-    descriptor: Callable[[Solution], int]
-    feasible: Callable[[Solution], bool]
     probe: Callable[[Solution], tuple[Fitness, int, bool]]
     known_opt: Fitness | None = None
     instance: Instance | None = None
 
+    def _checked_probe(self, x: Solution) -> tuple[Fitness, int, bool]:
+        if x.n != self.n:
+            raise ParameterError(f"solution has {x.n} variables, problem has {self.n}")
+        return self.probe(x)
 
-def is_feasible(x: Solution, problem: Problem) -> bool:
-    """Whether ``x`` satisfies the problem's original (pre-reformulation) constraint."""
-    return problem.feasible(x)
+    def evaluate(self, x: Solution) -> Fitness:
+        """The fitness of ``x``."""
+        return self._checked_probe(x)[0]
+
+    def descriptor(self, x: Solution) -> int:
+        """The behaviour cell of ``x``: selected sets (coverage) or covered elements (set cover)."""
+        return self._checked_probe(x)[1]
+
+    def feasible(self, x: Solution) -> bool:
+        """Whether ``x`` satisfies the original (pre-reformulation) constraint."""
+        return self._checked_probe(x)[2]
 
 
 def _chunk_tables(values, combine) -> tuple[tuple, ...]:
@@ -290,7 +236,6 @@ def make_max_coverage_problem(
     k = inst.k
 
     def probe(x: Solution) -> tuple[int, int, bool]:
-        # Agrees with submodular_eval / submodular_descriptor, the per-set reference.
         word = x.word
         ones = word.bit_count()
         if ones > k:
@@ -305,9 +250,6 @@ def make_max_coverage_problem(
         n=inst.n,
         num_cells=inst.n + 1,
         direction=Direction.MAXIMIZE,
-        evaluate=lambda x: submodular_eval(x, inst),
-        descriptor=submodular_descriptor,
-        feasible=lambda x: x.word.bit_count() <= k,
         probe=probe,
         known_opt=known_opt,
         instance=inst,
@@ -331,7 +273,6 @@ def make_set_cover_problem(inst: SetCoverInstance, known_opt: Fitness | None = N
     penalty = inst.penalty
 
     def probe(x: Solution) -> tuple[int, int, bool]:
-        # Agrees with set_cover_eval / set_cover_descriptor, the per-set reference.
         weight = union = 0
         for table, byte in zip(tables, x.word.to_bytes(width, "little")):
             mask, chunk_weight = table[byte]
@@ -345,9 +286,6 @@ def make_set_cover_problem(inst: SetCoverInstance, known_opt: Fitness | None = N
         n=inst.n,
         num_cells=m + 1,
         direction=Direction.MINIMIZE,
-        evaluate=lambda x: set_cover_eval(x, inst),
-        descriptor=lambda x: set_cover_descriptor(x, inst),
-        feasible=lambda x: set_cover_descriptor(x, inst) == m,
         probe=probe,
         known_opt=known_opt,
         instance=inst,

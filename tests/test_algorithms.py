@@ -14,16 +14,11 @@ from qdpb.algorithms import (
     Population,
     QualityTarget,
     RunConfig,
-    ea_init,
-    map_elites_init,
-    map_elites_step,
-    mu_plus_one_step,
     run_ea,
     run_map_elites,
-    seed_population,
 )
 from qdpb.core import RandomSource, Solution
-from qdpb.errors import ParameterError, StateError
+from qdpb.errors import ParameterError
 from qdpb.instances import (
     Example1Params,
     Example2Params,
@@ -40,6 +35,17 @@ S = Solution.from_string
 
 def small_problem(seed=5):
     return make_problem(random_max_coverage(6, 8, 0.4, 3, RandomSource(seed)))
+
+
+def prefix_states(engine, problem, init_count, seed, steps):
+    """The container after init and after each of ``steps`` steps, one run per prefix.
+
+    A run's draws do not depend on its budget, so the run with budget
+    ``init_count + s`` ends in the state after step ``s`` of a longer run.
+    """
+    for budget in range(init_count, init_count + steps + 1):
+        trace = engine(problem, RunConfig(budget=budget, init_count=init_count, seed=seed))
+        yield trace.archive if trace.archive is not None else trace.population
 
 
 # ---------------------------------------------------------------------------
@@ -78,15 +84,10 @@ def test_archive_bounds():
         Archive(0)
 
 
-def test_step_requires_occupied_archive():
-    with pytest.raises(StateError):
-        map_elites_step(Archive(5), small_problem(), RandomSource(1))
-
-
 def test_map_elites_init_deterministic():
     problem = small_problem()
-    a = map_elites_init(problem, 7, RandomSource(3))
-    b = map_elites_init(problem, 7, RandomSource(3))
+    a = run_map_elites(problem, RunConfig(budget=7, init_count=7, seed=3)).archive
+    b = run_map_elites(problem, RunConfig(budget=7, init_count=7, seed=3)).archive
     assert a == b
     assert 1 <= len(a) <= 7
     # Every occupant sits in the cell its descriptor names.
@@ -137,11 +138,8 @@ def test_worst_cache_tracks_replacements():
 
 def test_mu_plus_one_keeps_size_and_never_worsens():
     problem = small_problem(9)
-    rng = RandomSource(21)
-    pop = ea_init(problem, 5, rng)
-    worst_values = [pop.worst(problem.direction)[0]]
-    for _ in range(300):
-        mu_plus_one_step(pop, problem, rng)
+    worst_values = []
+    for pop in prefix_states(run_ea, problem, 5, 21, 300):
         assert len(pop) == 5
         worst_values.append(pop.worst(problem.direction)[0])
     for before, after in zip(worst_values, worst_values[1:]):
@@ -151,10 +149,12 @@ def test_mu_plus_one_keeps_size_and_never_worsens():
 def test_seed_population_validation():
     problem = small_problem()
     with pytest.raises(ParameterError):
-        seed_population([], problem)
-    with pytest.raises(ParameterError):
-        seed_population([S("1010")], problem)
-    pop = seed_population([S("000000"), S("100000")], problem)
+        RunConfig(budget=2, init_count=1, seed=0, initial_population=())
+    with pytest.raises(ParameterError, match="seed member has 4 variables"):
+        run_ea(problem, RunConfig(budget=2, init_count=1, seed=0, initial_population=(S("1010"),)))
+    members = (S("000000"), S("100000"))
+    pop = run_ea(problem, RunConfig(budget=2, init_count=2, seed=0, initial_population=members)).population
+    assert pop.solutions == list(members)
     assert pop.fitnesses == [problem.evaluate(S("000000")), problem.evaluate(S("100000"))]
 
 
@@ -295,20 +295,17 @@ def test_archive_fitness_only_improves(seed, use_cover):
         problem = make_problem(random_set_cover(6, 7, 0.4, 5, RandomSource(seed + 1)))
     else:
         problem = make_problem(random_max_coverage(6, 7, 0.4, 3, RandomSource(seed + 1)))
-    rng = RandomSource(seed)
-    archive = map_elites_init(problem, 5, rng)
-    snapshot = list(archive.fitnesses)
-    for _ in range(150):
-        map_elites_step(archive, problem, rng)
+    snapshot = None
+    for archive in prefix_states(run_map_elites, problem, 5, seed, 150):
         for cell in range(archive.num_cells):
-            before, after = snapshot[cell], archive.fitnesses[cell]
-            if before is not None:
+            after = archive.fitnesses[cell]
+            if snapshot is not None and snapshot[cell] is not None:
                 assert after is not None
-                assert not is_better(before, after, problem.direction)
+                assert not is_better(snapshot[cell], after, problem.direction)
             if after is not None:
                 sol = archive.solutions[cell]
                 assert problem.descriptor(sol) == cell
-        snapshot = list(archive.fitnesses)
+        snapshot = archive.fitnesses
 
 
 def test_run_on_reference_families_smoke():
@@ -357,24 +354,14 @@ def test_only_copies_skip_the_probe(engine, use_cover, monkeypatch):
 
 def test_kept_members_carry_their_probe_results():
     problem = small_problem(9)
-    rng = RandomSource(4)
-    archive = map_elites_init(problem, 6, rng)
-    population = ea_init(problem, 6, rng)
-    for _ in range(300):
-        map_elites_step(archive, problem, rng, strict=False)
-        mu_plus_one_step(population, problem, rng, strict=False)
+    config = RunConfig(budget=306, init_count=6, seed=4, strict=False)
+    archive = run_map_elites(problem, config).archive
+    population = run_ea(problem, config).population
     for cell in archive.occupied:
         assert archive.results[cell] == problem.probe(archive.solutions[cell])
     assert population.results == [problem.probe(x) for x in population.solutions]
 
 
-def test_members_without_results_are_probed():
-    problem = small_problem(9)
-    population = Population([S("000000")] * 3, [problem.evaluate(S("000000"))] * 3)
-    assert population.results == [None] * 3
-    rng = RandomSource(1)
-    for _ in range(50):
-        child, fitness, cell, feasible, _ = mu_plus_one_step(population, problem, rng)
-        assert (fitness, cell, feasible) == problem.probe(child)
+def test_population_results_must_match_members():
     with pytest.raises(ParameterError, match="probe results"):
         Population([S("000000")], [0], [])

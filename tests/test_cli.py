@@ -133,6 +133,18 @@ def test_run_config_file(star5, tmp_path, capsys):
     path.write_text(json.dumps({**config, "budget": "300"}))
     assert main(["run", "--config", str(path)]) == 1
     assert "budget must be an integer" in capsys.readouterr().err
+    # So are mistyped problem and target numbers.
+    random_cover = {"kind": "random-set-cover", "n": 6, "m_elements": 7, "max_weight": 5, "instance_seed": 1}
+    for overrides, message in (
+        ({"problem": {"kind": "example2", "n": "12"}}, "n must be an integer"),
+        ({"problem": {"kind": "example2", "n": 12.0}}, "n must be an integer"),
+        ({"problem": {**random_cover, "density": "0.3"}}, "density must be a number"),
+        ({"target": {"threshold": "5"}}, "threshold must be a number"),
+        ({"target": {"threshold": 5, "required_cell": "3"}}, "required_cell must be an integer"),
+    ):
+        path.write_text(json.dumps({**config, **overrides}))
+        assert main(["run", "--config", str(path)]) == 1
+        assert message in capsys.readouterr().err
 
 
 def test_run_requires_enough_flags(capsys):

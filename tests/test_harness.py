@@ -95,11 +95,33 @@ def test_config_rejects_bad_settings():
         small_me_config(seed_population="local")
 
 
-@pytest.mark.parametrize("name", ["budget", "trials", "master_seed", "init_count", "workers", "milestone_every"])
+SPEC_NUMBERS = ("n", "m_elements", "k", "max_weight", "instance_seed", "density")
+TARGET_NUMBERS = ("required_cell", "threshold")
+FLOAT_NUMBERS = ("density", "threshold")  # an int or a float; never a bool or a string
+
+
+def config_part_with(name, value):
+    """The config object that holds ``name``, built with ``value`` for it."""
+    if name in SPEC_NUMBERS:
+        spec = dict(kind="random-max-coverage", n=6, m_elements=7, density=0.4, k=3, instance_seed=1)
+        return ProblemSpec(**{**spec, name: value})
+    if name in TARGET_NUMBERS:
+        return QualityTarget(**{"threshold": 4, name: value})
+    return small_me_config(**{name: value})
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["budget", "trials", "master_seed", "init_count", "workers", "milestone_every", *SPEC_NUMBERS, *TARGET_NUMBERS],
+)
 @pytest.mark.parametrize("value", [100.5, "100", True])
 def test_config_numbers_must_be_ints(name, value):
-    with pytest.raises(ParameterError, match=f"{name} must be an integer"):
-        small_me_config(**{name: value})
+    if name in FLOAT_NUMBERS and isinstance(value, float):
+        assert getattr(config_part_with(name, value), name) == value
+        return
+    what = "a number" if name in FLOAT_NUMBERS else "an integer"
+    with pytest.raises(ParameterError, match=f"{name} must be {what}"):
+        config_part_with(name, value)
 
 
 @pytest.mark.parametrize("name", ["budget", "init_count", "milestone_every"])

@@ -23,7 +23,8 @@ from qdpb.instances import (
     read_instance,
     write_instance,
 )
-from qdpb.problems import make_problem, submodular_eval
+from qdpb.analysis import reference_probe
+from qdpb.problems import make_problem
 
 
 # ---------------------------------------------------------------------------
@@ -40,10 +41,12 @@ def test_example1_small_layout():
     assert inst.sets[3] == (15, 16, 17, 18, 19)
     assert inst.sets[4] == (0, 5, 10, 15)
     assert inst.sets[8] == (4, 9, 14, 19)
-    assert submodular_eval(example1_optimum(params), inst) == 20 == params.opt_fitness
+    problem = make_problem(inst)
+    assert problem.evaluate(example1_optimum(params)) == 20 == params.opt_fitness
     local = example1_local_optimum(params)
     assert local.to_string() == "000011110"
-    assert submodular_eval(local, inst) == 16 == params.local_fitness
+    assert problem.evaluate(local) == 16 == params.local_fitness
+    assert reference_probe(local, inst) == (16, 4, True)
 
 
 def test_example1_reference_size():
@@ -51,12 +54,17 @@ def test_example1_reference_size():
     assert (params.left_count, params.right_count) == (11, 19)
     assert params.m_edges == 209
     inst = example1_max_coverage(params)
-    assert submodular_eval(example1_optimum(params), inst) == 209
+    problem = make_problem(inst)
+    assert problem.evaluate(example1_optimum(params)) == 209
+    assert reference_probe(example1_optimum(params), inst)[0] == 209
     local = example1_local_optimum(params)
     assert local.to_string() == "0" * 11 + "1" * 11 + "0" * 8
-    assert submodular_eval(local, inst) == 121
+    assert problem.evaluate(local) == 121
     # One set past the budget is infeasible.
-    assert submodular_eval(Solution.from_string("1" * 12 + "0" * 18), inst) == -1
+    over = Solution.from_string("1" * 12 + "0" * 18)
+    assert problem.evaluate(over) == -1
+    assert not problem.feasible(over)
+    assert reference_probe(over, inst) == (-1, 12, False)
 
 
 def test_example1_trap_scale_parameters():

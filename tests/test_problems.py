@@ -4,23 +4,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from qdpb.analysis import reference_probe
 from qdpb.core import Solution
 from qdpb.errors import ParameterError, ValidationError
 from qdpb.problems import (
     Direction,
     MaxCoverageInstance,
     SetCoverInstance,
-    coverage_count,
     default_penalty,
     is_better,
-    is_feasible,
     make_max_coverage_problem,
     make_problem,
     make_set_cover_problem,
-    set_cover_descriptor,
-    set_cover_eval,
-    submodular_descriptor,
-    submodular_eval,
 )
 
 S = Solution.from_string
@@ -48,35 +43,40 @@ def star_cover5():
 
 
 def test_coverage_eval_worked_examples(tiny_coverage):
-    assert submodular_eval(S("110"), tiny_coverage) == 3
-    assert submodular_eval(S("011"), tiny_coverage) == 3
-    assert submodular_eval(S("010"), tiny_coverage) == 2
-    assert submodular_eval(S("000"), tiny_coverage) == 0
-    assert submodular_eval(S("111"), tiny_coverage) == -1  # over the size cap
+    problem = make_max_coverage_problem(tiny_coverage)
+    for text, fitness in (("110", 3), ("011", 3), ("010", 2), ("000", 0), ("111", -1)):
+        assert problem.evaluate(S(text)) == fitness  # "111" is over the size cap
+        assert reference_probe(S(text), tiny_coverage)[0] == fitness
 
 
 def test_coverage_descriptor_counts_ones(tiny_coverage):
-    assert submodular_descriptor(S("000")) == 0
-    assert submodular_descriptor(S("101")) == 2
     problem = make_max_coverage_problem(tiny_coverage)
+    assert problem.descriptor(S("000")) == 0
+    assert problem.descriptor(S("101")) == 2
     assert problem.num_cells == 4
-    assert is_feasible(S("110"), problem)
-    assert not is_feasible(S("111"), problem)
+    assert problem.feasible(S("110"))
+    assert not problem.feasible(S("111"))
+    assert reference_probe(S("111"), tiny_coverage) == (-1, 3, False)
 
 
 def test_coverage_count_matches_set_oracle(tiny_coverage):
+    problem = make_max_coverage_problem(tiny_coverage)
     sets = tiny_coverage.sets
     for word in range(8):
         x = Solution(3, word)
+        if x.ones() > tiny_coverage.k:
+            continue
         expected = len(set().union(*(sets[i] for i in range(3) if word >> i & 1), set()))
-        assert coverage_count(x, sets, 4) == expected
+        assert problem.evaluate(x) == expected
 
 
 def test_coverage_length_mismatch(tiny_coverage):
+    problem = make_max_coverage_problem(tiny_coverage)
+    for accessor in (problem.evaluate, problem.descriptor, problem.feasible):
+        with pytest.raises(ParameterError):
+            accessor(S("1100"))
     with pytest.raises(ParameterError):
-        submodular_eval(S("1100"), tiny_coverage)
-    with pytest.raises(ParameterError):
-        coverage_count(S("11"), tiny_coverage.sets, 4)
+        reference_probe(S("11"), tiny_coverage)
 
 
 def test_max_coverage_validation():
@@ -96,22 +96,22 @@ def test_max_coverage_validation():
 
 
 def test_set_cover_eval_worked_examples(star_cover5):
-    assert set_cover_eval(S("01111"), star_cover5) == 4
-    assert set_cover_eval(S("10000"), star_cover5) == 32
-    assert set_cover_eval(S("00000"), star_cover5) == 644
-    assert set_cover_eval(S("11111"), star_cover5) == 36
-    # Partial cover: two singletons cover 2 of 4 elements.
-    assert set_cover_eval(S("01100"), star_cover5) == 2 + 161 * 2
+    problem = make_set_cover_problem(star_cover5)
+    # "01100": two singletons cover 2 of 4 elements, so 2 are penalised.
+    for text, fitness in (("01111", 4), ("10000", 32), ("00000", 644), ("11111", 36), ("01100", 2 + 161 * 2)):
+        assert problem.evaluate(S(text)) == fitness
+        assert reference_probe(S(text), star_cover5)[0] == fitness
 
 
 def test_set_cover_descriptor(star_cover5):
-    assert set_cover_descriptor(S("01100"), star_cover5) == 2
-    assert set_cover_descriptor(S("10000"), star_cover5) == 4
     problem = make_set_cover_problem(star_cover5)
+    assert problem.descriptor(S("01100")) == 2
+    assert problem.descriptor(S("10000")) == 4
     assert problem.num_cells == 5
     assert problem.direction is Direction.MINIMIZE
-    assert is_feasible(S("10000"), problem)
-    assert not is_feasible(S("01100"), problem)
+    assert problem.feasible(S("10000"))
+    assert not problem.feasible(S("01100"))
+    assert reference_probe(S("01100"), star_cover5) == (2 + 161 * 2, 2, False)
 
 
 def test_default_penalty(star_cover5):
@@ -195,30 +195,33 @@ def cover_instances(draw):
     )
 
 
+def probed_words(n, data):
+    """Words that look up every entry of the probe's 8-bit chunk tables.
+
+    A wrong entry shows only on the words whose byte selects it, 1 in 256
+    random words.  So: every word for small n; else every word confined to
+    one chunk, plus one drawn word that mixes chunks.
+    """
+    if n <= 9:
+        return range(2**n)
+    one_chunk = [byte << base for base in range(0, n, 8) for byte in range(1, 1 << min(8, n - base))]
+    return [*one_chunk, data.draw(st.integers(0, 2**n - 1))]
+
+
+def assert_probe_matches_reference(inst, data):
+    problem = make_problem(inst)
+    for word in probed_words(inst.n, data):
+        x = Solution(inst.n, word)
+        probed = problem.probe(x)
+        assert probed == (problem.evaluate(x), problem.descriptor(x), problem.feasible(x))
+        assert probed == reference_probe(x, inst)
+
+
 @given(coverage_instances(), st.data())
 def test_max_coverage_probe_agrees_with_parts(inst, data):
-    problem = make_problem(inst)
-    word = data.draw(st.integers(0, 2**inst.n - 1))
-    x = Solution(inst.n, word)
-    assert problem.probe(x) == (
-        problem.evaluate(x),
-        problem.descriptor(x),
-        problem.feasible(x),
-    )
-    assert problem.evaluate(x) == submodular_eval(x, inst)
-    assert problem.descriptor(x) == submodular_descriptor(x)
+    assert_probe_matches_reference(inst, data)
 
 
 @given(cover_instances(), st.data())
 def test_set_cover_probe_agrees_with_parts(inst, data):
-    problem = make_problem(inst)
-    word = data.draw(st.integers(0, 2**inst.n - 1))
-    x = Solution(inst.n, word)
-    assert problem.probe(x) == (
-        problem.evaluate(x),
-        problem.descriptor(x),
-        problem.feasible(x),
-    )
-    assert problem.evaluate(x) == set_cover_eval(x, inst)
-    assert problem.descriptor(x) == set_cover_descriptor(x, inst)
-    assert problem.descriptor(x) == coverage_count(x, inst.sets, inst.m_elements)
+    assert_probe_matches_reference(inst, data)
