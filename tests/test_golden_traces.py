@@ -16,7 +16,14 @@ import pytest
 from qdpb.algorithms import QualityTarget, RunConfig, RunTrace, run_ea, run_map_elites
 from qdpb.analysis import brute_force_opt
 from qdpb.core import RandomSource
-from qdpb.harness import ExperimentConfig, ProblemSpec, report_to_dict, run_experiment
+from qdpb.harness import (
+    ExperimentConfig,
+    ProblemSpec,
+    config_to_dict,
+    export_report,
+    report_to_dict,
+    run_experiment,
+)
 from qdpb.instances import (
     Example1Params,
     Example2Params,
@@ -181,3 +188,87 @@ def test_trial_records_are_frozen():
 def test_brute_force_results_are_frozen(problem, expected):
     result = brute_force_opt(problem)
     assert (result.solution.to_string(), result.fitness, result.optima_count) == expected
+
+
+# Exported artifacts: the bytes written by ``export_report`` in both forms and
+# the JSON text of ``config_to_dict``.  Together the configs cover a spec with
+# unset fields, a target with a required cell, both seed_population forms,
+# stop_on_target=False, strict=False, workers and milestone_every.
+# case id -> (config, document digest, rows digest, config digest)
+ARTIFACTS = {
+    "random-coverage-map-elites": (
+        ExperimentConfig(
+            problem=ProblemSpec(
+                kind="random-max-coverage", n=12, m_elements=20, density=0.25, k=4, instance_seed=41
+            ),
+            algorithm="map-elites",
+            budget=1_500,
+            trials=2,
+            master_seed=5,
+            target=QualityTarget(threshold=18, required_cell=4),
+            workers=1,
+            milestone_every=100,
+        ),
+        "f3b98abf95f2bf25dc32b6adb1df26bb76ad8664727060d0c4363d03a3f015e1",
+        "fa4a59fd9f29573db9dd2317fb610355b924caebbbe5ec05fa7ee70a08d3c4b1",
+        "c9650a36eaddd31c280deb4b1a700c38471f970c4d22aa82a6773c893c6bf3b6",
+    ),
+    "example1-ea-local": (
+        ExperimentConfig(
+            problem=ProblemSpec(kind="example1", n=30, delta="1/10"),
+            algorithm="ea",
+            budget=2_000,
+            trials=2,
+            master_seed=17,
+            target=QualityTarget(threshold=200, strict=True),
+            stop_on_target=False,
+            strict=False,
+            seed_population="local",
+        ),
+        "82da5096746e9b89518f09c4412debd7e852bb08b29c7543521efb4d880de4f5",
+        "b2c7a15d6cc2a140e60a3850cab8b3b5896c72274ee7764952fc2354a4c48c0f",
+        "0913ad1e0c850ca7d4570e4f1c1135ab3d30302051f10318472eb0bf235b4377",
+    ),
+    "example2-ea-tuple": (
+        ExperimentConfig(
+            problem=ProblemSpec(kind="example2", n=6),
+            algorithm="ea",
+            budget=800,
+            trials=3,
+            master_seed=2,
+            init_count=2,
+            target=QualityTarget(threshold=5, require_feasible=False),
+            seed_population=("100000", "110000"),
+            allow_unfair=True,
+            milestone_every=37,
+        ),
+        "9cabd621ba0344c72158f51e3fbef0e092f7d9ee123014ef8031b42761f62103",
+        "180fc34db0bcb7d43eaba8d03a3bec89a01a0fa02812358240fc8732aa27c1f0",
+        "c34172d3ad71b3e7812c43384e232ec3271a1025859b3982999e28082b8830f3",
+    ),
+    "random-cover-map-elites": (
+        ExperimentConfig(
+            problem=ProblemSpec(
+                kind="random-set-cover", n=10, m_elements=12, density=0.3, max_weight=7, instance_seed=8
+            ),
+            algorithm="map-elites",
+            budget=1_000,
+            trials=2,
+            master_seed=60,
+        ),
+        "46ce1383207f84b078488b016d80d1c430e89663cdcd3b3aacea24fb06aa31bd",
+        "fc75e1b3e20f15366e8c3301f31d0134ba56d77651da17018a06a507093acdfe",
+        "17d8ef3b1ff9832233521f60defd3864cd620d4f0822023105680a34fde1b0f7",
+    ),
+}
+
+
+@pytest.mark.parametrize("case_id", sorted(ARTIFACTS))
+def test_exported_artifacts_are_frozen(case_id, tmp_path):
+    config, document, rows, config_text = ARTIFACTS[case_id]
+    report = run_experiment(config)
+    export_report(report, tmp_path / "report.json", form="document")
+    export_report(report, tmp_path / "rows.csv", form="rows")
+    assert hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest() == document
+    assert hashlib.sha256((tmp_path / "rows.csv").read_bytes()).hexdigest() == rows
+    assert hashlib.sha256(json.dumps(config_to_dict(config)).encode()).hexdigest() == config_text
