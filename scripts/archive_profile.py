@@ -10,10 +10,10 @@ Example:
 
 import argparse
 import sys
-from fractions import Fraction
 
 from qdpb.algorithms import RunConfig, run_map_elites
 from qdpb.analysis import qd_metrics
+from qdpb.errors import QdpbError
 from qdpb.harness import ProblemSpec, resolve_problem
 
 
@@ -26,15 +26,8 @@ def main() -> int:
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 
-    if args.kind == "example1":
-        # Validate parameters early for a clean message.
-        from qdpb.instances import Example1Params
-
-        Example1Params(args.n, Fraction(args.delta))
-        spec = ProblemSpec(kind="example1", n=args.n, delta=args.delta)
-    else:
-        spec = ProblemSpec(kind="example2", n=args.n)
-    problem = resolve_problem(spec)
+    delta = args.delta if args.kind == "example1" else None
+    problem = resolve_problem(ProblemSpec(kind=args.kind, n=args.n, delta=delta))
     trace = run_map_elites(
         problem,
         RunConfig(budget=args.budget, init_count=problem.num_cells, seed=args.seed),
@@ -58,4 +51,8 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        sys.exit(main())
+    except QdpbError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(1)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
+from dataclasses import fields
 
 from .analysis import (
     SetFunctionTable,
@@ -19,6 +19,7 @@ from .analysis import (
     escape_radius,
     gamma_min,
 )
+from . import harness
 from .core import Solution
 from .errors import ParameterError, QdpbError, ValidationError
 from .harness import (
@@ -30,18 +31,8 @@ from .harness import (
     run_experiment,
 )
 from .algorithms import QualityTarget
-from .core import RandomSource
-from .instances import (
-    Example1Params,
-    Example2Params,
-    example1_max_coverage,
-    example2_set_cover,
-    identify_instance,
-    random_max_coverage,
-    random_set_cover,
-    write_instance,
-)
-from .problems import MaxCoverageInstance
+from .instances import identify_instance, read_instance, write_instance
+from .problems import MaxCoverageInstance, make_problem
 
 __all__ = ["main"]
 
@@ -71,22 +62,9 @@ def _number(text: str):
 
 
 def _cmd_gen_instance(args) -> int:
-    if args.family == "example1":
-        inst = example1_max_coverage(Example1Params(args.n, Fraction(args.delta)))
-    elif args.family == "example2":
-        inst = example2_set_cover(Example2Params(args.n))
-    elif args.family == "random-max-coverage":
-        inst = random_max_coverage(
-            args.n, args.m_elements, args.density, args.k, RandomSource(args.instance_seed)
-        )
-    else:
-        inst = random_set_cover(
-            args.n,
-            args.m_elements,
-            args.density,
-            args.max_weight,
-            RandomSource(args.instance_seed),
-        )
+    names = {f.name for f in fields(ProblemSpec)}
+    spec = ProblemSpec(kind=args.family, **{k: v for k, v in vars(args).items() if k in names})
+    inst, _ = harness._build_instance(spec)
     write_instance(inst, args.out)
     if isinstance(inst, MaxCoverageInstance):
         print(f"wrote max-coverage instance: n={inst.n} m={inst.m_elements} k={inst.k} -> {args.out}")
@@ -118,9 +96,9 @@ def _build_config_from_flags(args) -> ExperimentConfig:
     if args.budget is None:
         raise ParameterError("run needs --budget (or --config FILE)")
     spec = ProblemSpec(kind="file", path=args.instance)
-    target = None
     if args.target_ratio is not None and args.target_fitness is not None:
         raise ParameterError("give either --target-fitness or --target-ratio, not both")
+    threshold = args.target_fitness
     if args.target_ratio is not None:
         problem = resolve_problem(spec)
         if problem.known_opt is None:
@@ -128,15 +106,11 @@ def _build_config_from_flags(args) -> ExperimentConfig:
                 "--target-ratio needs a known optimum; this instance is too large "
                 "for the exact oracle and is not a recognized family"
             )
+        threshold = args.target_ratio * problem.known_opt
+    target = None
+    if threshold is not None:
         target = QualityTarget(
-            threshold=args.target_ratio * problem.known_opt,
-            strict=args.target_strict,
-            require_feasible=not args.target_allow_infeasible,
-            required_cell=args.target_cell,
-        )
-    elif args.target_fitness is not None:
-        target = QualityTarget(
-            threshold=args.target_fitness,
+            threshold=threshold,
             strict=args.target_strict,
             require_feasible=not args.target_allow_infeasible,
             required_cell=args.target_cell,
@@ -213,10 +187,12 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    problem = resolve_problem(ProblemSpec(kind="file", path=args.instance))
+    # Not resolve_problem: its auto-oracle would enumerate the instance a second time.
+    inst = read_instance(args.instance)
+    params = identify_instance(inst)
+    problem = make_problem(inst, known_opt=None if params is None else params.opt_fitness)
     print(f"instance: {problem.name} n={problem.n} cells={problem.num_cells}")
-    params = identify_instance(problem.instance)
-    if problem.n <= 24:
+    if problem.n <= harness._AUTO_OPT_LIMIT:
         result = brute_force_opt(problem)
         print(f"OPT={result.fitness}")
         print(f"optimum: {result.solution.to_string()}")

@@ -10,11 +10,12 @@ compact CSV form carries one row per trial for spreadsheet work.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import os
 import statistics
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -113,6 +114,35 @@ class ProblemSpec:
                 raise ParameterError(f"problem kind {self.kind!r} requires {name!r}")
         require_ints(self, (), optional=("n", "m_elements", "k", "max_weight", "instance_seed"))
         require_numbers(self, (), optional=("density",))
+        if self.delta is not None:
+            try:
+                if not isinstance(self.delta, str):
+                    raise TypeError
+                Fraction(self.delta)
+            except (TypeError, ValueError, ZeroDivisionError):
+                raise ParameterError(
+                    f"delta must be a fraction string such as '1/10', got {self.delta!r}"
+                ) from None
+
+
+def _build_instance(spec: ProblemSpec):
+    """The instance ``spec`` names, with its family parameters when the kind
+    is a constructed family (None otherwise)."""
+    if spec.kind == "example1":
+        params = Example1Params(spec.n, Fraction(spec.delta))
+        return example1_max_coverage(params), params
+    if spec.kind == "example2":
+        params = Example2Params(spec.n)
+        return example2_set_cover(params), params
+    if spec.kind == "file":
+        return read_instance(spec.path), None
+    if spec.kind == "random-max-coverage":
+        return random_max_coverage(
+            spec.n, spec.m_elements, spec.density, spec.k, RandomSource(spec.instance_seed)
+        ), None
+    return random_set_cover(
+        spec.n, spec.m_elements, spec.density, spec.max_weight, RandomSource(spec.instance_seed)
+    ), None
 
 
 def resolve_problem(spec: ProblemSpec) -> Problem:
@@ -122,27 +152,9 @@ def resolve_problem(spec: ProblemSpec) -> Problem:
     instances fall back to the exhaustive oracle when small enough, and to
     ``known_opt=None`` (no ratio reporting) otherwise.
     """
-    if spec.kind == "example1":
-        params = Example1Params(spec.n, Fraction(spec.delta))
-        return make_problem(example1_max_coverage(params), known_opt=params.opt_fitness)
-    if spec.kind == "example2":
-        params = Example2Params(spec.n)
-        return make_problem(example2_set_cover(params), known_opt=params.opt_fitness)
-    if spec.kind == "file":
-        inst = read_instance(spec.path)
-    elif spec.kind == "random-max-coverage":
-        inst = random_max_coverage(
-            spec.n, spec.m_elements, spec.density, spec.k, RandomSource(spec.instance_seed)
-        )
-    else:
-        inst = random_set_cover(
-            spec.n,
-            spec.m_elements,
-            spec.density,
-            spec.max_weight,
-            RandomSource(spec.instance_seed),
-        )
-    params = identify_instance(inst)
+    inst, params = _build_instance(spec)
+    if params is None:
+        params = identify_instance(inst)
     if params is not None:
         return make_problem(inst, known_opt=params.opt_fitness)
     if inst.n <= _AUTO_OPT_LIMIT:
@@ -412,148 +424,90 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
 
 # ---------------------------------------------------------------------------
 # Serialization
+#
+# One codec for configs and reports, driven by ``dataclasses.fields``: fields
+# are written in declaration order and tuples become lists.  Reading refuses
+# non-objects, unknown keys and missing required fields.
+
+# Fields holding a dataclass (or a tuple of them, or of bitstrings): name ->
+# (the type of the value or of each item, whether the value is a tuple).
+_NESTED = {
+    "problem": (ProblemSpec, False),
+    "target": (QualityTarget, False),
+    "seed_population": (str, True),
+    "config": (ExperimentConfig, False),
+    "records": (TrialRecord, True),
+    "aggregate": (Aggregate, False),
+    "snapshots": (Milestone, True),
+}
 
 
-def _spec_to_dict(spec: ProblemSpec) -> dict:
-    return {k: v for k, v in vars(spec).items() if v is not None}
+@functools.cache
+def _layout(cls) -> tuple:
+    """Field names (in order and as a set), required names and nested names of ``cls``."""
+    names = tuple(f.name for f in fields(cls))
+    required = frozenset(
+        f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING
+    )
+    return names, frozenset(names), required, tuple(name for name in names if name in _NESTED)
 
 
-def _target_to_dict(target: QualityTarget) -> dict:
-    return {
-        "threshold": target.threshold,
-        "strict": target.strict,
-        "require_feasible": target.require_feasible,
-        "required_cell": target.required_cell,
-    }
-
-
-def config_to_dict(config: ExperimentConfig) -> dict:
-    out = {
-        "problem": _spec_to_dict(config.problem),
-        "algorithm": config.algorithm,
-        "budget": config.budget,
-        "trials": config.trials,
-        "master_seed": config.master_seed,
-        "init_count": config.init_count,
-        "target": None if config.target is None else _target_to_dict(config.target),
-        "stop_on_target": config.stop_on_target,
-        "strict": config.strict,
-        "seed_population": (
-            list(config.seed_population)
-            if isinstance(config.seed_population, tuple)
-            else config.seed_population
-        ),
-        "allow_unfair": config.allow_unfair,
-        "workers": config.workers,
-        "milestone_every": config.milestone_every,
-    }
+def _to_json(obj) -> dict:
+    names, _, _, nested = _layout(type(obj))
+    out = {name: getattr(obj, name) for name in names}
+    for name in nested:
+        value = out[name]
+        if value is None or isinstance(value, str):
+            continue
+        kind, many = _NESTED[name]
+        if not many:
+            out[name] = _to_json(value)
+        else:
+            out[name] = list(value) if kind is str else [_to_json(item) for item in value]
+    if isinstance(obj, ProblemSpec):
+        return {name: value for name, value in out.items() if value is not None}
     return out
 
 
-def _reject_unknown(data: dict, allowed, what: str) -> None:
-    unknown = set(data) - set(allowed)
-    if unknown:
-        raise ValidationError(f"unknown {what} field(s): {', '.join(sorted(unknown))}")
+def _from_json(cls, data, what: str):
+    if not isinstance(data, dict):
+        raise ValidationError(f"{what} must be an object, got {type(data).__name__}")
+    names, allowed, required, nested = _layout(cls)
+    keys = data.keys()
+    if not required <= keys <= allowed:
+        unknown = keys - allowed
+        if unknown:
+            raise ValidationError(f"unknown {what} field(s): {', '.join(sorted(unknown))}")
+        missing = next(name for name in names if name in required and name not in keys)
+        raise ValidationError(f"{what} is missing {missing!r}")
+    if nested:
+        data = dict(data)
+        for name in nested:
+            value = data.get(name)
+            if value is None and name not in required:
+                continue
+            kind, many = _NESTED[name]
+            if not many:
+                data[name] = _from_json(kind, value, name)
+            elif isinstance(value, list):
+                items = value if kind is str else (_from_json(kind, item, name) for item in value)
+                data[name] = tuple(items)
+            elif not (kind is str and isinstance(value, str)):
+                raise ValidationError(f"{name} must be a list, got {type(value).__name__}")
+    return cls(**data)
+
+
+def config_to_dict(config: ExperimentConfig) -> dict:
+    return _to_json(config)
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
-    if not isinstance(data, dict):
-        raise ValidationError(f"experiment config must be an object, got {type(data).__name__}")
-    allowed = (
-        "problem",
-        "algorithm",
-        "budget",
-        "trials",
-        "master_seed",
-        "init_count",
-        "target",
-        "stop_on_target",
-        "strict",
-        "seed_population",
-        "allow_unfair",
-        "workers",
-        "milestone_every",
-    )
-    _reject_unknown(data, allowed, "experiment config")
-    for name in ("problem", "algorithm", "budget", "trials", "master_seed"):
-        if name not in data:
-            raise ValidationError(f"experiment config is missing {name!r}")
-    spec_data = data["problem"]
-    if not isinstance(spec_data, dict):
-        raise ValidationError("'problem' must be an object")
-    _reject_unknown(
-        spec_data,
-        ("kind", "n", "delta", "path", "m_elements", "density", "k", "max_weight", "instance_seed"),
-        "problem spec",
-    )
-    if "kind" not in spec_data:
-        raise ValidationError("problem spec is missing 'kind'")
-    spec = ProblemSpec(**spec_data)
-    target_data = data.get("target")
-    target = None
-    if target_data is not None:
-        _reject_unknown(
-            target_data, ("threshold", "strict", "require_feasible", "required_cell"), "target"
-        )
-        if "threshold" not in target_data:
-            raise ValidationError("target is missing 'threshold'")
-        target = QualityTarget(**target_data)
-    seed_population = data.get("seed_population")
-    if isinstance(seed_population, list):
-        seed_population = tuple(seed_population)
-    return ExperimentConfig(
-        problem=spec,
-        algorithm=data["algorithm"],
-        budget=data["budget"],
-        trials=data["trials"],
-        master_seed=data["master_seed"],
-        init_count=data.get("init_count"),
-        target=target,
-        stop_on_target=data.get("stop_on_target", True),
-        strict=data.get("strict", True),
-        seed_population=seed_population,
-        allow_unfair=data.get("allow_unfair", False),
-        workers=data.get("workers"),
-        milestone_every=data.get("milestone_every"),
-    )
-
-
-def _milestone_to_dict(m: Milestone) -> dict:
-    return {
-        "evaluations": m.evaluations,
-        "best_fitness": m.best_fitness,
-        "occupied": m.occupied,
-        "best_solution": m.best_solution,
-    }
-
-
-def _record_to_dict(r: TrialRecord) -> dict:
-    return {
-        "trial": r.trial,
-        "seed": r.seed,
-        "evaluations_used": r.evaluations_used,
-        "first_hit": r.first_hit,
-        "best_fitness": r.best_fitness,
-        "best_solution": r.best_solution,
-        "ratio": r.ratio,
-        "coverage": r.coverage,
-        "qd_score": r.qd_score,
-        "snapshots": [_milestone_to_dict(m) for m in r.snapshots],
-    }
+    return _from_json(ExperimentConfig, data, "experiment config")
 
 
 def report_to_dict(report: ExperimentReport) -> dict:
-    return {
-        "format": report.format,
-        "config": config_to_dict(report.config),
-        "problem_name": report.problem_name,
-        "n": report.n,
-        "num_cells": report.num_cells,
-        "direction": report.direction,
-        "known_opt": report.known_opt,
-        "records": [_record_to_dict(r) for r in report.records],
-        "aggregate": vars(report.aggregate).copy(),
-    }
+    # Documents open with their format, although the field is declared last.
+    return {"format": report.format, **_to_json(report)}
 
 
 _ROW_FIELDS = (
@@ -611,47 +565,7 @@ def load_report(path) -> ExperimentReport:
             if isinstance(data, dict)
             else f"{path}: expected a JSON object"
         )
-    _reject_unknown(
-        data,
-        (
-            "format",
-            "config",
-            "problem_name",
-            "n",
-            "num_cells",
-            "direction",
-            "known_opt",
-            "records",
-            "aggregate",
-        ),
-        "report",
-    )
     try:
-        records = tuple(
-            TrialRecord(
-                trial=r["trial"],
-                seed=r["seed"],
-                evaluations_used=r["evaluations_used"],
-                first_hit=r["first_hit"],
-                best_fitness=r["best_fitness"],
-                best_solution=r["best_solution"],
-                ratio=r["ratio"],
-                coverage=r["coverage"],
-                qd_score=r["qd_score"],
-                snapshots=tuple(Milestone(**m) for m in r["snapshots"]),
-            )
-            for r in data["records"]
-        )
-        return ExperimentReport(
-            config=config_from_dict(data["config"]),
-            problem_name=data["problem_name"],
-            n=data["n"],
-            num_cells=data["num_cells"],
-            direction=data["direction"],
-            known_opt=data["known_opt"],
-            records=records,
-            aggregate=Aggregate(**data["aggregate"]),
-            format=data["format"],
-        )
-    except (KeyError, TypeError) as exc:
+        return _from_json(ExperimentReport, data, "report")
+    except ValidationError as exc:
         raise ValidationError(f"{path}: malformed report field ({exc})") from exc

@@ -1,11 +1,18 @@
 """CLI tests drive main(argv) in-process and check text + exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from qdpb import cli, harness
 from qdpb.cli import main
 from qdpb.instances import read_instance
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture
@@ -40,6 +47,10 @@ def test_gen_instance_rejects_inadmissible_parameters(tmp_path, capsys):
     assert code == 1
     assert "error:" in capsys.readouterr().err
     assert not out.exists()
+    code = main(["gen-instance", "example1", "--n", "9", "--delta", "abc", "--out", str(out)])
+    assert code == 1
+    assert "delta must be a fraction string" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_oracle_reports_optimum(star5, capsys):
@@ -57,6 +68,25 @@ def test_oracle_gamma_for_small_coverage(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "OPT=20" in out
     assert "gamma_min at k=4: 1" in out
+
+
+def test_oracle_enumerates_once(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "rand12.json"
+    args = ["--n", "12", "--m-elements", "20", "--density", "0.25", "--k", "4", "--instance-seed", "3"]
+    assert main(["gen-instance", "random-max-coverage", *args, "--out", str(path)]) == 0
+    calls = 0
+    brute_force_opt = cli.brute_force_opt
+
+    def counted(problem):
+        nonlocal calls
+        calls += 1
+        return brute_force_opt(problem)
+
+    monkeypatch.setattr(cli, "brute_force_opt", counted)
+    monkeypatch.setattr(harness, "brute_force_opt", counted)
+    assert main(["oracle", str(path)]) == 0
+    assert calls == 1
+    assert "OPT=" in capsys.readouterr().out
 
 
 def test_oracle_missing_file_exits_1(capsys):
@@ -141,10 +171,28 @@ def test_run_config_file(star5, tmp_path, capsys):
         ({"problem": {**random_cover, "density": "0.3"}}, "density must be a number"),
         ({"target": {"threshold": "5"}}, "threshold must be a number"),
         ({"target": {"threshold": 5, "required_cell": "3"}}, "required_cell must be an integer"),
+        # Malformed nested objects and a delta that is not a fraction.
+        ({"target": 5}, "target must be an object"),
+        ({"target": [1]}, "target must be an object"),
+        ({"problem": {"kind": "example1", "n": 9, "delta": "abc"}}, "delta must be a fraction string"),
     ):
         path.write_text(json.dumps({**config, **overrides}))
         assert main(["run", "--config", str(path)]) == 1
         assert message in capsys.readouterr().err
+
+
+def test_archive_profile_script_reports_bad_parameters():
+    # n=12 with the default delta 1/10 is not an admissible bipartite instance.
+    proc = subprocess.run(
+        [sys.executable, "scripts/archive_profile.py", "--n", "12"],
+        cwd=ROOT,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
 
 
 def test_run_requires_enough_flags(capsys):

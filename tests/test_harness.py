@@ -80,6 +80,9 @@ def test_problem_spec_validation():
         ProblemSpec(kind="example1", n=30)
     with pytest.raises(ParameterError, match="requires 'path'"):
         ProblemSpec(kind="file")
+    for delta in ("abc", "1/0", 0.1):
+        with pytest.raises(ParameterError, match="delta must be a fraction string"):
+            ProblemSpec(kind="example1", n=30, delta=delta)
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +371,12 @@ def test_load_report_rejects_malformed_documents(tmp_path):
     good = run_experiment(small_me_config(trials=1))
     export_report(good, path, form="document")
     data = json.loads(path.read_text())
-    del data["records"][0]["seed"]
-    path.write_text(json.dumps(data))
-    with pytest.raises(ValidationError, match="malformed report field"):
-        load_report(path)
+    record = data["records"][0]
+    for records, detail in (
+        ([{k: v for k, v in record.items() if k != "seed"}], "missing 'seed'"),
+        ([{**record, "extra": 1}], "extra"),
+        ([5], "must be an object"),
+    ):
+        path.write_text(json.dumps({**data, "records": records}))
+        with pytest.raises(ValidationError, match=f"malformed report field .*{detail}"):
+            load_report(path)
