@@ -441,7 +441,7 @@ def _check_probe_oracle() -> Optional[str]:
     for problem in problems:
         for word in range(1 << problem.n):
             x = Solution(problem.n, word)
-            probed = problem.probe(x)
+            probed = problem.probe_word(word)
             expected = reference_probe(x, problem.instance)
             if probed != expected:
                 return f"{problem.name}: probe {probed} != reference {expected} on {x.to_string()}"

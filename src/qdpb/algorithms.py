@@ -14,10 +14,15 @@ Per-step random draws happen in a fixed order (parent index, mutation mask,
 then — only when an eviction has several tied victims — one tie-break draw),
 which is what makes traces reproducible.
 
-Archive and population keep each member's ``probe`` result next to it.  An
-offspring that mutation left unchanged (``bitwise_mutate`` returned the
-parent itself) reuses its parent's result instead of being probed again; it
-still counts as one evaluation and still goes through the keep step.
+Inside a run a solution is its int bit word: mutation XORs the parent's
+word with a flip word from ``core.flip_sampler``, ``Problem.probe_word``
+evaluates it, and archive and population hold words.  A ``Solution`` is
+built only for what leaves the run: milestone strings, the best solution of
+the trace, and members read from a container.  Archive and population keep
+each member's ``probe_word`` result next to it.  An offspring whose flip word
+is 0 is a copy of its parent and reuses the parent's result instead of being
+probed again; it still counts as one evaluation and still goes through the
+keep step.
 """
 
 from __future__ import annotations
@@ -27,11 +32,9 @@ from dataclasses import dataclass
 from math import ceil
 from typing import Callable, Optional
 
-from .core import RandomSource, Solution, bitwise_mutate, randbelow, random_solution
-from .errors import ParameterError, require_ints, require_numbers
-from .problems import Direction, Fitness, Problem, is_better
-
-Result = tuple[Fitness, int, bool]  # what Problem.probe returns: (fitness, cell, feasible)
+from .core import RandomSource, Solution, flip_sampler, randbelow
+from .errors import ParameterError, require_bools, require_ints, require_numbers
+from .problems import Direction, Fitness, Problem, Result, is_better
 
 __all__ = [
     "QualityTarget",
@@ -62,6 +65,7 @@ class QualityTarget:
     def __post_init__(self) -> None:
         require_numbers(self, ("threshold",))
         require_ints(self, (), optional=("required_cell",))
+        require_bools(self, ("strict", "require_feasible"))
 
     def met(self, fitness: Fitness, cell: int, feasible: bool, direction: Direction) -> bool:
         if self.require_feasible and not feasible:
@@ -94,6 +98,7 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         require_ints(self, ("budget", "init_count"), optional=("milestone_every",))
+        require_bools(self, ("strict", "stop_on_target"))
         if self.init_count < 1:
             raise ParameterError(f"init_count must be positive, got {self.init_count}")
         if self.budget < self.init_count:
@@ -146,19 +151,22 @@ class RunTrace:
 class Archive:
     """Fixed grid of ``num_cells`` cells holding at most one solution each.
 
+    Occupants are the bit ``words`` of solutions of ``n`` variables;
+    ``solutions``, ``cell`` and ``occupants`` build ``Solution``s when read.
     Cells never empty once filled; an occupant is replaced only by strictly
     better fitness (or at-least-as-good with ``strict=False``), so per-cell
     fitness can only move in the improving direction.  ``results`` holds each
-    occupant's ``probe`` result when the inserter passed it, else None.
+    occupant's ``probe_word`` result when the inserter passed it, else None.
     """
 
-    __slots__ = ("num_cells", "solutions", "fitnesses", "occupied", "results")
+    __slots__ = ("num_cells", "n", "words", "fitnesses", "occupied", "results")
 
-    def __init__(self, num_cells: int):
+    def __init__(self, num_cells: int, n: int):
         if num_cells < 1:
             raise ParameterError(f"num_cells must be positive, got {num_cells}")
         self.num_cells = num_cells
-        self.solutions: list[Optional[Solution]] = [None] * num_cells
+        self.n = n
+        self.words: list[Optional[int]] = [None] * num_cells
         self.fitnesses: list[Optional[Fitness]] = [None] * num_cells
         self.occupied: list[int] = []  # fill order; supports O(1) uniform parent choice
         self.results: list[Optional[Result]] = [None] * num_cells
@@ -170,36 +178,43 @@ class Archive:
         return (
             isinstance(other, Archive)
             and self.num_cells == other.num_cells
-            and self.solutions == other.solutions
+            and self.n == other.n
+            and self.words == other.words
             and self.fitnesses == other.fitnesses
         )
 
     __hash__ = None
 
+    @property
+    def solutions(self) -> list[Optional[Solution]]:
+        n = self.n
+        return [None if word is None else Solution(n, word) for word in self.words]
+
     def cell(self, index: int) -> Optional[tuple[Solution, Fitness]]:
         if not 0 <= index < self.num_cells:
             raise ParameterError(f"cell {index} outside 0..{self.num_cells - 1}")
-        solution = self.solutions[index]
-        if solution is None:
+        word = self.words[index]
+        if word is None:
             return None
-        return solution, self.fitnesses[index]
+        return Solution(self.n, word), self.fitnesses[index]
 
     def occupants(self) -> list[tuple[int, Solution, Fitness]]:
-        return [(c, self.solutions[c], self.fitnesses[c]) for c in sorted(self.occupied)]
+        n, words, fitnesses = self.n, self.words, self.fitnesses
+        return [(c, Solution(n, words[c]), fitnesses[c]) for c in sorted(self.occupied)]
 
     def consider(
         self,
         cell: int,
-        solution: Solution,
+        word: int,
         fitness: Fitness,
         direction: Direction,
         *,
         strict: bool = True,
         result: Optional[Result] = None,
     ) -> bool:
-        """Insert ``solution`` if the cell is empty or the incumbent is beaten.
+        """Insert ``word`` if the cell is empty or the incumbent is beaten.
 
-        ``result`` is the solution's ``probe`` result, kept for its copies.
+        ``result`` is the word's ``probe_word`` result, kept for its copies.
         """
         if not 0 <= cell < self.num_cells:
             raise ParameterError(f"cell {cell} outside 0..{self.num_cells - 1}")
@@ -208,55 +223,62 @@ class Archive:
             self.occupied.append(cell)
         elif not is_better(fitness, incumbent, direction, strict=strict):
             return False
-        self.solutions[cell] = solution
+        self.words[cell] = word
         self.fitnesses[cell] = fitness
         self.results[cell] = result
         return True
 
 
 class Population:
-    """Fixed-size multiset of solutions for the (mu+1) EA.
+    """Fixed-size multiset of solutions of ``n`` variables for the (mu+1) EA.
 
+    Members are bit ``words``; ``solutions`` builds ``Solution``s when read.
     Takes ownership of the lists it is given.  ``results`` holds each
-    member's ``probe`` result, or None where it is not known.  The
+    member's ``probe_word`` result, or None where it is not known.  The
     worst-member scan is cached between evictions, which makes stagnating
     runs (the interesting ones) cheap.
     """
 
-    __slots__ = ("solutions", "fitnesses", "results", "_worst_cache")
+    __slots__ = ("n", "words", "fitnesses", "results", "_worst_cache")
 
     def __init__(
         self,
-        solutions: list[Solution],
+        n: int,
+        words: list[int],
         fitnesses: list[Fitness],
         results: Optional[list[Optional[Result]]] = None,
     ):
-        if not solutions:
+        if not words:
             raise ParameterError("population must not be empty")
-        if len(solutions) != len(fitnesses):
-            raise ParameterError(
-                f"{len(solutions)} solutions but {len(fitnesses)} fitness values"
-            )
+        if len(words) != len(fitnesses):
+            raise ParameterError(f"{len(words)} words but {len(fitnesses)} fitness values")
         if results is None:
-            results = [None] * len(solutions)
-        elif len(results) != len(solutions):
-            raise ParameterError(f"{len(solutions)} solutions but {len(results)} probe results")
-        self.solutions = solutions
+            results = [None] * len(words)
+        elif len(results) != len(words):
+            raise ParameterError(f"{len(words)} words but {len(results)} probe results")
+        self.n = n
+        self.words = words
         self.fitnesses = fitnesses
         self.results = results
         self._worst_cache: Optional[tuple[Direction, Fitness, list[int]]] = None
 
     def __len__(self) -> int:
-        return len(self.solutions)
+        return len(self.words)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Population)
-            and self.solutions == other.solutions
+            and self.n == other.n
+            and self.words == other.words
             and self.fitnesses == other.fitnesses
         )
 
     __hash__ = None
+
+    @property
+    def solutions(self) -> list[Solution]:
+        n = self.n
+        return [Solution(n, word) for word in self.words]
 
     def worst(self, direction: Direction) -> tuple[Fitness, list[int]]:
         """Worst fitness value and the indices holding it (i.e. eviction candidates)."""
@@ -270,16 +292,16 @@ class Population:
         return value, indices
 
     def replace(
-        self, index: int, solution: Solution, fitness: Fitness, result: Optional[Result] = None
+        self, index: int, word: int, fitness: Fitness, result: Optional[Result] = None
     ) -> None:
-        self.solutions[index] = solution
+        self.words[index] = word
         self.fitnesses[index] = fitness
         self.results[index] = result
         self._worst_cache = None
 
     def replace_worst_if_better(
         self,
-        solution: Solution,
+        word: int,
         fitness: Fitness,
         direction: Direction,
         rng: RandomSource,
@@ -287,9 +309,9 @@ class Population:
         strict: bool = True,
         result: Optional[Result] = None,
     ) -> Optional[int]:
-        """Evict one worst member if ``solution`` beats it; ties for worst are
+        """Evict one worst member if ``word`` beats it; ties for worst are
         broken uniformly at random.  Returns the replaced index, or None.
-        ``result`` is the solution's ``probe`` result, kept for its copies."""
+        ``result`` is the word's ``probe_word`` result, kept for its copies."""
         # worst()'s cache hit, read inline: this runs for every offspring, and
         # a stagnating population keeps its cache.
         cache = self._worst_cache
@@ -300,7 +322,7 @@ class Population:
         if not is_better(fitness, worst_value, direction, strict=strict):
             return None
         victim = candidates[rng.randrange(len(candidates))] if len(candidates) > 1 else candidates[0]
-        self.replace(victim, solution, fitness, result)
+        self.replace(victim, word, fitness, result)
         return victim
 
 
@@ -313,6 +335,7 @@ class _Bookkeeper:
 
     __slots__ = (
         "algorithm",
+        "n",
         "direction",
         "better",
         "reaches",
@@ -322,13 +345,14 @@ class _Bookkeeper:
         "evals",
         "first_hit",
         "best_fitness",
-        "best_solution",
+        "best_word",
         "milestones",
         "occupancy",
     )
 
     def __init__(self, algorithm: str, problem: Problem, config: RunConfig):
         self.algorithm = algorithm
+        self.n = problem.n
         self.direction = problem.direction
         maximize = problem.direction is Direction.MAXIMIZE
         self.better = operator.gt if maximize else operator.lt
@@ -341,11 +365,11 @@ class _Bookkeeper:
         self.evals = 0
         self.first_hit: Optional[int] = None
         self.best_fitness: Optional[Fitness] = None
-        self.best_solution: Optional[Solution] = None
+        self.best_word: Optional[int] = None
         self.milestones: list[Milestone] = []
         self.occupancy: Callable[[], int] = lambda: 0
 
-    def record(self, x: Solution, result: Result) -> None:
+    def record(self, word: int, result: Result) -> None:
         fitness, cell, feasible = result
         self.evals += 1
         improved = False
@@ -353,7 +377,7 @@ class _Bookkeeper:
             self.best_fitness is None or self.better(fitness, self.best_fitness)
         ):
             self.best_fitness = fitness
-            self.best_solution = x
+            self.best_word = word
             improved = True
         target = self.target
         if (
@@ -367,13 +391,13 @@ class _Bookkeeper:
             self._push_milestone()
 
     def _push_milestone(self) -> None:
-        best = self.best_solution
+        best = self.best_word
         self.milestones.append(
             Milestone(
                 evaluations=self.evals,
                 best_fitness=self.best_fitness,
                 occupied=self.occupancy(),
-                best_solution=None if best is None else best.to_string(),
+                best_solution=None if best is None else Solution(self.n, best).to_string(),
             )
         )
 
@@ -388,7 +412,7 @@ class _Bookkeeper:
             evaluations_used=self.evals,
             first_hit=self.first_hit,
             best_fitness=self.best_fitness,
-            best_solution=self.best_solution,
+            best_solution=None if self.best_word is None else Solution(self.n, self.best_word),
             milestones=tuple(self.milestones),
             archive=archive,
             population=population,
@@ -410,10 +434,12 @@ def _run(algorithm: str, problem: Problem, config: RunConfig) -> RunTrace:
 
     Each init member is probed, kept and recorded in turn.  Each step then
     picks a parent uniformly from ``slots`` (the archive's occupied cells, or
-    the mu population indices), mutates it, probes the child unless it is a
-    copy, hands it to the keep policy and records it.
+    the mu population indices), XORs its word with a flip word, probes the
+    child unless the flip word is 0 (a copy), hands it to the keep policy and
+    records it.
     """
     n = problem.n
+    rng = RandomSource(config.seed)
     members = config.initial_population
     if members is not None:
         if algorithm == "map-elites":
@@ -421,51 +447,55 @@ def _run(algorithm: str, problem: Problem, config: RunConfig) -> RunTrace:
         for x in members:
             if x.n != n:
                 raise ParameterError(f"seed member has {x.n} variables, problem has {n}")
-    rng = RandomSource(config.seed)
-    if members is None:
-        members = (random_solution(n, rng) for _ in range(config.init_count))
+        init_words = [x.word for x in members]
+    else:
+        init_words = (rng.getrandbits(n) for _ in range(config.init_count))
     book = _Bookkeeper(algorithm, problem, config)
     record = book.record
-    probe = problem.probe
+    probe_word = problem.probe_word
     direction = problem.direction
     strict = config.strict
-    mutate = bitwise_mutate  # the module global at run time, so a rebinding takes effect
+    flip = flip_sampler(n, rng)  # the module global at run time, so a rebinding takes effect
     archive = population = None
     if algorithm == "map-elites":
-        archive = Archive(problem.num_cells)
-        solutions, results, slots = archive.solutions, archive.results, archive.occupied
+        archive = Archive(problem.num_cells, n)
+        words, results, slots = archive.words, archive.results, archive.occupied
         book.occupancy = slots.__len__
         consider = archive.consider
 
-        def keep(x: Solution, result: Result) -> None:
-            consider(result[1], x, result[0], direction, strict=strict, result=result)
+        def keep(word: int, result: Result) -> None:
+            consider(result[1], word, result[0], direction, strict=strict, result=result)
 
-        def admit(_index: int, x: Solution, result: Result) -> None:
-            keep(x, result)
+        def admit(_index: int, word: int, result: Result) -> None:
+            keep(word, result)
 
     else:
         mu = config.init_count
-        population = Population([None] * mu, [None] * mu, [None] * mu)  # filled by admit
-        solutions, results, slots = population.solutions, population.results, range(mu)
+        population = Population(n, [None] * mu, [None] * mu, [None] * mu)  # filled by admit
+        words, results, slots = population.words, population.results, range(mu)
         book.occupancy = lambda: len({r[1] for r in results if r is not None})
         replace_worst = population.replace_worst_if_better
 
-        def keep(x: Solution, result: Result) -> None:
-            replace_worst(x, result[0], direction, rng, strict=strict, result=result)
+        def keep(word: int, result: Result) -> None:
+            replace_worst(word, result[0], direction, rng, strict=strict, result=result)
 
-        def admit(index: int, x: Solution, result: Result) -> None:
-            population.replace(index, x, result[0], result)
+        def admit(index: int, word: int, result: Result) -> None:
+            population.replace(index, word, result[0], result)
 
-    for index, x in enumerate(members):
-        result = probe(x)
-        admit(index, x, result)
-        record(x, result)
+    for index, word in enumerate(init_words):
+        result = probe_word(word)
+        admit(index, word, result)
+        record(word, result)
     budget = config.budget
     while book.evals < budget and not book.stop_now():
         index = slots[randbelow(rng, len(slots))]
-        parent = solutions[index]
-        child = mutate(parent, rng)
-        result = results[index] if child is parent else probe(child)
-        keep(child, result)
-        record(child, result)
+        mask = flip()
+        if mask:
+            word = words[index] ^ mask
+            result = probe_word(word)
+        else:
+            word = words[index]
+            result = results[index]
+        keep(word, result)
+        record(word, result)
     return book.finish(archive=archive, population=population)

@@ -68,13 +68,13 @@ def brute_force_opt(problem: Problem) -> OracleResult:
     n = problem.n
     if n > _BRUTE_FORCE_LIMIT:
         raise ParameterError(f"brute force is limited to n <= {_BRUTE_FORCE_LIMIT}, got n={n}")
-    probe = problem.probe
+    probe_word = problem.probe_word
     direction = problem.direction
     best_word: Optional[int] = None
     best_fitness: Optional[Fitness] = None
     count = 0
     for word in range(1 << n):
-        fitness, _cell, feasible = probe(Solution(n, word))
+        fitness, _cell, feasible = probe_word(word)
         if not feasible:
             continue
         if best_fitness is None or is_better(fitness, best_fitness, direction):
@@ -91,7 +91,7 @@ def reference_probe(
 ) -> tuple[Fitness, int, bool]:
     """``(fitness, cell, feasible)`` of ``x``, computed with Python sets over ``inst.sets``.
 
-    The independent reference for ``Problem.probe``: it reads the selected
+    The independent reference for ``Problem.probe_word``: it reads the selected
     sets one by one and shares no code with the problems' chunk tables.
     """
     if x.n != inst.n:

@@ -90,7 +90,9 @@ def _read_seed_population(value: str):
     return value
 
 
-def _build_config_from_flags(args) -> ExperimentConfig:
+def _build_config_from_flags(args):
+    """The config the flags describe, and its problem if resolving it was
+    needed here (for --target-ratio), else None."""
     if args.instance is None:
         raise ParameterError("run needs --instance FILE (or --config FILE)")
     if args.budget is None:
@@ -99,6 +101,7 @@ def _build_config_from_flags(args) -> ExperimentConfig:
     if args.target_ratio is not None and args.target_fitness is not None:
         raise ParameterError("give either --target-fitness or --target-ratio, not both")
     threshold = args.target_fitness
+    problem = None
     if args.target_ratio is not None:
         problem = resolve_problem(spec)
         if problem.known_opt is None:
@@ -120,7 +123,7 @@ def _build_config_from_flags(args) -> ExperimentConfig:
     seed_population = None
     if args.seed_population is not None:
         seed_population = _read_seed_population(args.seed_population)
-    return ExperimentConfig(
+    config = ExperimentConfig(
         problem=spec,
         algorithm=args.algo,
         budget=args.budget,
@@ -135,9 +138,11 @@ def _build_config_from_flags(args) -> ExperimentConfig:
         workers=args.workers,
         milestone_every=args.milestone_every,
     )
+    return config, problem
 
 
 def _cmd_run(args) -> int:
+    problem = None
     if args.config is not None:
         if args.instance is not None or args.budget is not None:
             raise ParameterError("--config replaces the problem/budget flags; give one or the other")
@@ -156,8 +161,8 @@ def _cmd_run(args) -> int:
     else:
         if args.algo is None:
             raise ParameterError("run needs --algo map-elites|ea (or --config FILE)")
-        config = _build_config_from_flags(args)
-    report = run_experiment(config)
+        config, problem = _build_config_from_flags(args)
+    report = run_experiment(config) if problem is None else harness._run_experiment(config, problem)
     agg = report.aggregate
     print(
         f"problem: {report.problem_name} n={report.n} cells={report.num_cells}"

@@ -12,6 +12,7 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable
 
 from .errors import ParameterError
 
@@ -20,6 +21,7 @@ __all__ = [
     "RandomSource",
     "FlipMask",
     "random_solution",
+    "flip_sampler",
     "sample_flip_mask",
     "apply_mask",
     "bitwise_mutate",
@@ -184,14 +186,25 @@ def randbelow(rng: RandomSource, n: int) -> int:
     return r
 
 
-def _flip_word(n: int, rng: RandomSource) -> int:
-    # A binomial flip count, then that many distinct uniform positions: the
-    # draws behind both sample_flip_mask and bitwise_mutate.
-    count = bisect_right(_flip_count_cdf(n), rng.random())
-    word = 0
-    if count:
-        getrandbits = rng.getrandbits
-        k = n.bit_length()
+def flip_sampler(n: int, rng: RandomSource) -> Callable[[], int]:
+    """A function that draws one flip word per call: each of the ``n`` bits set
+    independently with probability 1/n.
+
+    Each call draws a binomial flip count, then that many distinct uniform
+    positions: the one implementation of the mutation law.  The count's CDF,
+    ``n.bit_length()`` and the ``rng`` methods are bound here, once per run;
+    binding draws nothing.
+    """
+    if n < 1:
+        raise ParameterError(f"need at least one variable, got n={n}")
+    cdf = _flip_count_cdf(n)
+    random = rng.random
+    getrandbits = rng.getrandbits
+    k = n.bit_length()
+
+    def flip() -> int:
+        count = bisect_right(cdf, random())
+        word = 0
         while count:
             # randbelow(rng, n), inlined: this runs once per drawn position.
             r = getrandbits(k)
@@ -201,7 +214,9 @@ def _flip_word(n: int, rng: RandomSource) -> int:
             if not word & bit:
                 word |= bit
                 count -= 1
-    return word
+        return word
+
+    return flip
 
 
 def sample_flip_mask(n: int, rng: RandomSource) -> FlipMask:
@@ -211,9 +226,7 @@ def sample_flip_mask(n: int, rng: RandomSource) -> FlipMask:
     size — the standard decomposition, identical in distribution to n
     independent coin flips but needing ~2 draws per call instead of n.
     """
-    if n < 1:
-        raise ParameterError(f"need at least one variable, got n={n}")
-    return FlipMask(n, _flip_word(n, rng))
+    return FlipMask(n, flip_sampler(n, rng)())
 
 
 def apply_mask(x: Solution, mask: FlipMask) -> Solution:
@@ -231,7 +244,7 @@ def bitwise_mutate(x: Solution, rng: RandomSource) -> Solution:
     and ``x`` itself is returned: callers may test ``child is x`` to reuse
     what they know about ``x``.
     """
-    mask = _flip_word(x.n, rng)
+    mask = flip_sampler(x.n, rng)()
     if not mask:
         return x
     return Solution(x.n, x.word ^ mask)

@@ -31,6 +31,14 @@ def require_numbers(obj, names, optional=()) -> None:
     _require(obj, names, optional, (int, float), "a number")
 
 
+def require_bools(obj, names) -> None:
+    """Raise ParameterError unless each named attribute of ``obj`` is a bool."""
+    for name in names:
+        value = getattr(obj, name)
+        if not isinstance(value, bool):
+            raise ParameterError(f"{name} must be true or false, got {value!r}")
+
+
 def _require(obj, names, optional, types, what: str) -> None:
     for name in (*names, *optional):
         value = getattr(obj, name)

@@ -30,7 +30,7 @@ from .algorithms import (
 )
 from .analysis import approximation_ratio, brute_force_opt, qd_metrics
 from .core import RandomSource, Solution
-from .errors import ParameterError, ValidationError, require_ints, require_numbers
+from .errors import ParameterError, ValidationError, require_bools, require_ints, require_numbers
 from .instances import (
     Example1Params,
     Example2Params,
@@ -194,6 +194,11 @@ class ExperimentConfig:
             ("budget", "trials", "master_seed"),
             optional=("init_count", "workers", "milestone_every"),
         )
+        require_bools(self, ("stop_on_target", "strict", "allow_unfair"))
+        if isinstance(self.seed_population, tuple) and not all(
+            isinstance(member, str) for member in self.seed_population
+        ):
+            raise ParameterError(f"seed_population members must be strings, got {self.seed_population!r}")
         if self.algorithm not in ("map-elites", "ea"):
             raise ParameterError(
                 f"unknown algorithm {self.algorithm!r}; expected 'map-elites' or 'ea'"
@@ -295,10 +300,10 @@ def resolve_seed_members(
 def _population_archive(trace: RunTrace, problem: Problem) -> Archive:
     """View the final EA population through the archive's insert rule so the
     diversity metrics mean the same thing for both algorithms."""
-    archive = Archive(problem.num_cells)
+    archive = Archive(problem.num_cells, problem.n)
     population = trace.population
-    for solution, (fitness, cell, _feasible) in zip(population.solutions, population.results):
-        archive.consider(cell, solution, fitness, problem.direction)
+    for word, (fitness, cell, _feasible) in zip(population.words, population.results):
+        archive.consider(cell, word, fitness, problem.direction)
     return archive
 
 
@@ -391,7 +396,12 @@ def effective_workers(config: ExperimentConfig) -> int:
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Run all trials and aggregate.  Deterministic in everything but wall time."""
-    problem = resolve_problem(config.problem)
+    return _run_experiment(config, resolve_problem(config.problem))
+
+
+def _run_experiment(config: ExperimentConfig, problem: Problem) -> ExperimentReport:
+    # run_experiment with config.problem already resolved, so a caller that
+    # needed the problem first does not resolve (and maybe enumerate) it twice.
     init_count = config.init_count if config.init_count is not None else problem.num_cells
     if init_count != problem.num_cells and not config.allow_unfair:
         raise ParameterError(

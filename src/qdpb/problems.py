@@ -22,7 +22,7 @@ import operator
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Callable, Union
+from typing import Callable, Optional, Union
 
 from .core import Solution
 from .errors import ParameterError, ValidationError
@@ -42,6 +42,7 @@ __all__ = [
 ]
 
 Fitness = Union[int, float]
+Result = tuple[Fitness, int, bool]  # what a probe returns: (fitness, cell, feasible)
 
 _FLOAT_EXACT_LIMIT = 2**53
 
@@ -53,9 +54,14 @@ class Direction(Enum):
     MINIMIZE = "minimize"
 
 
+# A plain global: looking a member up on the Enum class costs more than the
+# whole comparison, and is_better runs on every keep step.
+_MAXIMIZE = Direction.MAXIMIZE
+
+
 def is_better(a: Fitness, b: Fitness, direction: Direction, *, strict: bool = True) -> bool:
     """Compare two fitness values under the given direction."""
-    if direction is Direction.MAXIMIZE:
+    if direction is _MAXIMIZE:
         return a > b if strict else a >= b
     return a < b if strict else a <= b
 
@@ -171,21 +177,34 @@ Instance = Union[MaxCoverageInstance, SetCoverInstance]
 class Problem:
     """A pseudo-Boolean objective bound to a behaviour grid.
 
-    ``probe`` returns ``(fitness, cell, feasible)`` in one pass and is the
-    only evaluator: the run loops call it directly (unchecked), and
-    ``evaluate``, ``descriptor`` and ``feasible`` return its parts after
-    checking the solution length.
+    ``probe_word(word)`` returns ``(fitness, cell, feasible)`` of the solution
+    whose bit word is ``word``, in one pass.  It is the only evaluator: the
+    run loops and the exhaustive oracle call it directly (unchecked).
+    ``probe(x)`` is the same on a ``Solution``.  Unless one is given, it is
+    derived from ``probe_word``, and ``dataclasses.replace`` with a new
+    ``probe_word`` derives it again; a given ``probe`` is kept.
+    ``evaluate``, ``descriptor`` and ``feasible`` return the parts of
+    ``probe(x)`` after checking the solution length.
     """
 
     name: str
     n: int
     num_cells: int
     direction: Direction
-    probe: Callable[[Solution], tuple[Fitness, int, bool]]
+    probe_word: Callable[[int], Result]
+    probe: Optional[Callable[[Solution], Result]] = None
     known_opt: Fitness | None = None
     instance: Instance | None = None
 
-    def _checked_probe(self, x: Solution) -> tuple[Fitness, int, bool]:
+    def __post_init__(self) -> None:
+        probe = self.probe
+        # A derived probe carries the probe_word it calls (a functools.wraps
+        # wrapper copies it), so one carried over from another probe_word by
+        # dataclasses.replace is derived again.
+        if probe is None or getattr(probe, "probe_word", self.probe_word) is not self.probe_word:
+            object.__setattr__(self, "probe", _probe_from_word(self.probe_word))
+
+    def _checked_probe(self, x: Solution) -> Result:
         if x.n != self.n:
             raise ParameterError(f"solution has {x.n} variables, problem has {self.n}")
         return self.probe(x)
@@ -201,6 +220,14 @@ class Problem:
     def feasible(self, x: Solution) -> bool:
         """Whether ``x`` satisfies the original (pre-reformulation) constraint."""
         return self._checked_probe(x)[2]
+
+
+def _probe_from_word(probe_word: Callable[[int], Result]) -> Callable[[Solution], Result]:
+    def probe(x: Solution) -> Result:
+        return probe_word(x.word)
+
+    probe.probe_word = probe_word
+    return probe
 
 
 def _chunk_tables(values, combine) -> tuple[tuple, ...]:
@@ -226,7 +253,7 @@ def _chunk_tables(values, combine) -> tuple[tuple, ...]:
 def make_max_coverage_problem(
     inst: MaxCoverageInstance, known_opt: Fitness | None = None
 ) -> Problem:
-    """The coverage problem; ``probe`` ORs one precomputed union per byte of the word.
+    """The coverage problem; ``probe_word`` ORs one precomputed union per byte of the word.
 
     The tables hold at most 256 union masks per 8-bit chunk, ⌈n/8⌉·256 masks
     of ``m_elements`` bits in all.
@@ -235,8 +262,7 @@ def make_max_coverage_problem(
     width = len(tables)
     k = inst.k
 
-    def probe(x: Solution) -> tuple[int, int, bool]:
-        word = x.word
+    def probe_word(word: int) -> tuple[int, int, bool]:
         ones = word.bit_count()
         if ones > k:
             return -1, ones, False
@@ -250,14 +276,14 @@ def make_max_coverage_problem(
         n=inst.n,
         num_cells=inst.n + 1,
         direction=Direction.MAXIMIZE,
-        probe=probe,
+        probe_word=probe_word,
         known_opt=known_opt,
         instance=inst,
     )
 
 
 def make_set_cover_problem(inst: SetCoverInstance, known_opt: Fitness | None = None) -> Problem:
-    """The set-cover problem; ``probe`` adds up one precomputed entry per byte of the word.
+    """The set-cover problem; ``probe_word`` adds up one precomputed entry per byte of the word.
 
     Each entry is the (union mask, weight sum) pair of a subset of one 8-bit
     chunk: ⌈n/8⌉·256 masks of ``m_elements`` bits and as many ints in all.
@@ -272,9 +298,9 @@ def make_set_cover_problem(inst: SetCoverInstance, known_opt: Fitness | None = N
     m = inst.m_elements
     penalty = inst.penalty
 
-    def probe(x: Solution) -> tuple[int, int, bool]:
+    def probe_word(word: int) -> tuple[int, int, bool]:
         weight = union = 0
-        for table, byte in zip(tables, x.word.to_bytes(width, "little")):
+        for table, byte in zip(tables, word.to_bytes(width, "little")):
             mask, chunk_weight = table[byte]
             union |= mask
             weight += chunk_weight
@@ -286,7 +312,7 @@ def make_set_cover_problem(inst: SetCoverInstance, known_opt: Fitness | None = N
         n=inst.n,
         num_cells=m + 1,
         direction=Direction.MINIMIZE,
-        probe=probe,
+        probe_word=probe_word,
         known_opt=known_opt,
         instance=inst,
     )

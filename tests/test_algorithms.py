@@ -17,11 +17,13 @@ from qdpb.algorithms import (
     run_ea,
     run_map_elites,
 )
+from qdpb.analysis import brute_force_opt
 from qdpb.core import RandomSource, Solution
 from qdpb.errors import ParameterError
 from qdpb.instances import (
     Example1Params,
     Example2Params,
+    example1_local_optimum,
     example1_max_coverage,
     example2_local_optimum,
     example2_set_cover,
@@ -31,6 +33,10 @@ from qdpb.instances import (
 from qdpb.problems import Direction, is_better, make_problem
 
 S = Solution.from_string
+
+
+def W(text):
+    return S(text).word
 
 
 def small_problem(seed=5):
@@ -53,35 +59,35 @@ def prefix_states(engine, problem, init_count, seed, steps):
 
 
 def test_archive_insert_rules():
-    a = Archive(4)
+    a = Archive(4, 4)
     x, y = S("1010"), S("0110")
-    assert a.consider(2, x, 5, Direction.MAXIMIZE)          # empty cell fills
-    assert not a.consider(2, y, 4, Direction.MAXIMIZE)      # worse rejected
-    assert not a.consider(2, y, 5, Direction.MAXIMIZE)      # equal rejected when strict
+    assert a.consider(2, x.word, 5, Direction.MAXIMIZE)          # empty cell fills
+    assert not a.consider(2, y.word, 4, Direction.MAXIMIZE)      # worse rejected
+    assert not a.consider(2, y.word, 5, Direction.MAXIMIZE)      # equal rejected when strict
     assert a.cell(2) == (x, 5)
-    assert a.consider(2, y, 6, Direction.MAXIMIZE)          # strictly better replaces
+    assert a.consider(2, y.word, 6, Direction.MAXIMIZE)          # strictly better replaces
     assert a.cell(2) == (y, 6)
-    assert a.consider(2, x, 6, Direction.MAXIMIZE, strict=False)  # relaxed accepts ties
+    assert a.consider(2, x.word, 6, Direction.MAXIMIZE, strict=False)  # relaxed accepts ties
     assert a.cell(2) == (x, 6)
     assert len(a) == 1 and a.occupied == [2]
 
 
 def test_archive_minimize_direction():
-    a = Archive(3)
-    a.consider(0, S("100"), 10, Direction.MINIMIZE)
-    assert not a.consider(0, S("010"), 11, Direction.MINIMIZE)
-    assert a.consider(0, S("010"), 9, Direction.MINIMIZE)
+    a = Archive(3, 3)
+    a.consider(0, W("100"), 10, Direction.MINIMIZE)
+    assert not a.consider(0, W("010"), 11, Direction.MINIMIZE)
+    assert a.consider(0, W("010"), 9, Direction.MINIMIZE)
     assert a.cell(0) == (S("010"), 9)
 
 
 def test_archive_bounds():
-    a = Archive(3)
+    a = Archive(3, 3)
     with pytest.raises(ParameterError):
-        a.consider(3, S("100"), 1, Direction.MAXIMIZE)
+        a.consider(3, W("100"), 1, Direction.MAXIMIZE)
     with pytest.raises(ParameterError):
         a.cell(-1)
     with pytest.raises(ParameterError):
-        Archive(0)
+        Archive(0, 3)
 
 
 def test_map_elites_init_deterministic():
@@ -101,28 +107,28 @@ def test_map_elites_init_deterministic():
 
 
 def test_population_worst_by_direction():
-    pop = Population([S("100"), S("010"), S("001")], [3, 1, 2])
+    pop = Population(3, [W("100"), W("010"), W("001")], [3, 1, 2])
     assert pop.worst(Direction.MAXIMIZE) == (1, [1])
-    pop2 = Population([S("100"), S("010"), S("001")], [3, 1, 2])
+    pop2 = Population(3, [W("100"), W("010"), W("001")], [3, 1, 2])
     assert pop2.worst(Direction.MINIMIZE) == (3, [0])
 
 
 def test_population_eviction_requires_strict_improvement():
-    pop = Population([S("10"), S("01")], [4, 7])
+    pop = Population(2, [W("10"), W("01")], [4, 7])
     rng = RandomSource(0)
-    assert pop.replace_worst_if_better(S("11"), 4, Direction.MAXIMIZE, rng) is None
-    assert pop.replace_worst_if_better(S("11"), 5, Direction.MAXIMIZE, rng) == 0
+    assert pop.replace_worst_if_better(W("11"), 4, Direction.MAXIMIZE, rng) is None
+    assert pop.replace_worst_if_better(W("11"), 5, Direction.MAXIMIZE, rng) == 0
     assert pop.fitnesses == [5, 7]
     # Relaxed mode accepts ties.
-    assert pop.replace_worst_if_better(S("00"), 5, Direction.MAXIMIZE, rng, strict=False) == 0
+    assert pop.replace_worst_if_better(W("00"), 5, Direction.MAXIMIZE, rng, strict=False) == 0
 
 
 def test_tied_worst_evicted_uniformly():
     evicted_first = 0
     trials = 10_000
     for seed in range(trials):
-        pop = Population([S("10"), S("01"), S("11")], [0, 0, 5])
-        victim = pop.replace_worst_if_better(S("00"), 3, Direction.MAXIMIZE, RandomSource(seed))
+        pop = Population(2, [W("10"), W("01"), W("11")], [0, 0, 5])
+        victim = pop.replace_worst_if_better(W("00"), 3, Direction.MAXIMIZE, RandomSource(seed))
         assert victim in (0, 1)
         evicted_first += victim == 0
     sigma = math.sqrt(trials * 0.25)
@@ -130,9 +136,9 @@ def test_tied_worst_evicted_uniformly():
 
 
 def test_worst_cache_tracks_replacements():
-    pop = Population([S("10"), S("01"), S("11")], [2, 2, 9])
+    pop = Population(2, [W("10"), W("01"), W("11")], [2, 2, 9])
     assert pop.worst(Direction.MAXIMIZE) == (2, [0, 1])
-    pop.replace(0, S("00"), 9)
+    pop.replace(0, W("00"), 9)
     assert pop.worst(Direction.MAXIMIZE) == (2, [1])
 
 
@@ -330,21 +336,26 @@ def test_only_copies_skip_the_probe(engine, use_cover, monkeypatch):
         base = make_problem(random_max_coverage(10, 12, 0.3, 4, RandomSource(2)))
     probes = copies = 0
 
-    def probe(x):
+    def probe_word(word):
         nonlocal probes
         probes += 1
-        return base.probe(x)
+        return base.probe_word(word)
 
-    original_mutate = algorithms.bitwise_mutate
+    original_sampler = algorithms.flip_sampler
 
-    def mutate(x, rng):
-        nonlocal copies
-        child = original_mutate(x, rng)
-        copies += child is x
-        return child
+    def sampler(n, rng):
+        flip = original_sampler(n, rng)
 
-    monkeypatch.setattr(algorithms, "bitwise_mutate", mutate)
-    problem = dataclasses.replace(base, probe=probe)
+        def counted():
+            nonlocal copies
+            mask = flip()
+            copies += mask == 0
+            return mask
+
+        return counted
+
+    monkeypatch.setattr(algorithms, "flip_sampler", sampler)
+    problem = dataclasses.replace(base, probe_word=probe_word)
     trace = engine(problem, RunConfig(budget=3000, init_count=problem.num_cells, seed=8))
     assert trace.evaluations_used == 3000
     assert copies > 0
@@ -364,4 +375,31 @@ def test_kept_members_carry_their_probe_results():
 
 def test_population_results_must_match_members():
     with pytest.raises(ParameterError, match="probe results"):
-        Population([S("000000")], [0], [])
+        Population(6, [W("000000")], [0], [])
+
+
+def test_solutions_are_built_only_at_the_boundaries(monkeypatch):
+    # Inside a run and the exhaustive oracle a solution is its word: a
+    # Solution is built for milestone strings and for what leaves them.
+    params = Example1Params(30, Fraction(1, 10))
+    problem = make_problem(example1_max_coverage(params))
+    members = (example1_local_optimum(params),) * problem.num_cells
+    small = make_problem(random_max_coverage(12, 16, 0.3, 4, RandomSource(3)))
+    built = 0
+    original = Solution.__post_init__
+
+    def counted(self):
+        nonlocal built
+        built += 1
+        original(self)
+
+    monkeypatch.setattr(Solution, "__post_init__", counted)
+    trace = run_ea(
+        problem,
+        RunConfig(budget=5000, init_count=problem.num_cells, seed=3, initial_population=members),
+    )
+    assert trace.evaluations_used == 5000
+    assert built <= len(trace.milestones) + 2
+    built = 0
+    brute_force_opt(small)
+    assert built <= 2

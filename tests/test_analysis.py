@@ -361,10 +361,10 @@ def test_trap_bound_large_instance_is_negligible():
 def test_qd_metrics_counts_and_sums():
     inst = random_max_coverage(5, 6, 0.5, 2, RandomSource(1))
     problem = make_problem(inst)
-    archive = Archive(problem.num_cells)
+    archive = Archive(problem.num_cells, problem.n)
     a, b = Solution.zero(5), S("11000")
-    archive.consider(problem.descriptor(a), a, problem.evaluate(a), problem.direction)
-    archive.consider(problem.descriptor(b), b, problem.evaluate(b), problem.direction)
+    archive.consider(problem.descriptor(a), a.word, problem.evaluate(a), problem.direction)
+    archive.consider(problem.descriptor(b), b.word, problem.evaluate(b), problem.direction)
     metrics = qd_metrics(archive, problem)
     assert metrics.coverage == 2
     assert metrics.optimization == max(problem.evaluate(a), problem.evaluate(b))
@@ -374,9 +374,9 @@ def test_qd_metrics_counts_and_sums():
 def test_qd_metrics_all_infeasible_archive():
     inst = random_max_coverage(5, 6, 0.5, 2, RandomSource(1))
     problem = make_problem(inst)
-    archive = Archive(problem.num_cells)
+    archive = Archive(problem.num_cells, problem.n)
     for x in (S("11100"), S("11110"), S("11111")):
-        archive.consider(problem.descriptor(x), x, problem.evaluate(x), problem.direction)
+        archive.consider(problem.descriptor(x), x.word, problem.evaluate(x), problem.direction)
     metrics = qd_metrics(archive, problem)
     assert metrics.optimization is None
     assert metrics.coverage == 3

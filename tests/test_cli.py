@@ -89,6 +89,26 @@ def test_oracle_enumerates_once(tmp_path, monkeypatch, capsys):
     assert "OPT=" in capsys.readouterr().out
 
 
+def test_run_target_ratio_enumerates_once(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "rand16.json"
+    args = ["--n", "16", "--m-elements", "20", "--density", "0.25", "--k", "4", "--instance-seed", "3"]
+    assert main(["gen-instance", "random-max-coverage", *args, "--out", str(path)]) == 0
+    calls = 0
+    brute_force_opt = harness.brute_force_opt
+
+    def counted(problem):
+        nonlocal calls
+        calls += 1
+        return brute_force_opt(problem)
+
+    monkeypatch.setattr(cli, "brute_force_opt", counted)
+    monkeypatch.setattr(harness, "brute_force_opt", counted)
+    run = ["run", "--instance", str(path), "--algo", "ea", "--budget", "200", "--target-ratio", "0.5"]
+    assert main(run) == 0
+    assert calls == 1
+    assert "OPT=" in capsys.readouterr().out
+
+
 def test_oracle_missing_file_exits_1(capsys):
     assert main(["oracle", "/nonexistent/f.json"]) == 1
     assert "error:" in capsys.readouterr().err
@@ -175,6 +195,12 @@ def test_run_config_file(star5, tmp_path, capsys):
         ({"target": 5}, "target must be an object"),
         ({"target": [1]}, "target must be an object"),
         ({"problem": {"kind": "example1", "n": 9, "delta": "abc"}}, "delta must be a fraction string"),
+        # Seed members that are not strings, and bools given as strings.
+        ({"algorithm": "ea", "seed_population": [5]}, "seed_population members must be strings"),
+        ({"strict": "yes"}, "strict must be true or false"),
+        ({"stop_on_target": 1}, "stop_on_target must be true or false"),
+        ({"target": {"threshold": 5, "strict": "yes"}}, "strict must be true or false"),
+        ({"target": {"threshold": 5, "require_feasible": "no"}}, "require_feasible must be true or false"),
     ):
         path.write_text(json.dumps({**config, **overrides}))
         assert main(["run", "--config", str(path)]) == 1

@@ -14,6 +14,7 @@ from qdpb.core import (
     Solution,
     apply_mask,
     bitwise_mutate,
+    flip_sampler,
     randbelow,
     random_solution,
     sample_flip_mask,
@@ -137,17 +138,23 @@ def test_mutation_preserves_length_and_determinism():
 @given(st.integers(1, 70), st.integers(0, 2**32))
 def test_bitwise_mutate_draws_the_flip_mask_stream(n, seed):
     # bitwise_mutate must equal apply_mask(x, sample_flip_mask(...)) draw for
-    # draw, and return x itself exactly when the mask is empty.
-    rng, rng_mask = RandomSource(seed), RandomSource(seed)
+    # draw, and return x itself exactly when the mask is empty; a bound
+    # flip_sampler draws the same words, and binding it draws nothing.
+    rng, rng_mask, rng_flip = RandomSource(seed), RandomSource(seed), RandomSource(seed)
     x = random_solution(n, rng)
     random_solution(n, rng_mask)
+    random_solution(n, rng_flip)
+    before = rng_flip.getstate()
+    flip = flip_sampler(n, rng_flip)
+    assert rng_flip.getstate() == before
     for _ in range(30):
         child = bitwise_mutate(x, rng)
         mask = sample_flip_mask(n, rng_mask)
         assert child == apply_mask(x, mask)
         assert (child is x) == (mask.word == 0)
+        assert flip() == mask.word
         x = child
-    assert rng.getstate() == rng_mask.getstate()
+    assert rng.getstate() == rng_mask.getstate() == rng_flip.getstate()
 
 
 @given(st.integers(1, 300), st.integers(0, 2**32))

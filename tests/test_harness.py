@@ -101,6 +101,11 @@ def test_config_rejects_bad_settings():
 SPEC_NUMBERS = ("n", "m_elements", "k", "max_weight", "instance_seed", "density")
 TARGET_NUMBERS = ("required_cell", "threshold")
 FLOAT_NUMBERS = ("density", "threshold")  # an int or a float; never a bool or a string
+# Bool fields, a "target." or "run." prefix naming the QualityTarget or RunConfig ones.
+BOOLS = (
+    "stop_on_target", "strict", "allow_unfair", "target.strict", "target.require_feasible",
+    "run.strict", "run.stop_on_target",
+)
 
 
 def config_part_with(name, value):
@@ -110,20 +115,25 @@ def config_part_with(name, value):
         return ProblemSpec(**{**spec, name: value})
     if name in TARGET_NUMBERS:
         return QualityTarget(**{"threshold": 4, name: value})
+    if name.startswith("target."):
+        return QualityTarget(**{"threshold": 4, name[7:]: value})
+    if name.startswith("run."):
+        return RunConfig(**{"budget": 100, "init_count": 5, "seed": 1, name[4:]: value})
     return small_me_config(**{name: value})
 
 
 @pytest.mark.parametrize(
     "name",
-    ["budget", "trials", "master_seed", "init_count", "workers", "milestone_every", *SPEC_NUMBERS, *TARGET_NUMBERS],
+    ["budget", "trials", "master_seed", "init_count", "workers", "milestone_every", *SPEC_NUMBERS, *TARGET_NUMBERS, *BOOLS],
 )
 @pytest.mark.parametrize("value", [100.5, "100", True])
 def test_config_numbers_must_be_ints(name, value):
-    if name in FLOAT_NUMBERS and isinstance(value, float):
-        assert getattr(config_part_with(name, value), name) == value
+    field = name.rpartition(".")[2]
+    if (name in FLOAT_NUMBERS and isinstance(value, float)) or (name in BOOLS and value is True):
+        assert getattr(config_part_with(name, value), field) == value
         return
-    what = "a number" if name in FLOAT_NUMBERS else "an integer"
-    with pytest.raises(ParameterError, match=f"{name} must be {what}"):
+    what = "a number" if name in FLOAT_NUMBERS else "true or false" if name in BOOLS else "an integer"
+    with pytest.raises(ParameterError, match=f"{field} must be {what}"):
         config_part_with(name, value)
 
 

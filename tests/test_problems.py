@@ -1,5 +1,8 @@
 """Tests for the two problem reformulations, frozen against hand-checked values."""
 
+import dataclasses
+import functools
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -212,9 +215,39 @@ def assert_probe_matches_reference(inst, data):
     problem = make_problem(inst)
     for word in probed_words(inst.n, data):
         x = Solution(inst.n, word)
-        probed = problem.probe(x)
+        probed = problem.probe_word(word)
         assert probed == (problem.evaluate(x), problem.descriptor(x), problem.feasible(x))
         assert probed == reference_probe(x, inst)
+
+
+def test_replace_derives_probe_from_a_new_probe_word(tiny_coverage):
+    base = make_problem(tiny_coverage)
+    x = S("110")
+    calls = []
+
+    def probe_word(word):
+        calls.append(word)
+        return base.probe_word(word)
+
+    swapped = dataclasses.replace(base, probe_word=probe_word)
+    assert swapped.probe(x) == base.probe(x) == base.probe_word(x.word)
+    assert swapped.evaluate(x) == base.evaluate(x)
+    assert calls == [x.word, x.word]
+    # A given probe is kept, also when another field is replaced later; so is
+    # a functools.wraps wrapper of the derived probe.
+    def probe(_x):
+        return -1, 0, False
+
+    custom = dataclasses.replace(base, probe=probe)
+    assert custom.probe is probe and dataclasses.replace(custom, known_opt=3).probe is probe
+    assert custom.probe_word is base.probe_word
+    wrapped = functools.wraps(base.probe)(lambda x: base.probe(x))
+    traced = dataclasses.replace(base, probe=wrapped)
+    assert traced.probe is wrapped and dataclasses.replace(traced, known_opt=3).probe is wrapped
+    # Replacing the probe_word under a wrapper derives the probe again.
+    calls.clear()
+    assert dataclasses.replace(traced, probe_word=probe_word).probe(x) == base.probe(x)
+    assert calls == [x.word]
 
 
 @given(coverage_instances(), st.data())
