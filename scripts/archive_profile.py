@@ -42,7 +42,7 @@ def main() -> int:
         if problem.known_opt is not None and fitness == problem.known_opt:
             marker = "  <- optimum"
         print(f"  cell {cell:3d}: fitness {fitness:>6}  {solution.to_string()}{marker}")
-    metrics = qd_metrics(archive, problem)
+    metrics = qd_metrics(archive)
     print(
         f"coverage {metrics.coverage}, best feasible {metrics.optimization}, "
         f"qd-score {metrics.qd_score}"

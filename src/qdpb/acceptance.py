@@ -7,8 +7,9 @@ green test run and a clean ``qdpb verify`` are the same statement.
 
 The seven checks:
 
-  c1  exhaustive oracle, a second independent enumeration, and the greedy
-      baselines agree on a batch of random instances
+  c1  exhaustive oracle, a second enumeration scored by the set-based
+      ``reference_probe``, and the greedy baselines agree on a batch of
+      random instances
   c2  the archive-based search reaches the (1 - 1/e) quality level in the
       full-size cell of the bipartite family within the stated budget
   c3  the archive-based search finds a harmonic-factor cover of the
@@ -51,7 +52,7 @@ from .analysis import (
     submodularity_ratio,
     trap_escape_probability_bound,
 )
-from .core import RandomSource, Solution, sample_flip_mask
+from .core import RandomSource, Solution, flip_sampler
 from .errors import ParameterError
 from .harness import ExperimentConfig, ProblemSpec, run_experiment
 from .instances import (
@@ -93,11 +94,12 @@ class CriterionResult:
 
 
 def _independent_enumeration(problem):
-    """Deliberately different loop shape from the oracle: descending scan."""
+    """Deliberately different loop shape and evaluator from the oracle: a
+    descending scan scored by the set-based ``reference_probe``."""
     best = None
     count = 0
     for word in range((1 << problem.n) - 1, -1, -1):
-        fitness, _cell, feasible = problem.probe(Solution(problem.n, word))
+        fitness, _cell, feasible = reference_probe(Solution(problem.n, word), problem.instance)
         if not feasible:
             continue
         if best is None or is_better(fitness, best, problem.direction):
@@ -345,10 +347,10 @@ def _exact_flip_pmf(n: int) -> list[float]:
 def _check_mutation_law() -> Optional[str]:
     for n in (5, 30):
         samples = 50_000
-        rng = RandomSource(7000 + n)
+        flip = flip_sampler(n, RandomSource(7000 + n))
         observed = [0] * (n + 1)
         for _ in range(samples):
-            observed[sample_flip_mask(n, rng).word.bit_count()] += 1
+            observed[flip().bit_count()] += 1
         pmf = _exact_flip_pmf(n)
         cut = n + 1
         while cut > 1 and pmf[cut - 1] * samples < 5:
@@ -422,9 +424,9 @@ def _check_archive_cell_monotonicity() -> Optional[str]:
 def _check_population_worst_monotonicity() -> Optional[str]:
     problem = make_problem(example2_set_cover(Example2Params(8)))
     states = _prefix_states(run_ea, problem, 8, 7500, 500)
-    worst_before = next(states).worst(problem.direction)[0]
+    worst_before = next(states).worst()[0]
     for step, population in enumerate(states):
-        worst_now = population.worst(problem.direction)[0]
+        worst_now = population.worst()[0]
         if worst_now > worst_before:  # minimization: the worst may only shrink
             return f"population worst went from {worst_before} to {worst_now} at step {step}"
         worst_before = worst_now

@@ -4,25 +4,29 @@ Both engines share the same primitive moves (uniform parent choice, standard
 bit-flip mutation, one evaluation per offspring) and differ only in what they
 keep: the archive retains the best solution seen per behaviour cell, the EA a
 fixed-size population whose worst member is evicted by strictly better
-offspring.  So both run through one loop, ``_run``, with ``Archive.consider``
-or ``Population.replace_worst_if_better`` as its keep policy.  Every
-generated solution costs exactly one evaluation, so a run uses
-``init_count + steps`` evaluations and a fixed seed reproduces the full trace
-bit for bit.
+offspring.  So both run through one loop, ``_run``, which hands every
+offspring as ``(word, result)`` to its container's keep policy,
+``Archive.consider`` or ``Population.replace_worst_if_better``.  Each
+container is built with the problem's direction and the run's ``strict``
+flag, so the keep rule is fixed for the whole run.  Every generated solution
+costs exactly one evaluation, so a run uses ``init_count + steps``
+evaluations and a fixed seed reproduces the full trace bit for bit.
 
 Per-step random draws happen in a fixed order (parent index, mutation mask,
-then — only when an eviction has several tied victims — one tie-break draw),
-which is what makes traces reproducible.
+then — only when an eviction has several tied victims — one tie-break draw,
+which the population takes from the run's stream), which is what makes
+traces reproducible.
 
 Inside a run a solution is its int bit word: mutation XORs the parent's
-word with a flip word from ``core.flip_sampler``, ``Problem.probe_word``
-evaluates it, and archive and population hold words.  A ``Solution`` is
-built only for what leaves the run: milestone strings, the best solution of
-the trace, and members read from a container.  Archive and population keep
-each member's ``probe_word`` result next to it.  An offspring whose flip word
-is 0 is a copy of its parent and reuses the parent's result instead of being
-probed again; it still counts as one evaluation and still goes through the
-keep step.
+word with a flip word from ``core.flip_sampler`` and ``Problem.probe_word``
+evaluates it.  Archive and population keep each member's word with its
+``probe_word`` result ``(fitness, cell, feasible)``, and everything read
+after the run (fitnesses, QD metrics) comes from those results.  A
+``Solution`` is built only for what leaves the run: milestone strings, the
+best solution of the trace, and members read from a container.  An offspring
+whose flip word is 0 is a copy of its parent and reuses the parent's result
+instead of being probed again; it still counts as one evaluation and still
+goes through the keep step.
 """
 
 from __future__ import annotations
@@ -151,23 +155,25 @@ class RunTrace:
 class Archive:
     """Fixed grid of ``num_cells`` cells holding at most one solution each.
 
-    Occupants are the bit ``words`` of solutions of ``n`` variables;
-    ``solutions``, ``cell`` and ``occupants`` build ``Solution``s when read.
-    Cells never empty once filled; an occupant is replaced only by strictly
-    better fitness (or at-least-as-good with ``strict=False``), so per-cell
-    fitness can only move in the improving direction.  ``results`` holds each
-    occupant's ``probe_word`` result when the inserter passed it, else None.
+    The keep rule is bound at construction: an occupant is replaced only by
+    strictly better fitness under ``direction`` (or at-least-as-good with
+    ``strict=False``), so cells never empty once filled and per-cell fitness
+    can only move in the improving direction.  Each occupant is a bit word of
+    ``n`` variables kept with its ``probe_word`` result ``(fitness, cell,
+    feasible)``; ``solutions``, ``cell`` and ``occupants`` build
+    ``Solution``s when read.
     """
 
-    __slots__ = ("num_cells", "n", "words", "fitnesses", "occupied", "results")
+    __slots__ = ("num_cells", "n", "direction", "strict", "words", "occupied", "results")
 
-    def __init__(self, num_cells: int, n: int):
+    def __init__(self, num_cells: int, n: int, direction: Direction, strict: bool = True):
         if num_cells < 1:
             raise ParameterError(f"num_cells must be positive, got {num_cells}")
         self.num_cells = num_cells
         self.n = n
+        self.direction = direction
+        self.strict = strict
         self.words: list[Optional[int]] = [None] * num_cells
-        self.fitnesses: list[Optional[Fitness]] = [None] * num_cells
         self.occupied: list[int] = []  # fill order; supports O(1) uniform parent choice
         self.results: list[Optional[Result]] = [None] * num_cells
 
@@ -180,10 +186,14 @@ class Archive:
             and self.num_cells == other.num_cells
             and self.n == other.n
             and self.words == other.words
-            and self.fitnesses == other.fitnesses
+            and self.results == other.results
         )
 
     __hash__ = None
+
+    @property
+    def fitnesses(self) -> list[Optional[Fitness]]:
+        return [None if result is None else result[0] for result in self.results]
 
     @property
     def solutions(self) -> list[Optional[Solution]]:
@@ -196,71 +206,51 @@ class Archive:
         word = self.words[index]
         if word is None:
             return None
-        return Solution(self.n, word), self.fitnesses[index]
+        return Solution(self.n, word), self.results[index][0]
 
     def occupants(self) -> list[tuple[int, Solution, Fitness]]:
-        n, words, fitnesses = self.n, self.words, self.fitnesses
-        return [(c, Solution(n, words[c]), fitnesses[c]) for c in sorted(self.occupied)]
+        n, words, results = self.n, self.words, self.results
+        return [(c, Solution(n, words[c]), results[c][0]) for c in sorted(self.occupied)]
 
-    def consider(
-        self,
-        cell: int,
-        word: int,
-        fitness: Fitness,
-        direction: Direction,
-        *,
-        strict: bool = True,
-        result: Optional[Result] = None,
-    ) -> bool:
-        """Insert ``word`` if the cell is empty or the incumbent is beaten.
-
-        ``result`` is the word's ``probe_word`` result, kept for its copies.
-        """
+    def consider(self, word: int, result: Result) -> bool:
+        """Keep ``word`` in the cell its ``result`` names if that cell is
+        empty or the incumbent is beaten."""
+        fitness, cell, _feasible = result
         if not 0 <= cell < self.num_cells:
             raise ParameterError(f"cell {cell} outside 0..{self.num_cells - 1}")
-        incumbent = self.fitnesses[cell]
+        incumbent = self.results[cell]
         if incumbent is None:
             self.occupied.append(cell)
-        elif not is_better(fitness, incumbent, direction, strict=strict):
+        elif not is_better(fitness, incumbent[0], self.direction, strict=self.strict):
             return False
         self.words[cell] = word
-        self.fitnesses[cell] = fitness
         self.results[cell] = result
         return True
 
 
 class Population:
-    """Fixed-size multiset of solutions of ``n`` variables for the (mu+1) EA.
+    """The (mu+1) EA's multiset of solutions of ``n`` variables.
 
-    Members are bit ``words``; ``solutions`` builds ``Solution``s when read.
-    Takes ownership of the lists it is given.  ``results`` holds each
-    member's ``probe_word`` result, or None where it is not known.  The
+    The keep rule is bound at construction: an offspring evicts one worst
+    member if it is strictly better under ``direction`` (or at least as good
+    with ``strict=False``), and ties for worst are broken with draws from
+    ``rng``, the run's stream.  Members are bit words kept with their
+    ``probe_word`` results; ``solutions`` builds ``Solution``s when read.
+    The population starts empty and ``add`` admits the initial members.  The
     worst-member scan is cached between evictions, which makes stagnating
     runs (the interesting ones) cheap.
     """
 
-    __slots__ = ("n", "words", "fitnesses", "results", "_worst_cache")
+    __slots__ = ("n", "direction", "rng", "strict", "words", "results", "_worst_cache")
 
-    def __init__(
-        self,
-        n: int,
-        words: list[int],
-        fitnesses: list[Fitness],
-        results: Optional[list[Optional[Result]]] = None,
-    ):
-        if not words:
-            raise ParameterError("population must not be empty")
-        if len(words) != len(fitnesses):
-            raise ParameterError(f"{len(words)} words but {len(fitnesses)} fitness values")
-        if results is None:
-            results = [None] * len(words)
-        elif len(results) != len(words):
-            raise ParameterError(f"{len(words)} words but {len(results)} probe results")
+    def __init__(self, n: int, direction: Direction, rng: RandomSource, strict: bool = True):
         self.n = n
-        self.words = words
-        self.fitnesses = fitnesses
-        self.results = results
-        self._worst_cache: Optional[tuple[Direction, Fitness, list[int]]] = None
+        self.direction = direction
+        self.rng = rng
+        self.strict = strict
+        self.words: list[int] = []
+        self.results: list[Result] = []
+        self._worst_cache: Optional[tuple[Fitness, list[int]]] = None
 
     def __len__(self) -> int:
         return len(self.words)
@@ -270,59 +260,43 @@ class Population:
             isinstance(other, Population)
             and self.n == other.n
             and self.words == other.words
-            and self.fitnesses == other.fitnesses
+            and self.results == other.results
         )
 
     __hash__ = None
+
+    @property
+    def fitnesses(self) -> list[Fitness]:
+        return [result[0] for result in self.results]
 
     @property
     def solutions(self) -> list[Solution]:
         n = self.n
         return [Solution(n, word) for word in self.words]
 
-    def worst(self, direction: Direction) -> tuple[Fitness, list[int]]:
-        """Worst fitness value and the indices holding it (i.e. eviction candidates)."""
-        cache = self._worst_cache
-        if cache is not None and cache[0] is direction:
-            return cache[1], cache[2]
-        fits = self.fitnesses
-        value = min(fits) if direction is Direction.MAXIMIZE else max(fits)
-        indices = [i for i, f in enumerate(fits) if f == value]
-        self._worst_cache = (direction, value, indices)
-        return value, indices
-
-    def replace(
-        self, index: int, word: int, fitness: Fitness, result: Optional[Result] = None
-    ) -> None:
-        self.words[index] = word
-        self.fitnesses[index] = fitness
-        self.results[index] = result
+    def add(self, word: int, result: Result) -> None:
+        self.words.append(word)
+        self.results.append(result)
         self._worst_cache = None
 
-    def replace_worst_if_better(
-        self,
-        word: int,
-        fitness: Fitness,
-        direction: Direction,
-        rng: RandomSource,
-        *,
-        strict: bool = True,
-        result: Optional[Result] = None,
-    ) -> Optional[int]:
+    def worst(self) -> tuple[Fitness, list[int]]:
+        """Worst fitness value and the indices holding it (i.e. eviction candidates)."""
+        if self._worst_cache is None:
+            fits = self.fitnesses
+            value = min(fits) if self.direction is Direction.MAXIMIZE else max(fits)
+            self._worst_cache = (value, [i for i, f in enumerate(fits) if f == value])
+        return self._worst_cache
+
+    def replace_worst_if_better(self, word: int, result: Result) -> Optional[int]:
         """Evict one worst member if ``word`` beats it; ties for worst are
-        broken uniformly at random.  Returns the replaced index, or None.
-        ``result`` is the word's ``probe_word`` result, kept for its copies."""
-        # worst()'s cache hit, read inline: this runs for every offspring, and
-        # a stagnating population keeps its cache.
-        cache = self._worst_cache
-        if cache is not None and cache[0] is direction:
-            worst_value, candidates = cache[1], cache[2]
-        else:
-            worst_value, candidates = self.worst(direction)
-        if not is_better(fitness, worst_value, direction, strict=strict):
+        broken uniformly at random.  Returns the replaced index, or None."""
+        worst_value, candidates = self._worst_cache or self.worst()
+        if not is_better(result[0], worst_value, self.direction, strict=self.strict):
             return None
-        victim = candidates[rng.randrange(len(candidates))] if len(candidates) > 1 else candidates[0]
-        self.replace(victim, word, fitness, result)
+        victim = candidates[self.rng.randrange(len(candidates))] if len(candidates) > 1 else candidates[0]
+        self.words[victim] = word
+        self.results[victim] = result
+        self._worst_cache = None
         return victim
 
 
@@ -453,38 +427,21 @@ def _run(algorithm: str, problem: Problem, config: RunConfig) -> RunTrace:
     book = _Bookkeeper(algorithm, problem, config)
     record = book.record
     probe_word = problem.probe_word
-    direction = problem.direction
-    strict = config.strict
     flip = flip_sampler(n, rng)  # the module global at run time, so a rebinding takes effect
     archive = population = None
     if algorithm == "map-elites":
-        archive = Archive(problem.num_cells, n)
+        archive = Archive(problem.num_cells, n, problem.direction, config.strict)
         words, results, slots = archive.words, archive.results, archive.occupied
         book.occupancy = slots.__len__
-        consider = archive.consider
-
-        def keep(word: int, result: Result) -> None:
-            consider(result[1], word, result[0], direction, strict=strict, result=result)
-
-        def admit(_index: int, word: int, result: Result) -> None:
-            keep(word, result)
-
+        admit = keep = archive.consider
     else:
-        mu = config.init_count
-        population = Population(n, [None] * mu, [None] * mu, [None] * mu)  # filled by admit
-        words, results, slots = population.words, population.results, range(mu)
-        book.occupancy = lambda: len({r[1] for r in results if r is not None})
-        replace_worst = population.replace_worst_if_better
-
-        def keep(word: int, result: Result) -> None:
-            replace_worst(word, result[0], direction, rng, strict=strict, result=result)
-
-        def admit(index: int, word: int, result: Result) -> None:
-            population.replace(index, word, result[0], result)
-
-    for index, word in enumerate(init_words):
+        population = Population(n, problem.direction, rng, config.strict)
+        words, results, slots = population.words, population.results, range(config.init_count)
+        book.occupancy = lambda: len({r[1] for r in results})
+        admit, keep = population.add, population.replace_worst_if_better
+    for word in init_words:
         result = probe_word(word)
-        admit(index, word, result)
+        admit(word, result)
         record(word, result)
     budget = config.budget
     while book.evals < budget and not book.stop_now():

@@ -386,14 +386,16 @@ class QdMetrics:
     qd_score: Fitness
 
 
-def qd_metrics(archive: Archive, problem: Problem) -> QdMetrics:
+def qd_metrics(archive: Archive) -> QdMetrics:
+    """Read from the ``probe_word`` results the archive kept; probes nothing."""
     best: Optional[Fitness] = None
     total: Fitness = 0
-    for _cell, solution, fitness in archive.occupants():
+    for result in archive.results:
+        if result is None:
+            continue
+        fitness, _cell, feasible = result
         total += fitness
-        if problem.feasible(solution) and (
-            best is None or is_better(fitness, best, problem.direction)
-        ):
+        if feasible and (best is None or is_better(fitness, best, archive.direction)):
             best = fitness
     return QdMetrics(optimization=best, coverage=len(archive), qd_score=total)
 

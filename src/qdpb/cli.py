@@ -13,6 +13,7 @@ import sys
 from dataclasses import fields
 
 from .analysis import (
+    _BRUTE_FORCE_LIMIT,
     SetFunctionTable,
     approximation_ratio,
     brute_force_opt,
@@ -192,12 +193,14 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    # Not resolve_problem: its auto-oracle would enumerate the instance a second time.
+    # Not resolve_problem: its auto-oracle stops at a smaller n and would
+    # enumerate the instance a second time.  This enumerates up to
+    # brute_force_opt's own guard.
     inst = read_instance(args.instance)
     params = identify_instance(inst)
     problem = make_problem(inst, known_opt=None if params is None else params.opt_fitness)
     print(f"instance: {problem.name} n={problem.n} cells={problem.num_cells}")
-    if problem.n <= harness._AUTO_OPT_LIMIT:
+    if problem.n <= _BRUTE_FORCE_LIMIT:
         result = brute_force_opt(problem)
         print(f"OPT={result.fitness}")
         print(f"optimum: {result.solution.to_string()}")

@@ -20,10 +20,7 @@ __all__ = [
     "Solution",
     "RandomSource",
     "FlipMask",
-    "random_solution",
     "flip_sampler",
-    "sample_flip_mask",
-    "apply_mask",
     "bitwise_mutate",
     "randbelow",
 ]
@@ -146,13 +143,6 @@ class FlipMask:
         return self.word.bit_count()
 
 
-def random_solution(n: int, rng: RandomSource) -> Solution:
-    """A solution drawn uniformly from all 2^n assignments."""
-    if n < 1:
-        raise ParameterError(f"need at least one variable, got n={n}")
-    return Solution(n, rng.getrandbits(n))
-
-
 @lru_cache(maxsize=None)
 def _flip_count_cdf(n: int) -> tuple[float, ...]:
     """P(Binomial(n, 1/n) <= k) for k = 0..n, from exact integer tallies.
@@ -219,27 +209,10 @@ def flip_sampler(n: int, rng: RandomSource) -> Callable[[], int]:
     return flip
 
 
-def sample_flip_mask(n: int, rng: RandomSource) -> FlipMask:
-    """Draw a mask that includes each position independently with probability 1/n.
-
-    Sampled as a binomial flip count followed by a uniform subset of that
-    size — the standard decomposition, identical in distribution to n
-    independent coin flips but needing ~2 draws per call instead of n.
-    """
-    return FlipMask(n, flip_sampler(n, rng)())
-
-
-def apply_mask(x: Solution, mask: FlipMask) -> Solution:
-    """Invert the masked positions of ``x``.  Applying the same mask twice is a no-op."""
-    if mask.n != x.n:
-        raise ParameterError(f"mask length {mask.n} does not match solution length {x.n}")
-    return Solution(x.n, x.word ^ mask.word)
-
-
 def bitwise_mutate(x: Solution, rng: RandomSource) -> Solution:
     """Standard bit-wise mutation: flip each position independently with probability 1/n.
 
-    Draws the same stream as ``apply_mask(x, sample_flip_mask(x.n, rng))``.
+    Draws the same stream as one call of ``flip_sampler(x.n, rng)``.
     When no position flips (probability about 1/e) the offspring is a copy,
     and ``x`` itself is returned: callers may test ``child is x`` to reuse
     what they know about ``x``.

@@ -71,9 +71,10 @@ PROBLEM_KINDS = (
     "random-set-cover",
 )
 
-# Auto-computing the optimum by brute force is limited to instances the exact
-# oracle handles; larger problems simply report no ratio column.
-_AUTO_OPT_LIMIT = 24
+# resolve_problem enumerates unrecognized instances up to this size before a
+# run (about a second at n=20); larger ones report no ratio column.  Use
+# `qdpb oracle` to enumerate up to brute_force_opt's own guard.
+_AUTO_OPT_LIMIT = 20
 
 
 @dataclass(frozen=True)
@@ -149,8 +150,8 @@ def resolve_problem(spec: ProblemSpec) -> Problem:
     """Build the runnable problem, filling in the optimum when it is known.
 
     Constructed families carry a closed-form optimum; file and random
-    instances fall back to the exhaustive oracle when small enough, and to
-    ``known_opt=None`` (no ratio reporting) otherwise.
+    instances fall back to the exhaustive oracle up to ``_AUTO_OPT_LIMIT``
+    variables, and to ``known_opt=None`` (no ratio reporting) above it.
     """
     inst, params = _build_instance(spec)
     if params is None:
@@ -300,10 +301,10 @@ def resolve_seed_members(
 def _population_archive(trace: RunTrace, problem: Problem) -> Archive:
     """View the final EA population through the archive's insert rule so the
     diversity metrics mean the same thing for both algorithms."""
-    archive = Archive(problem.num_cells, problem.n)
+    archive = Archive(problem.num_cells, problem.n, problem.direction)
     population = trace.population
-    for word, (fitness, cell, _feasible) in zip(population.words, population.results):
-        archive.consider(cell, word, fitness, problem.direction)
+    for word, result in zip(population.words, population.results):
+        archive.consider(word, result)
     return archive
 
 
@@ -311,7 +312,7 @@ def _record_from_trace(
     trial: int, seed: int, trace: RunTrace, problem: Problem
 ) -> TrialRecord:
     archive = trace.archive if trace.archive is not None else _population_archive(trace, problem)
-    metrics = qd_metrics(archive, problem)
+    metrics = qd_metrics(archive)
     ratio = None
     if problem.known_opt is not None and trace.best_fitness is not None:
         ratio = approximation_ratio(trace.best_fitness, problem.known_opt)

@@ -39,6 +39,17 @@ def W(text):
     return S(text).word
 
 
+def R(fitness, cell=0):
+    """A feasible probe result ``(fitness, cell, feasible)``."""
+    return fitness, cell, True
+
+
+def filled(population, texts, fitnesses):
+    for text, fitness in zip(texts, fitnesses):
+        population.add(W(text), R(fitness))
+    return population
+
+
 def small_problem(seed=5):
     return make_problem(random_max_coverage(6, 8, 0.4, 3, RandomSource(seed)))
 
@@ -59,35 +70,38 @@ def prefix_states(engine, problem, init_count, seed, steps):
 
 
 def test_archive_insert_rules():
-    a = Archive(4, 4)
+    a = Archive(4, 4, Direction.MAXIMIZE)
     x, y = S("1010"), S("0110")
-    assert a.consider(2, x.word, 5, Direction.MAXIMIZE)          # empty cell fills
-    assert not a.consider(2, y.word, 4, Direction.MAXIMIZE)      # worse rejected
-    assert not a.consider(2, y.word, 5, Direction.MAXIMIZE)      # equal rejected when strict
+    assert a.consider(x.word, R(5, 2))          # empty cell fills
+    assert not a.consider(y.word, R(4, 2))      # worse rejected
+    assert not a.consider(y.word, R(5, 2))      # equal rejected when strict
     assert a.cell(2) == (x, 5)
-    assert a.consider(2, y.word, 6, Direction.MAXIMIZE)          # strictly better replaces
+    assert a.consider(y.word, R(6, 2))          # strictly better replaces
     assert a.cell(2) == (y, 6)
-    assert a.consider(2, x.word, 6, Direction.MAXIMIZE, strict=False)  # relaxed accepts ties
-    assert a.cell(2) == (x, 6)
     assert len(a) == 1 and a.occupied == [2]
+    relaxed = Archive(4, 4, Direction.MAXIMIZE, strict=False)
+    relaxed.consider(y.word, R(6, 2))
+    assert relaxed.consider(x.word, R(6, 2))    # relaxed accepts ties
+    assert relaxed.cell(2) == (x, 6)
+    assert len(relaxed) == 1 and relaxed.occupied == [2]
 
 
 def test_archive_minimize_direction():
-    a = Archive(3, 3)
-    a.consider(0, W("100"), 10, Direction.MINIMIZE)
-    assert not a.consider(0, W("010"), 11, Direction.MINIMIZE)
-    assert a.consider(0, W("010"), 9, Direction.MINIMIZE)
+    a = Archive(3, 3, Direction.MINIMIZE)
+    a.consider(W("100"), R(10))
+    assert not a.consider(W("010"), R(11))
+    assert a.consider(W("010"), R(9))
     assert a.cell(0) == (S("010"), 9)
 
 
 def test_archive_bounds():
-    a = Archive(3, 3)
+    a = Archive(3, 3, Direction.MAXIMIZE)
     with pytest.raises(ParameterError):
-        a.consider(3, W("100"), 1, Direction.MAXIMIZE)
+        a.consider(W("100"), R(1, 3))
     with pytest.raises(ParameterError):
         a.cell(-1)
     with pytest.raises(ParameterError):
-        Archive(0, 3)
+        Archive(0, 3, Direction.MAXIMIZE)
 
 
 def test_map_elites_init_deterministic():
@@ -107,28 +121,28 @@ def test_map_elites_init_deterministic():
 
 
 def test_population_worst_by_direction():
-    pop = Population(3, [W("100"), W("010"), W("001")], [3, 1, 2])
-    assert pop.worst(Direction.MAXIMIZE) == (1, [1])
-    pop2 = Population(3, [W("100"), W("010"), W("001")], [3, 1, 2])
-    assert pop2.worst(Direction.MINIMIZE) == (3, [0])
+    pop = filled(Population(3, Direction.MAXIMIZE, RandomSource(0)), ["100", "010", "001"], [3, 1, 2])
+    assert pop.worst() == (1, [1])
+    pop2 = filled(Population(3, Direction.MINIMIZE, RandomSource(0)), ["100", "010", "001"], [3, 1, 2])
+    assert pop2.worst() == (3, [0])
 
 
 def test_population_eviction_requires_strict_improvement():
-    pop = Population(2, [W("10"), W("01")], [4, 7])
-    rng = RandomSource(0)
-    assert pop.replace_worst_if_better(W("11"), 4, Direction.MAXIMIZE, rng) is None
-    assert pop.replace_worst_if_better(W("11"), 5, Direction.MAXIMIZE, rng) == 0
+    pop = filled(Population(2, Direction.MAXIMIZE, RandomSource(0)), ["10", "01"], [4, 7])
+    assert pop.replace_worst_if_better(W("11"), R(4)) is None
+    assert pop.replace_worst_if_better(W("11"), R(5)) == 0
     assert pop.fitnesses == [5, 7]
     # Relaxed mode accepts ties.
-    assert pop.replace_worst_if_better(W("00"), 5, Direction.MAXIMIZE, rng, strict=False) == 0
+    relaxed = filled(Population(2, Direction.MAXIMIZE, RandomSource(0), strict=False), ["11", "01"], [5, 7])
+    assert relaxed.replace_worst_if_better(W("00"), R(5)) == 0
 
 
 def test_tied_worst_evicted_uniformly():
     evicted_first = 0
     trials = 10_000
     for seed in range(trials):
-        pop = Population(2, [W("10"), W("01"), W("11")], [0, 0, 5])
-        victim = pop.replace_worst_if_better(W("00"), 3, Direction.MAXIMIZE, RandomSource(seed))
+        pop = filled(Population(2, Direction.MAXIMIZE, RandomSource(seed)), ["10", "01", "11"], [0, 0, 5])
+        victim = pop.replace_worst_if_better(W("00"), R(3))
         assert victim in (0, 1)
         evicted_first += victim == 0
     sigma = math.sqrt(trials * 0.25)
@@ -136,10 +150,11 @@ def test_tied_worst_evicted_uniformly():
 
 
 def test_worst_cache_tracks_replacements():
-    pop = Population(2, [W("10"), W("01"), W("11")], [2, 2, 9])
-    assert pop.worst(Direction.MAXIMIZE) == (2, [0, 1])
-    pop.replace(0, W("00"), 9)
-    assert pop.worst(Direction.MAXIMIZE) == (2, [1])
+    # RandomSource(1) breaks the first tie towards index 0.
+    pop = filled(Population(2, Direction.MAXIMIZE, RandomSource(1)), ["10", "01", "11"], [2, 2, 9])
+    assert pop.worst() == (2, [0, 1])
+    assert pop.replace_worst_if_better(W("00"), R(9)) == 0
+    assert pop.worst() == (2, [1])
 
 
 def test_mu_plus_one_keeps_size_and_never_worsens():
@@ -147,7 +162,7 @@ def test_mu_plus_one_keeps_size_and_never_worsens():
     worst_values = []
     for pop in prefix_states(run_ea, problem, 5, 21, 300):
         assert len(pop) == 5
-        worst_values.append(pop.worst(problem.direction)[0])
+        worst_values.append(pop.worst()[0])
     for before, after in zip(worst_values, worst_values[1:]):
         assert not is_better(before, after, problem.direction)
 
@@ -371,11 +386,6 @@ def test_kept_members_carry_their_probe_results():
     for cell in archive.occupied:
         assert archive.results[cell] == problem.probe(archive.solutions[cell])
     assert population.results == [problem.probe(x) for x in population.solutions]
-
-
-def test_population_results_must_match_members():
-    with pytest.raises(ParameterError, match="probe results"):
-        Population(6, [W("000000")], [0], [])
 
 
 def test_solutions_are_built_only_at_the_boundaries(monkeypatch):

@@ -361,11 +361,11 @@ def test_trap_bound_large_instance_is_negligible():
 def test_qd_metrics_counts_and_sums():
     inst = random_max_coverage(5, 6, 0.5, 2, RandomSource(1))
     problem = make_problem(inst)
-    archive = Archive(problem.num_cells, problem.n)
+    archive = Archive(problem.num_cells, problem.n, problem.direction)
     a, b = Solution.zero(5), S("11000")
-    archive.consider(problem.descriptor(a), a.word, problem.evaluate(a), problem.direction)
-    archive.consider(problem.descriptor(b), b.word, problem.evaluate(b), problem.direction)
-    metrics = qd_metrics(archive, problem)
+    archive.consider(a.word, problem.probe(a))
+    archive.consider(b.word, problem.probe(b))
+    metrics = qd_metrics(archive)
     assert metrics.coverage == 2
     assert metrics.optimization == max(problem.evaluate(a), problem.evaluate(b))
     assert metrics.qd_score == problem.evaluate(a) + problem.evaluate(b)
@@ -374,10 +374,10 @@ def test_qd_metrics_counts_and_sums():
 def test_qd_metrics_all_infeasible_archive():
     inst = random_max_coverage(5, 6, 0.5, 2, RandomSource(1))
     problem = make_problem(inst)
-    archive = Archive(problem.num_cells, problem.n)
+    archive = Archive(problem.num_cells, problem.n, problem.direction)
     for x in (S("11100"), S("11110"), S("11111")):
-        archive.consider(problem.descriptor(x), x.word, problem.evaluate(x), problem.direction)
-    metrics = qd_metrics(archive, problem)
+        archive.consider(x.word, problem.probe(x))
+    metrics = qd_metrics(archive)
     assert metrics.optimization is None
     assert metrics.coverage == 3
     assert metrics.qd_score == -3  # infeasible occupants score -1 each

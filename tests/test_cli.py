@@ -109,6 +109,29 @@ def test_run_target_ratio_enumerates_once(tmp_path, monkeypatch, capsys):
     assert "OPT=" in capsys.readouterr().out
 
 
+def test_oracle_enumerates_beyond_the_resolve_limit(tmp_path, monkeypatch, capsys):
+    # resolve_problem enumerates only up to n=20 before a run; `qdpb oracle`
+    # goes up to the oracle's own guard.
+    path = tmp_path / "rand21.json"
+    args = ["--n", "21", "--m-elements", "8", "--density", "0.3", "--k", "3", "--instance-seed", "4"]
+    assert main(["gen-instance", "random-max-coverage", *args, "--out", str(path)]) == 0
+    calls = 0
+    brute_force_opt = cli.brute_force_opt
+
+    def counted(problem):
+        nonlocal calls
+        calls += 1
+        return brute_force_opt(problem)
+
+    monkeypatch.setattr(cli, "brute_force_opt", counted)
+    monkeypatch.setattr(harness, "brute_force_opt", counted)
+    assert harness.resolve_problem(harness.ProblemSpec(kind="file", path=str(path))).known_opt is None
+    assert calls == 0
+    assert main(["oracle", str(path)]) == 0
+    assert calls == 1
+    assert "OPT=" in capsys.readouterr().out
+
+
 def test_oracle_missing_file_exits_1(capsys):
     assert main(["oracle", "/nonexistent/f.json"]) == 1
     assert "error:" in capsys.readouterr().err
@@ -219,6 +242,23 @@ def test_archive_profile_script_reports_bad_parameters():
     )
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
+
+def test_archive_profile_script_prints_the_archive():
+    proc = subprocess.run(
+        [sys.executable, "scripts/archive_profile.py", "--n", "12", "--delta", "1/4", "--budget", "500"],
+        cwd=ROOT,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    occupied = lines[0].split(": ")[1].split("/")[0]
+    assert lines[0].endswith("cells occupied after 500 evaluations")
+    assert len(lines) == int(occupied) + 2  # header, one line per cell, summary
+    assert lines[-1].startswith(f"coverage {occupied}, best feasible ")
 
 
 def test_run_requires_enough_flags(capsys):

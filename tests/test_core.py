@@ -12,12 +12,9 @@ from qdpb.core import (
     FlipMask,
     RandomSource,
     Solution,
-    apply_mask,
     bitwise_mutate,
     flip_sampler,
     randbelow,
-    random_solution,
-    sample_flip_mask,
 )
 from qdpb.errors import ParameterError
 
@@ -85,22 +82,9 @@ def test_random_source_different_seeds_diverge():
 # Masks and mutation
 
 
-def test_apply_mask_worked_example():
-    x = Solution.from_string("10110")
-    mask = FlipMask.from_positions(5, {0, 3})
-    assert apply_mask(x, mask).to_string() == "00100"
-
-
-def test_empty_mask_copies():
-    x = Solution.from_string("1010")
-    assert apply_mask(x, FlipMask(4, 0)) == x
-
-
 def test_mask_position_out_of_range():
     with pytest.raises(ParameterError):
         FlipMask.from_positions(4, {4})
-    with pytest.raises(ParameterError):
-        apply_mask(Solution.zero(4), FlipMask(5, 0))
 
 
 def test_mask_positions_view():
@@ -109,52 +93,45 @@ def test_mask_positions_view():
     assert len(m) == 3
 
 
-@given(bitstrings, st.data())
-def test_apply_mask_is_an_involution(text, data):
-    x = Solution.from_string(text)
-    positions = data.draw(st.sets(st.integers(0, x.n - 1)))
-    mask = FlipMask.from_positions(x.n, positions)
-    assert apply_mask(apply_mask(x, mask), mask) == x
-
-
 @given(st.integers(1, 64), st.integers(0, 2**32))
 def test_sample_flip_mask_shape(n, seed):
-    mask = sample_flip_mask(n, RandomSource(seed))
-    assert mask.n == n
-    assert all(0 <= p < n for p in mask.positions)
-    assert len(mask) == mask.word.bit_count()
+    flip = flip_sampler(n, RandomSource(seed))
+    for _ in range(20):
+        word = flip()
+        assert 0 <= word < 1 << n
+        mask = FlipMask(n, word)
+        assert all(0 <= p < n for p in mask.positions)
+        assert len(mask) == mask.word.bit_count()
 
 
 def test_mutation_preserves_length_and_determinism():
     rng = RandomSource(4242)
-    x = random_solution(20, rng)
+    x = Solution(20, rng.getrandbits(20))
     children = [bitwise_mutate(x, rng) for _ in range(50)]
     assert all(c.n == 20 for c in children)
     rng2 = RandomSource(4242)
-    x2 = random_solution(20, rng2)
+    x2 = Solution(20, rng2.getrandbits(20))
     assert [bitwise_mutate(x2, rng2) for _ in range(50)] == children
 
 
 @given(st.integers(1, 70), st.integers(0, 2**32))
 def test_bitwise_mutate_draws_the_flip_mask_stream(n, seed):
-    # bitwise_mutate must equal apply_mask(x, sample_flip_mask(...)) draw for
-    # draw, and return x itself exactly when the mask is empty; a bound
-    # flip_sampler draws the same words, and binding it draws nothing.
-    rng, rng_mask, rng_flip = RandomSource(seed), RandomSource(seed), RandomSource(seed)
-    x = random_solution(n, rng)
-    random_solution(n, rng_mask)
-    random_solution(n, rng_flip)
+    # bitwise_mutate must flip what one bound flip_sampler draws, draw for
+    # draw, and return x itself exactly when the flip word is 0; binding the
+    # sampler draws nothing.
+    rng, rng_flip = RandomSource(seed), RandomSource(seed)
+    x = Solution(n, rng.getrandbits(n))
+    rng_flip.getrandbits(n)
     before = rng_flip.getstate()
     flip = flip_sampler(n, rng_flip)
     assert rng_flip.getstate() == before
     for _ in range(30):
         child = bitwise_mutate(x, rng)
-        mask = sample_flip_mask(n, rng_mask)
-        assert child == apply_mask(x, mask)
-        assert (child is x) == (mask.word == 0)
-        assert flip() == mask.word
+        mask = flip()
+        assert child.word == x.word ^ mask
+        assert (child is x) == (mask == 0)
         x = child
-    assert rng.getstate() == rng_mask.getstate() == rng_flip.getstate()
+    assert rng.getstate() == rng_flip.getstate()
 
 
 @given(st.integers(1, 300), st.integers(0, 2**32))
@@ -196,10 +173,10 @@ def test_pmf_matches_exhaustive_enumeration():
 
 
 def _sampled_counts(n, samples, seed):
-    rng = RandomSource(seed)
+    flip = flip_sampler(n, RandomSource(seed))
     counts = [0] * (n + 1)
     for _ in range(samples):
-        counts[len(sample_flip_mask(n, rng))] += 1
+        counts[flip().bit_count()] += 1
     return counts
 
 
@@ -242,6 +219,6 @@ def test_flip_count_distribution_chi_square(n):
 @settings(max_examples=25)
 @given(st.integers(2, 40), st.integers(0, 2**16))
 def test_flip_counts_within_range(n, seed):
-    rng = RandomSource(seed)
+    flip = flip_sampler(n, RandomSource(seed))
     for _ in range(20):
-        assert 0 <= len(sample_flip_mask(n, rng)) <= n
+        assert 0 <= flip().bit_count() <= n

@@ -1,8 +1,9 @@
+import dataclasses
 import json
 
 import pytest
 
-from qdpb import harness
+from qdpb import algorithms, harness
 from qdpb.algorithms import QualityTarget, RunConfig
 from qdpb.analysis import brute_force_opt
 from qdpb.core import RandomSource
@@ -252,6 +253,42 @@ def test_seed_members_are_resolved_once_per_experiment(monkeypatch):
     report = run_experiment(config)
     assert calls == 1
     assert len(report.records) == 3
+
+
+@pytest.mark.parametrize("algorithm", ["map-elites", "ea"])
+def test_nothing_is_probed_again_after_a_run(algorithm, monkeypatch):
+    # Every evaluation but a copy probes once, and the metrics after the run
+    # read the kept probe results instead of probing again.
+    spec = ProblemSpec(kind="example1", n=9, delta="1/3")
+    base = resolve_problem(spec)
+    probes = copies = 0
+
+    def probe_word(word):
+        nonlocal probes
+        probes += 1
+        return base.probe_word(word)
+
+    original_sampler = algorithms.flip_sampler
+
+    def sampler(n, rng):
+        flip = original_sampler(n, rng)
+
+        def counted():
+            nonlocal copies
+            mask = flip()
+            copies += mask == 0
+            return mask
+
+        return counted
+
+    monkeypatch.setattr(algorithms, "flip_sampler", sampler)
+    config = ExperimentConfig(
+        problem=spec, algorithm=algorithm, budget=500, trials=3, master_seed=6, workers=1
+    )
+    report = harness._run_experiment(config, dataclasses.replace(base, probe_word=probe_word))
+    assert [r.evaluations_used for r in report.records] == [500] * 3
+    assert copies > 0
+    assert probes == config.budget * config.trials - copies
 
 
 def test_small_map_elites_experiment_succeeds():
