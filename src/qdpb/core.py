@@ -181,7 +181,9 @@ def flip_sampler(n: int, rng: RandomSource) -> Callable[[], int]:
     independently with probability 1/n.
 
     Each call draws a binomial flip count, then that many distinct uniform
-    positions: the one implementation of the mutation law.  The count's CDF,
+    positions: the one implementation of the mutation law.  This standard
+    decomposition is identical in distribution to n independent coin flips
+    but needs about two draws per call instead of n.  The count's CDF,
     ``n.bit_length()`` and the ``rng`` methods are bound here, once per run;
     binding draws nothing.
     """
