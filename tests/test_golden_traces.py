@@ -161,6 +161,105 @@ def test_run_trace_is_frozen(case_id):
     assert trace_digest(run_case(case_id)) == CASES[case_id][-1]
 
 
+def trap_start(factory):
+    """The seeded trap population of ``factory``'s problem: its local optimum, once per cell."""
+    problem, params = factory()
+    local = example1_local_optimum if factory is example1 else example2_local_optimum
+    return (local(params),) * problem.num_cells
+
+
+# Runs through the branches the CASES above leave out: strict and
+# infeasible-counting targets, a required cell, stopping on a hit in mid-run
+# and among the init members, milestone intervals that do not divide the
+# budget and non-strict keep rules, for both engines in both directions.
+# case id -> (problem factory, engine, RunConfig fields besides budget and
+#             target, target fields, (first_hit, evaluations_used), digest)
+BRANCH_CASES = {
+    # The trap workloads' target: any strict improvement on the trap is a
+    # hit.  Copies equal the trap fitness and must not count, so these traces
+    # equal those of the two trap CASES.
+    "example1-ea-trap-strict": (
+        example1, "ea", dict(seed=3, initial_population="trap"),
+        dict(threshold=121, strict=True, require_feasible=False),
+        (None, 20_000),
+        "a46b70d0b0dfc59eb26efd6dcbc44c31c11c821e08c9a3a1a1605e85ddfd1b3d",
+    ),
+    "example2-ea-trap-strict": (
+        example2, "ea", dict(seed=6, initial_population="trap"),
+        dict(threshold=4096, strict=True, require_feasible=False),
+        (None, 20_000),
+        "24c8744fcda682b0eccc4bd324dccbfc70ff50af42a81fde648b6ad018c7671b",
+    ),
+    # The first hit at 175 exactly comes at 543; the strict hit much later.
+    "example1-map-elites-strict": (
+        example1, "map-elites", dict(seed=42, stop_on_target=False),
+        dict(threshold=175, strict=True),
+        (3032, 20_000),
+        "146e76281544319088c38409cc6168f2d78fab57909ea1cd635be7a1d4a41ef9",
+    ),
+    # An infeasible offspring hits at 23; the first feasible hit is at 82.
+    "random-cover-ea-infeasible": (
+        random_cover, "ea", dict(seed=43, init_count=4, stop_on_target=False, milestone_every=37, strict=False),
+        dict(threshold=300, require_feasible=False),
+        (23, 20_000),
+        "aa2501c69a33153f116b915fcda795072c3d6fd53d8f230d5492738ae88ff54e",
+    ),
+    # Without the cell the target is hit at 2.  The hit scores 17 exactly
+    # and is no new best: only the threshold comparison can catch it.
+    "random-coverage-map-elites-cell": (
+        random_coverage, "map-elites", dict(seed=44, stop_on_target=False, milestone_every=300, strict=False),
+        dict(threshold=17, required_cell=2),
+        (1055, 20_000),
+        "2395eae617ce250ec1cc5a9824e824f36d883d4b4c5bc878a96410a68e3ebf12",
+    ),
+    "example1-ea-stop": (
+        example1, "ea", dict(seed=45, milestone_every=333),
+        dict(threshold=180),
+        (1259, 1259),
+        "ba00cb0bfb5d3d503146c835ae31c5d4e845ada112728b8a830f24867b3c71db",
+    ),
+    "example2-map-elites-stop": (
+        example2, "map-elites", dict(seed=46, strict=False),
+        dict(threshold=4096, require_feasible=False),
+        (534, 534),
+        "a87783f017e3d82a2fc4f5665b20c5783f05abccf2ccc85a3c93350ce6b7a9e2",
+    ),
+    # A hit among the init members ends the run before its first step.
+    "example2-map-elites-stop-init": (
+        example2, "map-elites", dict(seed=46),
+        dict(threshold=30_000, require_feasible=False),
+        (4, 12),
+        "2bc3e6d02d8d95141843a9df9f2ef82103acec210ef4e9535ccd1ac907bc9245",
+    ),
+    "example1-ea-stop-init": (
+        example1, "ea", dict(seed=55),
+        dict(threshold=128),
+        (15, 31),
+        "2dc631270f8e721a807ca32f5cecd18fe4665bd20b8c16ae6c8e3ce9ef94dbfe",
+    ),
+}
+
+
+def run_branch_case(case_id: str) -> RunTrace:
+    factory, engine, fields, target, _facts, _digest = BRANCH_CASES[case_id]
+    problem, _params = factory()
+    fields = dict(fields)
+    if fields.get("initial_population") == "trap":
+        fields["initial_population"] = trap_start(factory)
+    fields.setdefault("init_count", problem.num_cells)
+    config = RunConfig(budget=20_000, target=QualityTarget(**target), **fields)
+    runner = run_map_elites if engine == "map-elites" else run_ea
+    return runner(problem, config)
+
+
+@pytest.mark.parametrize("case_id", sorted(BRANCH_CASES))
+def test_branch_trace_is_frozen(case_id):
+    trace = run_branch_case(case_id)
+    *_, facts, expected = BRANCH_CASES[case_id]
+    assert (trace.first_hit, trace.evaluations_used) == facts
+    assert trace_digest(trace) == expected
+
+
 def test_trial_records_are_frozen():
     config = ExperimentConfig(
         problem=ProblemSpec(kind="example1", n=30, delta="1/10"),
