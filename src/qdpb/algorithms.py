@@ -27,18 +27,21 @@ best solution of the trace, and members read from a container.  An offspring
 whose flip word is 0 is a copy of its parent and reuses the parent's result
 instead of being probed again; it still counts as one evaluation and still
 goes through the keep step.
+
+Every offspring goes through the keep step, but the run's bookkeeping (the
+best feasible solution, the first hit and the milestone log) sees only the
+evaluations that can change it; ``_run`` counts the others itself.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from math import ceil
 from typing import Callable, Optional
 
-from .core import RandomSource, Solution, flip_sampler, randbelow
+from .core import RandomSource, Solution, flip_sampler
 from .errors import ParameterError, require_bools, require_ints, require_numbers
-from .problems import Direction, Fitness, Problem, Result, is_better
+from .problems import Direction, Fitness, Problem, Result, comparison, is_better
 
 __all__ = [
     "QualityTarget",
@@ -164,7 +167,7 @@ class Archive:
     ``Solution``s when read.
     """
 
-    __slots__ = ("num_cells", "n", "direction", "strict", "words", "occupied", "results")
+    __slots__ = ("num_cells", "n", "direction", "beats", "words", "occupied", "results")
 
     def __init__(self, num_cells: int, n: int, direction: Direction, strict: bool = True):
         if num_cells < 1:
@@ -172,7 +175,7 @@ class Archive:
         self.num_cells = num_cells
         self.n = n
         self.direction = direction
-        self.strict = strict
+        self.beats = comparison(direction, strict)
         self.words: list[Optional[int]] = [None] * num_cells
         self.occupied: list[int] = []  # fill order; supports O(1) uniform parent choice
         self.results: list[Optional[Result]] = [None] * num_cells
@@ -221,7 +224,7 @@ class Archive:
         incumbent = self.results[cell]
         if incumbent is None:
             self.occupied.append(cell)
-        elif not is_better(fitness, incumbent[0], self.direction, strict=self.strict):
+        elif not self.beats(fitness, incumbent[0]):
             return False
         self.words[cell] = word
         self.results[cell] = result
@@ -241,13 +244,13 @@ class Population:
     runs (the interesting ones) cheap.
     """
 
-    __slots__ = ("n", "direction", "rng", "strict", "words", "results", "_worst_cache")
+    __slots__ = ("n", "direction", "rng", "beats", "words", "results", "_worst_cache")
 
     def __init__(self, n: int, direction: Direction, rng: RandomSource, strict: bool = True):
         self.n = n
         self.direction = direction
         self.rng = rng
-        self.strict = strict
+        self.beats = comparison(direction, strict)
         self.words: list[int] = []
         self.results: list[Result] = []
         self._worst_cache: Optional[tuple[Fitness, list[int]]] = None
@@ -291,7 +294,7 @@ class Population:
         """Evict one worst member if ``word`` beats it; ties for worst are
         broken uniformly at random.  Returns the replaced index, or None."""
         worst_value, candidates = self._worst_cache or self.worst()
-        if not is_better(result[0], worst_value, self.direction, strict=self.strict):
+        if not self.beats(result[0], worst_value):
             return None
         victim = candidates[self.rng.randrange(len(candidates))] if len(candidates) > 1 else candidates[0]
         self.words[victim] = word
@@ -305,7 +308,12 @@ class Population:
 
 
 class _Bookkeeper:
-    """Evaluation counting, first-hit detection, and the milestone log."""
+    """First-hit detection, the best feasible solution and the milestone log.
+
+    ``_run`` counts evaluations itself and calls ``record`` only for an
+    evaluation that can change what is kept here; ``better`` and ``reaches``
+    are the comparisons it filters with.
+    """
 
     __slots__ = (
         "algorithm",
@@ -320,6 +328,7 @@ class _Bookkeeper:
         "first_hit",
         "best_fitness",
         "best_word",
+        "best_string",
         "milestones",
         "occupancy",
     )
@@ -328,50 +337,50 @@ class _Bookkeeper:
         self.algorithm = algorithm
         self.n = problem.n
         self.direction = problem.direction
-        maximize = problem.direction is Direction.MAXIMIZE
-        self.better = operator.gt if maximize else operator.lt
-        # Reaching the threshold at least weakly is necessary for target.met,
-        # and much cheaper to test on every evaluation.
-        self.reaches = operator.ge if maximize else operator.le
-        self.target = config.target
-        self.stop_on_target = config.stop_on_target and config.target is not None
+        self.better = comparison(problem.direction)
+        target = self.target = config.target
+        # The threshold comparison of target.met on its own: necessary for a
+        # hit, and cheap enough to test on every evaluation.
+        self.reaches = None if target is None else comparison(problem.direction, target.strict)
+        self.stop_on_target = config.stop_on_target and target is not None
         self.interval = config.milestone_interval
         self.evals = 0
         self.first_hit: Optional[int] = None
         self.best_fitness: Optional[Fitness] = None
         self.best_word: Optional[int] = None
+        self.best_string: Optional[str] = None  # best_word as a milestone string
         self.milestones: list[Milestone] = []
         self.occupancy: Callable[[], int] = lambda: 0
 
-    def record(self, word: int, result: Result) -> None:
+    def record(self, evals: int, word: int, result: Result) -> None:
+        """Account for evaluation number ``evals``, which produced ``word``."""
         fitness, cell, feasible = result
-        self.evals += 1
+        self.evals = evals
         improved = False
         if feasible and (
             self.best_fitness is None or self.better(fitness, self.best_fitness)
         ):
             self.best_fitness = fitness
             self.best_word = word
+            self.best_string = Solution(self.n, word).to_string()
             improved = True
         target = self.target
         if (
             target is not None
             and self.first_hit is None
-            and self.reaches(fitness, target.threshold)
             and target.met(fitness, cell, feasible, self.direction)
         ):
-            self.first_hit = self.evals
-        if improved or self.evals % self.interval == 0:
+            self.first_hit = evals
+        if improved or evals % self.interval == 0:
             self._push_milestone()
 
     def _push_milestone(self) -> None:
-        best = self.best_word
         self.milestones.append(
             Milestone(
                 evaluations=self.evals,
                 best_fitness=self.best_fitness,
                 occupied=self.occupancy(),
-                best_solution=None if best is None else Solution(self.n, best).to_string(),
+                best_solution=self.best_string,
             )
         )
 
@@ -409,8 +418,12 @@ def _run(algorithm: str, problem: Problem, config: RunConfig) -> RunTrace:
     Each init member is probed, kept and recorded in turn.  Each step then
     picks a parent uniformly from ``slots`` (the archive's occupied cells, or
     the mu population indices), XORs its word with a flip word, probes the
-    child unless the flip word is 0 (a copy), hands it to the keep policy and
-    records it.
+    child unless the flip word is 0 (a copy) and hands it to the keep policy.
+    The loop counts the evaluation itself and records it only if it can
+    matter to the bookkeeper: it ends a milestone interval, it is feasible
+    and beats the best so far, or it reaches the target's threshold while no
+    hit is recorded.  For any other evaluation ``record`` would change nothing
+    but the count.
     """
     n = problem.n
     rng = RandomSource(config.seed)
@@ -439,13 +452,30 @@ def _run(algorithm: str, problem: Problem, config: RunConfig) -> RunTrace:
         words, results, slots = population.words, population.results, range(config.init_count)
         book.occupancy = lambda: len({r[1] for r in results})
         admit, keep = population.add, population.replace_worst_if_better
+    evals = 0
     for word in init_words:
         result = probe_word(word)
         admit(word, result)
-        record(word, result)
-    budget = config.budget
-    while book.evals < budget and not book.stop_now():
-        index = slots[randbelow(rng, len(slots))]
+        evals += 1
+        record(evals, word, result)
+    # A target met by an init member ends the run before its first step.
+    budget = evals if book.stop_now() else config.budget
+    getrandbits = rng.getrandbits
+    better, reaches = book.better, book.reaches
+    threshold = None if config.target is None else config.target.threshold
+    watching = reaches is not None and book.first_hit is None
+    best = book.best_fitness
+    interval = book.interval
+    next_milestone = evals - evals % interval + interval
+    while evals < budget:
+        # rng.randrange(len(slots)), inlined as in flip_sampler; the archive
+        # grows, so the bit length is taken afresh each step.
+        size = len(slots)
+        k = size.bit_length()
+        r = getrandbits(k)
+        while r >= size:
+            r = getrandbits(k)
+        index = slots[r]
         mask = flip()
         if mask:
             word = words[index] ^ mask
@@ -454,5 +484,19 @@ def _run(algorithm: str, problem: Problem, config: RunConfig) -> RunTrace:
             word = words[index]
             result = results[index]
         keep(word, result)
-        record(word, result)
+        evals += 1
+        fitness, _cell, feasible = result
+        if (
+            evals == next_milestone
+            or (feasible and (best is None or better(fitness, best)))
+            or (watching and reaches(fitness, threshold))
+        ):
+            record(evals, word, result)
+            if evals == next_milestone:
+                next_milestone += interval
+            if book.stop_now():
+                break
+            best = book.best_fitness
+            watching = watching and book.first_hit is None
+    book.evals = evals
     return book.finish(archive=archive, population=population)

@@ -24,6 +24,7 @@ from .problems import (
     MaxCoverageInstance,
     Problem,
     SetCoverInstance,
+    comparison,
     is_better,
 )
 from .algorithms import Archive
@@ -69,7 +70,7 @@ def brute_force_opt(problem: Problem) -> OracleResult:
     if n > _BRUTE_FORCE_LIMIT:
         raise ParameterError(f"brute force is limited to n <= {_BRUTE_FORCE_LIMIT}, got n={n}")
     probe_word = problem.probe_word
-    direction = problem.direction
+    better = comparison(problem.direction)
     best_word: Optional[int] = None
     best_fitness: Optional[Fitness] = None
     count = 0
@@ -77,7 +78,7 @@ def brute_force_opt(problem: Problem) -> OracleResult:
         fitness, _cell, feasible = probe_word(word)
         if not feasible:
             continue
-        if best_fitness is None or is_better(fitness, best_fitness, direction):
+        if best_fitness is None or better(fitness, best_fitness):
             best_word, best_fitness, count = word, fitness, 1
         elif fitness == best_fitness:
             count += 1

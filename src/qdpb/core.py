@@ -22,7 +22,6 @@ __all__ = [
     "FlipMask",
     "flip_sampler",
     "bitwise_mutate",
-    "randbelow",
 ]
 
 
@@ -160,22 +159,6 @@ def _flip_count_cdf(n: int) -> tuple[float, ...]:
     return tuple(cdf)
 
 
-def randbelow(rng: RandomSource, n: int) -> int:
-    """A uniform int in ``0..n-1``, drawing exactly what ``rng.randrange(n)`` draws.
-
-    This is the rejection loop CPython's ``randrange`` runs for a positive
-    int: ``n.bit_length()`` random bits per try until the value is below
-    ``n``, so the stream and the result match ``randrange`` draw for draw,
-    without its argument checks.
-    """
-    getrandbits = rng.getrandbits
-    k = n.bit_length()
-    r = getrandbits(k)
-    while r >= n:
-        r = getrandbits(k)
-    return r
-
-
 def flip_sampler(n: int, rng: RandomSource) -> Callable[[], int]:
     """A function that draws one flip word per call: each of the ``n`` bits set
     independently with probability 1/n.
@@ -198,7 +181,7 @@ def flip_sampler(n: int, rng: RandomSource) -> Callable[[], int]:
         count = bisect_right(cdf, random())
         word = 0
         while count:
-            # randbelow(rng, n), inlined: this runs once per drawn position.
+            # rng.randrange(n), inlined: this runs once per drawn position.
             r = getrandbits(k)
             while r >= n:
                 r = getrandbits(k)

@@ -30,6 +30,7 @@ from .errors import ParameterError, ValidationError
 __all__ = [
     "Direction",
     "Fitness",
+    "comparison",
     "is_better",
     "MaxCoverageInstance",
     "SetCoverInstance",
@@ -54,16 +55,26 @@ class Direction(Enum):
     MINIMIZE = "minimize"
 
 
-# A plain global: looking a member up on the Enum class costs more than the
-# whole comparison, and is_better runs on every keep step.
-_MAXIMIZE = Direction.MAXIMIZE
+_COMPARISONS = {
+    (Direction.MAXIMIZE, True): operator.gt,
+    (Direction.MAXIMIZE, False): operator.ge,
+    (Direction.MINIMIZE, True): operator.lt,
+    (Direction.MINIMIZE, False): operator.le,
+}
+
+
+def comparison(direction: Direction, strict: bool = True) -> Callable[[Fitness, Fitness], bool]:
+    """The operator ``op`` for which ``op(a, b)`` means fitness ``a`` beats ``b``
+    under ``direction``: strictly, or at least ties with ``strict=False``.
+
+    Loops that compare once per offspring or per word bind it once.
+    """
+    return _COMPARISONS[direction, strict]
 
 
 def is_better(a: Fitness, b: Fitness, direction: Direction, *, strict: bool = True) -> bool:
     """Compare two fitness values under the given direction."""
-    if direction is _MAXIMIZE:
-        return a > b if strict else a >= b
-    return a < b if strict else a <= b
+    return comparison(direction, strict)(a, b)
 
 
 def _check_sets(sets, n: int, m_elements: int) -> None:

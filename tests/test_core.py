@@ -14,7 +14,6 @@ from qdpb.core import (
     Solution,
     bitwise_mutate,
     flip_sampler,
-    randbelow,
 )
 from qdpb.errors import ParameterError
 
@@ -132,13 +131,6 @@ def test_bitwise_mutate_draws_the_flip_mask_stream(n, seed):
         assert (child is x) == (mask == 0)
         x = child
     assert rng.getstate() == rng_flip.getstate()
-
-
-@given(st.integers(1, 300), st.integers(0, 2**32))
-def test_randbelow_matches_randrange(n, seed):
-    rng, reference = RandomSource(seed), RandomSource(seed)
-    assert [randbelow(rng, n) for _ in range(20)] == [reference.randrange(n) for _ in range(20)]
-    assert rng.getstate() == reference.getstate()
 
 
 def test_n_equal_one_always_flips():
