@@ -88,6 +88,13 @@ def random_cover():
     return make_problem(random_set_cover(20, 30, 0.15, 9, RandomSource(12))), None
 
 
+def trap_start(factory):
+    """The seeded trap population of ``factory``'s problem: its local optimum, once per cell."""
+    problem, params = factory()
+    local = example1_local_optimum if factory is example1 else example2_local_optimum
+    return (local(params),) * problem.num_cells
+
+
 # case id -> (problem factory, engine, seed, seeded trap start, expected digest)
 CASES = {
     "example1-map-elites": (
@@ -135,22 +142,18 @@ CASES = {
 
 def run_case(case_id: str) -> RunTrace:
     factory, engine, seed, trap, _ = CASES[case_id]
-    problem, params = factory()
+    problem, _params = factory()
     target = None
     if problem.known_opt is not None:
         # Hits are recorded but the full budget is spent, so the trace covers it all.
         target = QualityTarget(threshold=problem.known_opt)
-    initial = None
-    if trap:
-        local = example1_local_optimum if factory is example1 else example2_local_optimum
-        initial = (local(params),) * problem.num_cells
     config = RunConfig(
         budget=20_000,
         init_count=problem.num_cells,
         seed=seed,
         target=target,
         stop_on_target=False,
-        initial_population=initial,
+        initial_population=trap_start(factory) if trap else None,
     )
     runner = run_map_elites if engine == "map-elites" else run_ea
     return runner(problem, config)
@@ -159,13 +162,6 @@ def run_case(case_id: str) -> RunTrace:
 @pytest.mark.parametrize("case_id", sorted(CASES))
 def test_run_trace_is_frozen(case_id):
     assert trace_digest(run_case(case_id)) == CASES[case_id][-1]
-
-
-def trap_start(factory):
-    """The seeded trap population of ``factory``'s problem: its local optimum, once per cell."""
-    problem, params = factory()
-    local = example1_local_optimum if factory is example1 else example2_local_optimum
-    return (local(params),) * problem.num_cells
 
 
 # Runs through the branches the CASES above leave out: strict and
