@@ -18,7 +18,7 @@ from qdpb.algorithms import (
     run_map_elites,
 )
 from qdpb.analysis import brute_force_opt
-from qdpb.core import RandomSource, Solution
+from qdpb.core import RandomSource, Solution, flip_sampler
 from qdpb.errors import ParameterError
 from qdpb.instances import (
     Example1Params,
@@ -413,3 +413,124 @@ def test_solutions_are_built_only_at_the_boundaries(monkeypatch):
     built = 0
     brute_force_opt(small)
     assert built <= 2
+
+
+# ---------------------------------------------------------------------------
+# The run loop against a reference that notes every evaluation
+
+
+def reference_run(engine, problem, config):
+    """The run loop written plainly: every offspring is probed (copies too)
+    and every evaluation is noted, with no event filter.  A hit stops the run
+    only once init is complete.  Returns ``(evaluations, first_hit,
+    best_fitness, best_string, milestones, container)``.
+    """
+    n, direction, target = problem.n, problem.direction, config.target
+    rng = RandomSource(config.seed)
+    if config.initial_population is not None:
+        init_words = [x.word for x in config.initial_population]
+    else:
+        init_words = [rng.getrandbits(n) for _ in range(config.init_count)]
+    flip = flip_sampler(n, rng)
+    if engine == "map-elites":
+        container = Archive(problem.num_cells, n, direction, config.strict)
+        admit = keep = container.consider
+        slots = container.occupied
+        occupancy = container.__len__
+    else:
+        container = Population(n, direction, rng, config.strict)
+        admit, keep = container.add, container.replace_worst_if_better
+        slots = range(config.init_count)
+
+        def occupancy():
+            return len({result[1] for result in container.results})
+
+    evals = 0
+    first_hit = best = best_string = None
+    milestones = []
+
+    def note(word, result):
+        nonlocal best, best_string, first_hit
+        fitness, cell, feasible = result
+        improved = feasible and (best is None or is_better(fitness, best, direction))
+        if improved:
+            best, best_string = fitness, Solution(n, word).to_string()
+        if target is not None and first_hit is None and target.met(fitness, cell, feasible, direction):
+            first_hit = evals
+        if improved or evals % config.milestone_interval == 0:
+            milestones.append((evals, best, occupancy(), best_string))
+
+    for word in init_words:
+        result = problem.probe_word(word)
+        admit(word, result)
+        evals += 1
+        note(word, result)
+    while evals < config.budget and not (config.stop_on_target and first_hit is not None):
+        index = slots[rng.randrange(len(slots))]
+        word = container.words[index] ^ flip()
+        result = problem.probe_word(word)
+        keep(word, result)
+        evals += 1
+        note(word, result)
+    if not milestones or milestones[-1][0] != evals:
+        milestones.append((evals, best, occupancy(), best_string))
+    return evals, first_hit, best, best_string, milestones, container
+
+
+def _fitness_values(problem):
+    return sorted({problem.probe_word(word)[0] for word in range(1 << problem.n)})
+
+
+def _reference_problems():
+    bipartite = Example1Params(9, Fraction(1, 3))
+    umbrella = Example2Params(8)
+    cases = [
+        (make_problem(example1_max_coverage(bipartite)), example1_local_optimum(bipartite)),
+        (make_problem(example2_set_cover(umbrella)), example2_local_optimum(umbrella)),
+        (make_problem(random_max_coverage(8, 10, 0.3, 3, RandomSource(21))), None),
+        (make_problem(random_set_cover(7, 9, 0.35, 6, RandomSource(22))), None),
+    ]
+    return [(problem, trap, _fitness_values(problem)) for problem, trap in cases]
+
+
+REFERENCE_PROBLEMS = _reference_problems()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_run_matches_the_reference_loop(data):
+    problem, trap, values = data.draw(st.sampled_from(REFERENCE_PROBLEMS), label="problem")
+    engine = data.draw(st.sampled_from(["map-elites", "ea"]), label="engine")
+    init_count = data.draw(st.integers(1, problem.num_cells + 2), label="init_count")
+    seeded = engine == "ea" and trap is not None and data.draw(st.booleans(), label="seeded")
+    target = None
+    if data.draw(st.booleans(), label="has_target"):
+        target = QualityTarget(
+            threshold=data.draw(st.sampled_from(values), label="threshold"),
+            strict=data.draw(st.booleans(), label="target_strict"),
+            require_feasible=data.draw(st.booleans(), label="require_feasible"),
+            required_cell=data.draw(
+                st.none() | st.integers(0, problem.num_cells - 1), label="required_cell"
+            ),
+        )
+    config = RunConfig(
+        budget=data.draw(st.integers(init_count, 2_000), label="budget"),
+        init_count=init_count,
+        seed=data.draw(st.integers(0, 2**32 - 1), label="seed"),
+        target=target,
+        strict=data.draw(st.booleans(), label="strict"),
+        stop_on_target=data.draw(st.booleans(), label="stop_on_target"),
+        initial_population=(trap,) * init_count if seeded else None,
+        milestone_every=data.draw(st.none() | st.integers(1, 500), label="milestone_every"),
+    )
+    run = run_map_elites if engine == "map-elites" else run_ea
+    trace = run(problem, config)
+    evals, first_hit, best, best_string, milestones, container = reference_run(engine, problem, config)
+    assert (trace.evaluations_used, trace.first_hit) == (evals, first_hit)
+    assert trace.best_fitness == best
+    assert (None if trace.best_solution is None else trace.best_solution.to_string()) == best_string
+    assert [(m.evaluations, m.best_fitness, m.occupied, m.best_solution) for m in trace.milestones] == milestones
+    kept = trace.archive if engine == "map-elites" else trace.population
+    assert kept == container
+    if engine == "map-elites":
+        assert kept.occupied == container.occupied

@@ -256,6 +256,25 @@ def test_branch_trace_is_frozen(case_id):
     assert trace_digest(trace) == expected
 
 
+# On a trap nothing is kept or improved, so the trace bytes above are the
+# same for every seed and pin no draw.  The run's stream is the population's
+# ``rng``: its final state pins every draw a trap run made, in order.
+# case id -> sha256 of repr(trace.population.rng.getstate())
+TRAP_STATES = {
+    "example1-ea-trap": "ce2c38f83b3fa9914971962a9ab828a9e0f176adcafcd215d5b4bce0ad1bb63f",
+    "example2-ea-trap": "a769c7da0f2fc38ab32188a1dbddc5c82f944d43465efc917ab8db64eb3d710c",
+    "example1-ea-trap-strict": "ce2c38f83b3fa9914971962a9ab828a9e0f176adcafcd215d5b4bce0ad1bb63f",
+    "example2-ea-trap-strict": "a769c7da0f2fc38ab32188a1dbddc5c82f944d43465efc917ab8db64eb3d710c",
+}
+
+
+@pytest.mark.parametrize("case_id", sorted(TRAP_STATES))
+def test_trap_run_draws_are_frozen(case_id):
+    trace = run_case(case_id) if case_id in CASES else run_branch_case(case_id)
+    state = repr(trace.population.rng.getstate()).encode()
+    assert hashlib.sha256(state).hexdigest() == TRAP_STATES[case_id]
+
+
 def test_trial_records_are_frozen():
     config = ExperimentConfig(
         problem=ProblemSpec(kind="example1", n=30, delta="1/10"),
