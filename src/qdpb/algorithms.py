@@ -28,16 +28,17 @@ whose flip word is 0 is a copy of its parent and reuses the parent's result
 instead of being probed again; it still counts as one evaluation and still
 goes through the keep step.
 
-Every offspring goes through the keep step, but the run's bookkeeping (the
-best feasible solution, the first hit and the milestone log) sees only the
-evaluations that can change it; ``_run`` counts the others itself.
+``_run`` keeps the run's trace itself: the best feasible solution, the
+first hit and the milestone log.  Every offspring goes through the keep step,
+but only an evaluation that can change the trace is noted; the loop counts
+the others.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import ceil
-from typing import Callable, Optional
+from typing import Optional
 
 from .core import RandomSource, Solution, flip_sampler
 from .errors import ParameterError, require_bools, require_ints, require_numbers
@@ -307,101 +308,6 @@ class Population:
 # Full runs
 
 
-class _Bookkeeper:
-    """First-hit detection, the best feasible solution and the milestone log.
-
-    ``_run`` counts evaluations itself and calls ``record`` only for an
-    evaluation that can change what is kept here; ``better`` and ``reaches``
-    are the comparisons it filters with.
-    """
-
-    __slots__ = (
-        "algorithm",
-        "n",
-        "direction",
-        "better",
-        "reaches",
-        "target",
-        "stop_on_target",
-        "interval",
-        "evals",
-        "first_hit",
-        "best_fitness",
-        "best_word",
-        "best_string",
-        "milestones",
-        "occupancy",
-    )
-
-    def __init__(self, algorithm: str, problem: Problem, config: RunConfig):
-        self.algorithm = algorithm
-        self.n = problem.n
-        self.direction = problem.direction
-        self.better = comparison(problem.direction)
-        target = self.target = config.target
-        # The threshold comparison of target.met on its own: necessary for a
-        # hit, and cheap enough to test on every evaluation.
-        self.reaches = None if target is None else comparison(problem.direction, target.strict)
-        self.stop_on_target = config.stop_on_target and target is not None
-        self.interval = config.milestone_interval
-        self.evals = 0
-        self.first_hit: Optional[int] = None
-        self.best_fitness: Optional[Fitness] = None
-        self.best_word: Optional[int] = None
-        self.best_string: Optional[str] = None  # best_word as a milestone string
-        self.milestones: list[Milestone] = []
-        self.occupancy: Callable[[], int] = lambda: 0
-
-    def record(self, evals: int, word: int, result: Result) -> None:
-        """Account for evaluation number ``evals``, which produced ``word``."""
-        fitness, cell, feasible = result
-        self.evals = evals
-        improved = False
-        if feasible and (
-            self.best_fitness is None or self.better(fitness, self.best_fitness)
-        ):
-            self.best_fitness = fitness
-            self.best_word = word
-            self.best_string = Solution(self.n, word).to_string()
-            improved = True
-        target = self.target
-        if (
-            target is not None
-            and self.first_hit is None
-            and target.met(fitness, cell, feasible, self.direction)
-        ):
-            self.first_hit = evals
-        if improved or evals % self.interval == 0:
-            self._push_milestone()
-
-    def _push_milestone(self) -> None:
-        self.milestones.append(
-            Milestone(
-                evaluations=self.evals,
-                best_fitness=self.best_fitness,
-                occupied=self.occupancy(),
-                best_solution=self.best_string,
-            )
-        )
-
-    def stop_now(self) -> bool:
-        return self.stop_on_target and self.first_hit is not None
-
-    def finish(self, archive: Optional[Archive] = None, population: Optional[Population] = None) -> RunTrace:
-        if not self.milestones or self.milestones[-1].evaluations != self.evals:
-            self._push_milestone()
-        return RunTrace(
-            algorithm=self.algorithm,
-            evaluations_used=self.evals,
-            first_hit=self.first_hit,
-            best_fitness=self.best_fitness,
-            best_solution=None if self.best_word is None else Solution(self.n, self.best_word),
-            milestones=tuple(self.milestones),
-            archive=archive,
-            population=population,
-        )
-
-
 def run_map_elites(problem: Problem, config: RunConfig) -> RunTrace:
     """Fill an archive with random solutions, then step it until the budget runs out or the target is hit."""
     return _run("map-elites", problem, config)
@@ -415,17 +321,18 @@ def run_ea(problem: Problem, config: RunConfig) -> RunTrace:
 def _run(algorithm: str, problem: Problem, config: RunConfig) -> RunTrace:
     """The loop both engines share; only the container and its keep policy differ.
 
-    Each init member is probed, kept and recorded in turn.  Each step then
-    picks a parent uniformly from ``slots`` (the archive's occupied cells, or
-    the mu population indices), XORs its word with a flip word, probes the
-    child unless the flip word is 0 (a copy) and hands it to the keep policy.
-    The loop counts the evaluation itself and records it only if it can
-    matter to the bookkeeper: it ends a milestone interval, it is feasible
-    and beats the best so far, or it reaches the target's threshold while no
-    hit is recorded.  For any other evaluation ``record`` would change nothing
-    but the count.
+    Each init member is probed, kept and noted in turn.  Each step then picks
+    a parent uniformly from ``slots`` (the archive's occupied cells, or the mu
+    population indices), XORs its word with a flip word, probes the child
+    unless the flip word is 0 (a copy) and hands it to the keep policy.
+    ``note`` keeps the trace: the best feasible solution, the first hit and
+    the milestone log.  The loop counts every evaluation itself and notes one
+    only if it can change the trace: it ends a milestone interval, it is
+    feasible and beats the best so far, or it reaches the target's threshold
+    while no hit is recorded.
     """
     n = problem.n
+    direction = problem.direction
     rng = RandomSource(config.seed)
     members = config.initial_population
     if members is not None:
@@ -437,35 +344,57 @@ def _run(algorithm: str, problem: Problem, config: RunConfig) -> RunTrace:
         init_words = [x.word for x in members]
     else:
         init_words = (rng.getrandbits(n) for _ in range(config.init_count))
-    book = _Bookkeeper(algorithm, problem, config)
-    record = book.record
     probe_word = problem.probe_word
     flip = flip_sampler(n, rng)  # the module global at run time, so a rebinding takes effect
     archive = population = None
     if algorithm == "map-elites":
-        archive = Archive(problem.num_cells, n, problem.direction, config.strict)
+        archive = Archive(problem.num_cells, n, direction, config.strict)
         words, results, slots = archive.words, archive.results, archive.occupied
-        book.occupancy = slots.__len__
+        occupancy = slots.__len__
         admit = keep = archive.consider
     else:
-        population = Population(n, problem.direction, rng, config.strict)
+        population = Population(n, direction, rng, config.strict)
         words, results, slots = population.words, population.results, range(config.init_count)
-        book.occupancy = lambda: len({r[1] for r in results})
+
+        def occupancy() -> int:
+            return len({r[1] for r in results})
+
         admit, keep = population.add, population.replace_worst_if_better
+    target = config.target
+    better = comparison(direction)
+    interval = config.milestone_interval
+    milestones: list[Milestone] = []
     evals = 0
+    # The first hit; the best feasible fitness, its word and its milestone string.
+    first_hit = best = best_word = best_string = None
+
+    def note(word: int, result: Result) -> None:
+        """Account for evaluation number ``evals``, which produced ``word``."""
+        nonlocal first_hit, best, best_word, best_string
+        fitness, cell, feasible = result
+        improved = feasible and (best is None or better(fitness, best))
+        if improved:
+            best, best_word = fitness, word
+            best_string = Solution(n, word).to_string()
+        if first_hit is None and target is not None and target.met(fitness, cell, feasible, direction):
+            first_hit = evals
+        if improved or evals % interval == 0:
+            milestones.append(Milestone(evals, best, occupancy(), best_string))
+
     for word in init_words:
         result = probe_word(word)
         admit(word, result)
         evals += 1
-        record(evals, word, result)
+        note(word, result)
+    stop_on_target = config.stop_on_target and target is not None
     # A target met by an init member ends the run before its first step.
-    budget = evals if book.stop_now() else config.budget
+    budget = evals if stop_on_target and first_hit is not None else config.budget
     getrandbits = rng.getrandbits
-    better, reaches = book.better, book.reaches
-    threshold = None if config.target is None else config.target.threshold
-    watching = reaches is not None and book.first_hit is None
-    best = book.best_fitness
-    interval = book.interval
+    # The threshold comparison of target.met on its own: necessary for a hit,
+    # and cheap enough to test on every evaluation.
+    reaches = None if target is None else comparison(direction, target.strict)
+    threshold = None if target is None else target.threshold
+    watching = target is not None and first_hit is None
     next_milestone = evals - evals % interval + interval
     while evals < budget:
         # rng.randrange(len(slots)), inlined as in flip_sampler; the archive
@@ -491,12 +420,22 @@ def _run(algorithm: str, problem: Problem, config: RunConfig) -> RunTrace:
             or (feasible and (best is None or better(fitness, best)))
             or (watching and reaches(fitness, threshold))
         ):
-            record(evals, word, result)
+            note(word, result)
             if evals == next_milestone:
                 next_milestone += interval
-            if book.stop_now():
-                break
-            best = book.best_fitness
-            watching = watching and book.first_hit is None
-    book.evals = evals
-    return book.finish(archive=archive, population=population)
+            if first_hit is not None:
+                if stop_on_target:
+                    break
+                watching = False
+    if not milestones or milestones[-1].evaluations != evals:
+        milestones.append(Milestone(evals, best, occupancy(), best_string))
+    return RunTrace(
+        algorithm=algorithm,
+        evaluations_used=evals,
+        first_hit=first_hit,
+        best_fitness=best,
+        best_solution=None if best_word is None else Solution(n, best_word),
+        milestones=tuple(milestones),
+        archive=archive,
+        population=population,
+    )
