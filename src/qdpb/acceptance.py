@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 import time
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional

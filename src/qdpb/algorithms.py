@@ -37,7 +37,7 @@ the others.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil
+from math import ceil, isfinite
 from typing import Optional
 
 from .core import RandomSource, Solution, flip_sampler
@@ -72,6 +72,8 @@ class QualityTarget:
 
     def __post_init__(self) -> None:
         require_numbers(self, ("threshold",))
+        if isinstance(self.threshold, float) and not isfinite(self.threshold):
+            raise ParameterError(f"threshold must be finite, got {self.threshold!r}")
         require_ints(self, (), optional=("required_cell",))
         require_bools(self, ("strict", "require_feasible"))
 
@@ -365,17 +367,17 @@ def _run(algorithm: str, problem: Problem, config: RunConfig) -> RunTrace:
     interval = config.milestone_interval
     milestones: list[Milestone] = []
     evals = 0
-    # The first hit; the best feasible fitness, its word and its milestone string.
-    first_hit = best = best_word = best_string = None
+    # The first hit, and the best feasible fitness with its solution and milestone string.
+    first_hit = best = best_solution = best_string = None
 
     def note(word: int, result: Result) -> None:
         """Account for evaluation number ``evals``, which produced ``word``."""
-        nonlocal first_hit, best, best_word, best_string
+        nonlocal first_hit, best, best_solution, best_string
         fitness, cell, feasible = result
         improved = feasible and (best is None or better(fitness, best))
         if improved:
-            best, best_word = fitness, word
-            best_string = Solution(n, word).to_string()
+            best, best_solution = fitness, Solution(n, word)
+            best_string = best_solution.to_string()
         if first_hit is None and target is not None and target.met(fitness, cell, feasible, direction):
             first_hit = evals
         if improved or evals % interval == 0:
@@ -386,9 +388,8 @@ def _run(algorithm: str, problem: Problem, config: RunConfig) -> RunTrace:
         admit(word, result)
         evals += 1
         note(word, result)
-    stop_on_target = config.stop_on_target and target is not None
     # A target met by an init member ends the run before its first step.
-    budget = evals if stop_on_target and first_hit is not None else config.budget
+    budget = evals if config.stop_on_target and first_hit is not None else config.budget
     getrandbits = rng.getrandbits
     # The threshold comparison of target.met on its own: necessary for a hit,
     # and cheap enough to test on every evaluation.
@@ -424,7 +425,7 @@ def _run(algorithm: str, problem: Problem, config: RunConfig) -> RunTrace:
             if evals == next_milestone:
                 next_milestone += interval
             if first_hit is not None:
-                if stop_on_target:
+                if config.stop_on_target:
                     break
                 watching = False
     if not milestones or milestones[-1].evaluations != evals:
@@ -434,7 +435,7 @@ def _run(algorithm: str, problem: Problem, config: RunConfig) -> RunTrace:
         evaluations_used=evals,
         first_hit=first_hit,
         best_fitness=best,
-        best_solution=None if best_word is None else Solution(n, best_word),
+        best_solution=best_solution,
         milestones=tuple(milestones),
         archive=archive,
         population=population,

@@ -46,6 +46,7 @@ Fitness = Union[int, float]
 Result = tuple[Fitness, int, bool]  # what a probe returns: (fitness, cell, feasible)
 
 _FLOAT_EXACT_LIMIT = 2**53
+_CHUNK_TABLE_LIMIT = 512 * 2**20  # bytes of union masks a problem's probe may build
 
 
 class Direction(Enum):
@@ -261,6 +262,17 @@ def _chunk_tables(values, combine) -> tuple[tuple, ...]:
     return tuple(tables)
 
 
+def _check_chunk_tables(inst: Instance) -> None:
+    """Refuse an instance whose ⌈n/8⌉·256 table masks of ``m_elements`` bits
+    would exceed ``_CHUNK_TABLE_LIMIT``; they grow as n³ on the bipartite family."""
+    estimate = -(-inst.n // 8) * 256 * -(-inst.m_elements // 8)
+    if estimate > _CHUNK_TABLE_LIMIT:
+        raise ParameterError(
+            f"the probe's chunk tables for n={inst.n}, m_elements={inst.m_elements} would take "
+            f"about {estimate / 2**20:.0f} MiB, over the {_CHUNK_TABLE_LIMIT // 2**20} MiB limit"
+        )
+
+
 def make_max_coverage_problem(
     inst: MaxCoverageInstance, known_opt: Fitness | None = None
 ) -> Problem:
@@ -269,6 +281,7 @@ def make_max_coverage_problem(
     The tables hold at most 256 union masks per 8-bit chunk, ⌈n/8⌉·256 masks
     of ``m_elements`` bits in all.
     """
+    _check_chunk_tables(inst)
     tables = _chunk_tables(inst.set_masks, operator.or_)
     width = len(tables)
     k = inst.k
@@ -299,6 +312,7 @@ def make_set_cover_problem(inst: SetCoverInstance, known_opt: Fitness | None = N
     Each entry is the (union mask, weight sum) pair of a subset of one 8-bit
     chunk: ⌈n/8⌉·256 masks of ``m_elements`` bits and as many ints in all.
     """
+    _check_chunk_tables(inst)
     tables = tuple(
         tuple(zip(masks, weights))
         for masks, weights in zip(

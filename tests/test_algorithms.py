@@ -193,6 +193,10 @@ def test_quality_target_semantics():
     assert QualityTarget(10, required_cell=3).met(11, 3, True, Direction.MAXIMIZE)
     assert not QualityTarget(10, required_cell=3).met(11, 2, True, Direction.MAXIMIZE)
     assert QualityTarget(10).met(9, 0, True, Direction.MINIMIZE)
+    for threshold in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ParameterError, match="threshold must be finite"):
+            QualityTarget(threshold)
+    assert QualityTarget(10**400).threshold == 10**400  # an int is always finite
 
 
 # ---------------------------------------------------------------------------

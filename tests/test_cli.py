@@ -10,7 +10,8 @@ import pytest
 
 from qdpb import cli, harness
 from qdpb.cli import main
-from qdpb.instances import read_instance
+from qdpb.instances import read_instance, write_instance
+from qdpb.problems import MaxCoverageInstance
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -228,6 +229,48 @@ def test_run_config_file(star5, tmp_path, capsys):
         path.write_text(json.dumps({**config, **overrides}))
         assert main(["run", "--config", str(path)]) == 1
         assert message in capsys.readouterr().err
+
+
+def test_run_refuses_non_finite_targets(tmp_path, capsys):
+    path = tmp_path / "star6.json"
+    assert main(["gen-instance", "example2", "--n", "6", "--out", str(path)]) == 0
+    run = ["run", "--algo", "ea", "--instance", str(path), "--budget", "200", "--trials", "2"]
+    for flag, value in (
+        ("--target-fitness", "nan"),
+        ("--target-fitness", "inf"),
+        ("--target-fitness", "-inf"),
+        ("--target-ratio", "nan"),
+        ("--target-ratio", "inf"),
+    ):
+        capsys.readouterr()
+        assert main([*run, f"{flag}={value}"]) == 1, (flag, value)
+        assert "threshold must be finite" in capsys.readouterr().err
+    # json.load parses NaN and Infinity, so a config file can carry them too.
+    config = tmp_path / "config.json"
+    data = {
+        "problem": {"kind": "file", "path": str(path)},
+        "algorithm": "ea",
+        "budget": 200,
+        "trials": 2,
+        "master_seed": 0,
+    }
+    config.write_text(json.dumps({**data, "target": {"threshold": 5}}))
+    assert main(["run", "--config", str(config)]) == 0
+    for threshold in (float("nan"), float("inf")):
+        capsys.readouterr()
+        config.write_text(json.dumps({**data, "target": {"threshold": threshold}}))
+        assert main(["run", "--config", str(config)]) == 1
+        assert "threshold must be finite" in capsys.readouterr().err
+
+
+def test_instance_with_oversize_chunk_tables_exits_1(tmp_path, capsys):
+    # 64 sets of one element: a tiny file whose probe tables would take 1 GiB.
+    m = 2**22
+    path = tmp_path / "oversize.json"
+    write_instance(MaxCoverageInstance(n=64, m_elements=m, sets=((m - 1,),) * 64, k=3), path)
+    for argv in (["run", "--algo", "ea", "--instance", str(path), "--budget", "100"], ["oracle", str(path)]):
+        assert main(argv) == 1, argv
+        assert "over the 512 MiB limit" in capsys.readouterr().err
 
 
 def test_archive_profile_script_reports_bad_parameters():

@@ -1,7 +1,9 @@
-"""Every module's public export list names things that exist."""
+"""Every module's public export list names things that exist, and every import is used."""
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import qdpb
 
@@ -14,3 +16,21 @@ def test_every_exported_name_resolves():
         assert len(set(exported)) == len(exported), f"{module.__name__}.__all__ repeats a name"
         missing = [name for name in exported if not hasattr(module, name)]
         assert not missing, f"{module.__name__}.__all__ names {missing}, which do not exist"
+
+
+def test_every_imported_name_is_used():
+    # The package has no linter configuration; this is its unused-import check.
+    paths = sorted(Path(qdpb.__file__).parent.glob("*.py"))
+    assert len(paths) >= 10
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                imported.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        module = importlib.import_module("qdpb" if path.stem == "__init__" else f"qdpb.{path.stem}")
+        unused = sorted(imported - used - set(getattr(module, "__all__", ())))
+        assert not unused, f"{path.name} imports {unused} and never uses them"

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from qdpb import problems
 from qdpb.analysis import reference_probe
 from qdpb.core import Solution
 from qdpb.errors import ParameterError, ValidationError
@@ -154,6 +155,30 @@ def test_set_cover_overflow_guard():
         weights=(2**40, 1, 1),
         penalty=3 * 2**40 + 1,
     )
+
+
+def test_oversize_chunk_tables_are_refused_before_any_is_built(monkeypatch):
+    # Both instances are cheap to hold, but their probe tables would not be:
+    # 8·256 masks of 2^22 bits (1 GiB), and 257·256 masks of 2^16 bits
+    # (514 MiB) with as many weight sums.
+    m = 2**22
+    coverage = MaxCoverageInstance(n=64, m_elements=m, sets=((m - 1,),) * 64, k=3)
+    m, n = 2**16, 2056
+    cover = SetCoverInstance(
+        n=n,
+        m_elements=m,
+        sets=(tuple(range(m)),) + tuple((e,) for e in range(n - 1)),
+        weights=(1,) * n,
+        penalty=default_penalty(n, (1,)),
+    )
+
+    def no_tables(values, combine):
+        raise AssertionError("a chunk table was built")
+
+    monkeypatch.setattr(problems, "_chunk_tables", no_tables)
+    for inst, estimate in ((coverage, "1024 MiB"), (cover, "514 MiB")):
+        with pytest.raises(ParameterError, match=f"about {estimate}, over the 512 MiB limit"):
+            make_problem(inst)
 
 
 # ---------------------------------------------------------------------------
