@@ -15,6 +15,7 @@ import pytest
 
 from qdpb.algorithms import QualityTarget, RunConfig, RunTrace, run_ea, run_map_elites
 from qdpb.analysis import brute_force_opt
+from qdpb.cli import main
 from qdpb.core import RandomSource
 from qdpb.harness import (
     ExperimentConfig,
@@ -386,3 +387,38 @@ def test_exported_artifacts_are_frozen(case_id, tmp_path):
     assert hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest() == document
     assert hashlib.sha256((tmp_path / "rows.csv").read_bytes()).hexdigest() == rows
     assert hashlib.sha256(json.dumps(config_to_dict(config)).encode()).hexdigest() == config_text
+
+
+# `qdpb gen-instance` arguments -> sha256 of the instance file it writes.
+INSTANCE_FILES = {
+    "example1": (
+        ["example1", "--n", "30", "--delta", "1/10"],
+        "7ec3a997d94e8b0214b15748e00613c518ff00da2448fb8318091e350ec7ff90",
+    ),
+    "example2": (
+        ["example2", "--n", "12"],
+        "62aa298546042253e57e960c581d915497248a9cf2dc023564e1391dcc42987e",
+    ),
+    "random-max-coverage": (
+        [
+            "random-max-coverage", "--n", "10", "--m-elements", "12", "--density", "0.4",
+            "--k", "4", "--instance-seed", "7",
+        ],
+        "e72ec1ce1b7a9f54c9b0b89a27b7fd4d38f3c9b407177c7930c3a0768b617d5d",
+    ),
+    "random-set-cover": (
+        [
+            "random-set-cover", "--n", "10", "--m-elements", "12", "--density", "0.3",
+            "--max-weight", "7", "--instance-seed", "8",
+        ],
+        "307dbc0073b13c6b562083e64b0678b7e6115820c0dc7dc1a0d5b64094d519c2",
+    ),
+}
+
+
+@pytest.mark.parametrize("case_id", sorted(INSTANCE_FILES))
+def test_generated_instance_files_are_frozen(case_id, tmp_path):
+    argv, expected = INSTANCE_FILES[case_id]
+    out = tmp_path / "instance.json"
+    assert main(["gen-instance", *argv, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == expected
