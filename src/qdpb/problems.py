@@ -21,7 +21,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Callable, Optional, Union
 
 from .core import Solution
@@ -94,8 +94,18 @@ def _check_sets(sets, n: int, m_elements: int) -> None:
 
 
 def make_element_masks(sets) -> tuple[int, ...]:
-    """One int bitmask per candidate set, bit ``e`` for element ``e``."""
-    return tuple(sum(1 << e for e in s) for s in sets)
+    """One int bitmask per candidate set, bit ``e`` for element ``e``.
+
+    Each mask is filled in a byte buffer and converted once: adding ``1 << e``
+    to an int copies the int, which is quadratic in the size of the set.
+    """
+    masks = []
+    for s in sets:
+        buf = bytearray((max(s, default=-1) >> 3) + 1)
+        for e in s:
+            buf[e >> 3] |= 1 << (e & 7)
+        masks.append(int.from_bytes(buf, "little"))
+    return tuple(masks)
 
 
 @dataclass(frozen=True)
@@ -161,12 +171,13 @@ class SetCoverInstance:
             raise ValidationError(
                 f"worst-case fitness {worst} reaches 2^53; shrink n, weights, or penalty"
             )
-        union = 0
-        for mask in make_element_masks(self.sets):
-            union |= mask
-        if union != (1 << self.m_elements) - 1:
-            missing = [e for e in range(self.m_elements) if not (union >> e) & 1]
-            raise ValidationError(f"elements {missing} are not covered by any set")
+        union = reduce(operator.or_, self.set_masks, 0)
+        uncovered = self.m_elements - union.bit_count()
+        if uncovered:
+            # Bit e of the union at index e, then zeros for the elements above its top bit.
+            bits = bin(union)[:1:-1] + "0" * 10
+            first = [e for e, bit in enumerate(bits) if bit == "0"][: min(uncovered, 10)]
+            raise ValidationError(f"{uncovered} element(s) are not covered by any set, the lowest {first}")
 
     @cached_property
     def set_masks(self) -> tuple[int, ...]:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import time
 
 import pytest
 from hypothesis import given
@@ -155,6 +156,29 @@ def test_set_cover_overflow_guard():
         weights=(2**40, 1, 1),
         penalty=3 * 2**40 + 1,
     )
+
+
+def test_uncovered_elements_are_counted_not_listed():
+    # Two sets over 2^18 elements cover only the last one.
+    m = 2**18
+    with pytest.raises(ValidationError) as err:
+        SetCoverInstance(n=2, m_elements=m, sets=((m - 1,),) * 2, weights=(1, 1), penalty=3)
+    message = str(err.value)
+    assert len(message.encode()) < 1000
+    assert f"{m - 1} element(s)" in message
+    assert "the lowest [0, 1, 2, 3, 4, 5, 6, 7, 8, 9]" in message
+
+
+def test_masks_of_a_large_set_build_in_linear_time():
+    m = 2**18
+    sets = (tuple(range(m)),)
+    start = time.perf_counter()
+    coverage = MaxCoverageInstance(n=1, m_elements=m, sets=sets, k=1)
+    cover = SetCoverInstance(n=1, m_elements=m, sets=sets, weights=(1,), penalty=2)
+    masks = (coverage.set_masks, cover.set_masks)
+    assert time.perf_counter() - start < 0.5
+    assert masks == (((1 << m) - 1,),) * 2
+    assert problems.make_element_masks([(), (9, 0, 3), (7,)]) == (0, 0b1000001001, 0b10000000)
 
 
 def test_oversize_chunk_tables_are_refused_before_any_is_built(monkeypatch):
