@@ -8,7 +8,6 @@ and for failed verification, 2 for runtime errors.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import fields
 
@@ -26,13 +25,15 @@ from .errors import ParameterError, QdpbError, ValidationError
 from .harness import (
     ExperimentConfig,
     ProblemSpec,
-    config_from_dict,
     export_report,
+    load_config,
+    read_instance,
     resolve_problem,
     run_experiment,
+    write_instance,
 )
 from .algorithms import QualityTarget
-from .instances import identify_instance, read_instance, write_instance
+from .instances import identify_instance
 from .problems import MaxCoverageInstance, make_problem
 
 __all__ = ["main"]
@@ -147,14 +148,7 @@ def _cmd_run(args) -> int:
     if args.config is not None:
         if args.instance is not None or args.budget is not None:
             raise ParameterError("--config replaces the problem/budget flags; give one or the other")
-        with open(args.config, "r", encoding="utf-8") as fh:
-            try:
-                data = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ValidationError(
-                    f"{args.config}: not valid JSON (line {exc.lineno}, column {exc.colno})"
-                ) from exc
-        config = config_from_dict(data)
+        config = load_config(args.config)
         if args.algo is not None and args.algo != config.algorithm:
             raise ParameterError(
                 f"--algo {args.algo} conflicts with the config file's {config.algorithm!r}"

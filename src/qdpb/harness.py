@@ -41,11 +41,18 @@ from .instances import (
     identify_instance,
     random_max_coverage,
     random_set_cover,
-    read_instance,
 )
-from .problems import Direction, Fitness, Problem, make_problem
+from .problems import (
+    Direction,
+    Fitness,
+    MaxCoverageInstance,
+    Problem,
+    SetCoverInstance,
+    make_problem,
+)
 
 __all__ = [
+    "INSTANCE_FORMAT",
     "REPORT_FORMAT",
     "PROBLEM_KINDS",
     "ProblemSpec",
@@ -58,10 +65,14 @@ __all__ = [
     "run_experiment",
     "export_report",
     "load_report",
+    "load_config",
     "config_to_dict",
     "config_from_dict",
+    "read_instance",
+    "write_instance",
 ]
 
+INSTANCE_FORMAT = "qdpb-instance-v1"
 REPORT_FORMAT = "qdpb-report-v1"
 PROBLEM_KINDS = (
     "example1",
@@ -436,12 +447,13 @@ def _run_experiment(config: ExperimentConfig, problem: Problem) -> ExperimentRep
 # ---------------------------------------------------------------------------
 # Serialization
 #
-# One codec for configs and reports, driven by ``dataclasses.fields``: fields
-# are written in declaration order and tuples become lists.  Reading refuses
-# non-objects, unknown keys and missing required fields.
+# One codec for instance files, configs and reports, driven by
+# ``dataclasses.fields``: fields are written in declaration order and tuples
+# become lists.  Reading refuses non-objects, unknown keys and missing
+# required fields; the dataclass constructors check the values.
 
-# Fields holding a dataclass (or a tuple of them, or of bitstrings): name ->
-# (the type of the value or of each item, whether the value is a tuple).
+# Fields holding a dataclass or a tuple: name -> (the type of the value or of
+# each item, whether the value is a tuple).
 _NESTED = {
     "problem": (ProblemSpec, False),
     "target": (QualityTarget, False),
@@ -450,7 +462,10 @@ _NESTED = {
     "records": (TrialRecord, True),
     "aggregate": (Aggregate, False),
     "snapshots": (Milestone, True),
+    "sets": (tuple, True),
+    "weights": (int, True),
 }
+_INSTANCE_KINDS = {"max-coverage": MaxCoverageInstance, "set-cover": SetCoverInstance}
 
 
 @functools.cache
@@ -473,8 +488,10 @@ def _to_json(obj) -> dict:
         kind, many = _NESTED[name]
         if not many:
             out[name] = _to_json(value)
+        elif kind in (str, int):
+            out[name] = list(value)
         else:
-            out[name] = list(value) if kind is str else [_to_json(item) for item in value]
+            out[name] = [list(item) if kind is tuple else _to_json(item) for item in value]
     if isinstance(obj, ProblemSpec):
         return {name: value for name, value in out.items() if value is not None}
     return out
@@ -501,11 +518,43 @@ def _from_json(cls, data, what: str):
             if not many:
                 data[name] = _from_json(kind, value, name)
             elif isinstance(value, list):
-                items = value if kind is str else (_from_json(kind, item, name) for item in value)
+                if kind in (str, int):
+                    items = value
+                elif kind is tuple:
+                    # An entry that is not a list stays as it is, for the constructor to refuse.
+                    items = (tuple(item) if isinstance(item, list) else item for item in value)
+                else:
+                    items = (_from_json(kind, item, name) for item in value)
                 data[name] = tuple(items)
             elif not (kind is str and isinstance(value, str)):
                 raise ValidationError(f"{name} must be a list, got {type(value).__name__}")
     return cls(**data)
+
+
+def _read_json(path, decode, what: str, format=None):
+    """``decode(obj, what)`` of the JSON object in ``path``, whose ``format``
+    field must equal ``format`` when one is given.  Every error names the file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValidationError(
+                f"{path}: not valid JSON (line {exc.lineno}, column {exc.colno}: {exc.msg})"
+            ) from exc
+    if not isinstance(data, dict):
+        raise ValidationError(f"{path}: expected a JSON object, got {type(data).__name__}")
+    if format is not None and data.get("format") != format:
+        raise ValidationError(f"{path}: field 'format' must be {format!r}, got {data.get('format')!r}")
+    try:
+        return decode(data, what)
+    except (ParameterError, ValidationError) as exc:
+        raise ValidationError(f"{path}: malformed {what} field ({exc})") from exc
+
+
+def _write_json(doc: dict, path) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
@@ -516,9 +565,35 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     return _from_json(ExperimentConfig, data, "experiment config")
 
 
+def load_config(path) -> ExperimentConfig:
+    """Read a config file written as ``config_to_dict`` writes it."""
+    return _read_json(path, functools.partial(_from_json, ExperimentConfig), "experiment config")
+
+
 def report_to_dict(report: ExperimentReport) -> dict:
     # Documents open with their format, although the field is declared last.
     return {"format": report.format, **_to_json(report)}
+
+
+def _instance_from_json(data: dict, what: str):
+    kind = data.get("kind")
+    if not isinstance(kind, str) or kind not in _INSTANCE_KINDS:
+        raise ValidationError(f"field 'kind' must be max-coverage or set-cover, got {kind!r}")
+    body = {key: value for key, value in data.items() if key not in ("format", "kind")}
+    return _from_json(_INSTANCE_KINDS[kind], body, what)
+
+
+def read_instance(path):
+    """Read an instance file (``qdpb-instance-v1``) back into its instance type."""
+    return _read_json(path, _instance_from_json, "instance", INSTANCE_FORMAT)
+
+
+def write_instance(inst, path) -> None:
+    """Write ``inst`` as a ``qdpb-instance-v1`` file: format, kind, then its fields."""
+    kind = next((kind for kind, cls in _INSTANCE_KINDS.items() if type(inst) is cls), None)
+    if kind is None:
+        raise ParameterError(f"unsupported instance type {type(inst).__name__}")
+    _write_json({"format": INSTANCE_FORMAT, "kind": kind, **_to_json(inst)}, path)
 
 
 _ROW_FIELDS = (
@@ -537,9 +612,7 @@ def export_report(report: ExperimentReport, path, form: str = "document") -> Non
     """Write the report: ``document`` is lossless JSON, ``rows`` one CSV line
     per trial (missing first_hit becomes -1, missing numbers become nan)."""
     if form == "document":
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(report_to_dict(report), fh, indent=2)
-            fh.write("\n")
+        _write_json(report_to_dict(report), path)
     elif form == "rows":
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
@@ -563,20 +636,4 @@ def export_report(report: ExperimentReport, path, form: str = "document") -> Non
 
 def load_report(path) -> ExperimentReport:
     """Read a document-form report back into the exact in-memory structures."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(
-                f"{path}: not valid JSON (line {exc.lineno}, column {exc.colno})"
-            ) from exc
-    if not isinstance(data, dict) or data.get("format") != REPORT_FORMAT:
-        raise ValidationError(
-            f"{path}: expected a {REPORT_FORMAT!r} document, got format {data.get('format')!r}"
-            if isinstance(data, dict)
-            else f"{path}: expected a JSON object"
-        )
-    try:
-        return _from_json(ExperimentReport, data, "report")
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: malformed report field ({exc})") from exc
+    return _read_json(path, functools.partial(_from_json, ExperimentReport), "report", REPORT_FORMAT)

@@ -1,4 +1,4 @@
-"""Instance generators, canonical hard families, and the on-disk instance format.
+"""Instance generators, canonical hard families, and family recognition.
 
 Two adversarial families are built here:
 
@@ -17,10 +17,8 @@ directly into the trap.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
 
 from .core import RandomSource, Solution
 from .errors import ParameterError, ValidationError
@@ -42,12 +40,7 @@ __all__ = [
     "random_max_coverage",
     "random_set_cover",
     "identify_instance",
-    "write_instance",
-    "read_instance",
-    "INSTANCE_FORMAT",
 ]
-
-INSTANCE_FORMAT = "qdpb-instance-v1"
 
 
 @dataclass(frozen=True)
@@ -270,95 +263,3 @@ def identify_instance(inst) -> Example1Params | Example2Params | None:
             return params
         return None
     return None
-
-
-# ---------------------------------------------------------------------------
-# Serialization: versioned, integer-only JSON documents
-
-
-def write_instance(inst, path) -> None:
-    if isinstance(inst, MaxCoverageInstance):
-        doc = {
-            "format": INSTANCE_FORMAT,
-            "kind": "max-coverage",
-            "n": inst.n,
-            "m_elements": inst.m_elements,
-            "k": inst.k,
-            "sets": [list(s) for s in inst.sets],
-        }
-    elif isinstance(inst, SetCoverInstance):
-        doc = {
-            "format": INSTANCE_FORMAT,
-            "kind": "set-cover",
-            "n": inst.n,
-            "m_elements": inst.m_elements,
-            "weights": list(inst.weights),
-            "penalty": inst.penalty,
-            "sets": [list(s) for s in inst.sets],
-        }
-    else:
-        raise ParameterError(f"unsupported instance type {type(inst).__name__}")
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
-
-
-def read_instance(path):
-    """Parse and validate an instance file; errors name the offending field."""
-    text = Path(path).read_text()
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as err:
-        raise ValidationError(
-            f"{path}: not valid JSON (line {err.lineno}, column {err.colno}: {err.msg})"
-        ) from err
-    if not isinstance(doc, dict):
-        raise ValidationError(f"{path}: expected a JSON object at top level")
-    tag = doc.get("format")
-    if tag != INSTANCE_FORMAT:
-        raise ValidationError(f"{path}: field 'format' must be {INSTANCE_FORMAT!r}, got {tag!r}")
-    kind = doc.get("kind")
-    if kind not in ("max-coverage", "set-cover"):
-        raise ValidationError(f"{path}: field 'kind' must be max-coverage or set-cover, got {kind!r}")
-
-    def field_int(name):
-        value = doc.get(name)
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ValidationError(f"{path}: field {name!r} must be an integer, got {value!r}")
-        return value
-
-    def field_int_lists(name, expect_len=None):
-        value = doc.get(name)
-        if not isinstance(value, list):
-            raise ValidationError(f"{path}: field {name!r} must be a list, got {value!r}")
-        if expect_len is not None and len(value) != expect_len:
-            raise ValidationError(
-                f"{path}: field {name!r} must have {expect_len} entries, got {len(value)}"
-            )
-        return value
-
-    n = field_int("n")
-    m_elements = field_int("m_elements")
-    raw_sets = field_int_lists("sets")
-    sets = []
-    for i, entry in enumerate(raw_sets):
-        if not isinstance(entry, list) or any(
-            not isinstance(e, int) or isinstance(e, bool) for e in entry
-        ):
-            raise ValidationError(f"{path}: field 'sets[{i}]' must be a list of integers")
-        sets.append(tuple(entry))
-    try:
-        if kind == "max-coverage":
-            return MaxCoverageInstance(
-                n=n, m_elements=m_elements, sets=tuple(sets), k=field_int("k")
-            )
-        weights = field_int_lists("weights", expect_len=len(raw_sets))
-        if any(not isinstance(w, int) or isinstance(w, bool) for w in weights):
-            raise ValidationError(f"{path}: field 'weights' must contain integers only")
-        return SetCoverInstance(
-            n=n,
-            m_elements=m_elements,
-            sets=tuple(sets),
-            weights=tuple(weights),
-            penalty=field_int("penalty"),
-        )
-    except ValidationError as err:
-        raise ValidationError(f"{path}: {err}") from err

@@ -25,7 +25,7 @@ from functools import cached_property, reduce
 from typing import Callable, Optional, Union
 
 from .core import Solution
-from .errors import ParameterError, ValidationError
+from .errors import ParameterError, ValidationError, require_ints
 
 __all__ = [
     "Direction",
@@ -78,10 +78,21 @@ def is_better(a: Fitness, b: Fitness, direction: Direction, *, strict: bool = Tr
     return comparison(direction, strict)(a, b)
 
 
-def _check_sets(sets, n: int, m_elements: int) -> None:
+def _check_family(inst, ints) -> None:
+    """The checks both instance types share: the fields named in ``ints`` are
+    ints, ``n`` and ``m_elements`` are positive, and each of the ``n`` sets is
+    a strictly ascending tuple of elements in ``0..m_elements-1``."""
+    require_ints(inst, ints)
+    n, m_elements, sets = inst.n, inst.m_elements, inst.sets
+    if n < 1:
+        raise ValidationError(f"n must be positive, got {n}")
+    if m_elements < 1:
+        raise ValidationError(f"m_elements must be positive, got {m_elements}")
     if len(sets) != n:
         raise ValidationError(f"expected one candidate set per variable: got {len(sets)} sets for n={n}")
     for i, s in enumerate(sets):
+        if not isinstance(s, tuple):
+            raise ValidationError(f"sets[{i}] must be a tuple of element indices, got {s!r}")
         prev = -1
         for e in s:
             if not isinstance(e, int) or isinstance(e, bool):
@@ -114,17 +125,13 @@ class MaxCoverageInstance:
 
     n: int
     m_elements: int
-    sets: tuple[tuple[int, ...], ...]
     k: int
+    sets: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValidationError(f"n must be positive, got {self.n}")
-        if self.m_elements < 1:
-            raise ValidationError(f"m_elements must be positive, got {self.m_elements}")
+        _check_family(self, ("n", "m_elements", "k"))
         if not 1 <= self.k <= self.n:
             raise ValidationError(f"k must lie in 1..n={self.n}, got {self.k}")
-        _check_sets(self.sets, self.n, self.m_elements)
 
     @cached_property
     def set_masks(self) -> tuple[int, ...]:
@@ -141,16 +148,12 @@ class SetCoverInstance:
 
     n: int
     m_elements: int
-    sets: tuple[tuple[int, ...], ...]
     weights: tuple[int, ...]
     penalty: int
+    sets: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValidationError(f"n must be positive, got {self.n}")
-        if self.m_elements < 1:
-            raise ValidationError(f"m_elements must be positive, got {self.m_elements}")
-        _check_sets(self.sets, self.n, self.m_elements)
+        _check_family(self, ("n", "m_elements", "penalty"))
         if len(self.weights) != self.n:
             raise ValidationError(
                 f"expected one weight per set: got {len(self.weights)} weights for n={self.n}"
@@ -158,8 +161,6 @@ class SetCoverInstance:
         for i, w in enumerate(self.weights):
             if not isinstance(w, int) or isinstance(w, bool) or w < 1:
                 raise ValidationError(f"weights[{i}] must be a positive integer, got {w!r}")
-        if not isinstance(self.penalty, int) or isinstance(self.penalty, bool):
-            raise ValidationError(f"penalty must be an integer, got {self.penalty!r}")
         w_max = max(self.weights)
         if self.penalty <= self.n * w_max:
             raise ValidationError(

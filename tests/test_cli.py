@@ -10,7 +10,7 @@ import pytest
 
 from qdpb import cli, harness
 from qdpb.cli import main
-from qdpb.instances import read_instance, write_instance
+from qdpb.harness import read_instance, write_instance
 from qdpb.problems import MaxCoverageInstance
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -261,6 +261,32 @@ def test_run_refuses_non_finite_targets(tmp_path, capsys):
         config.write_text(json.dumps({**data, "target": {"threshold": threshold}}))
         assert main(["run", "--config", str(config)]) == 1
         assert "threshold must be finite" in capsys.readouterr().err
+
+
+def test_malformed_documents_exit_1_naming_the_file(star5, tmp_path, capsys):
+    doc = json.loads(Path(star5).read_text())
+    for name, bad, message in (
+        ("unknown-key", {**doc, "comment": "x"}, "unknown instance field(s): comment"),
+        ("float-n", {**doc, "n": 2.0}, "n must be an integer"),
+        ("set-not-list", {**doc, "sets": [[0, 1, 2, 3], 1, [1], [2], [3]]}, "sets[1] must be a tuple"),
+        ("weights-int", {**doc, "weights": 5}, "weights must be a list"),
+        ("no-kind", {k: v for k, v in doc.items() if k != "kind"}, "'kind'"),
+        # json.load parses NaN, so an int field can carry it.
+        ("nan-penalty", {**doc, "penalty": float("nan")}, "penalty must be an integer"),
+    ):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(bad))
+        for argv in (["oracle", str(path)], ["run", "--algo", "ea", "--instance", str(path), "--budget", "50"]):
+            capsys.readouterr()
+            assert main(argv) == 1, (name, argv)
+            err = capsys.readouterr().err
+            assert str(path) in err and message in err, (name, argv, err)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"problem": {"kind": "file", "path": star5}, "algorithm": "ea"}))
+    capsys.readouterr()
+    assert main(["run", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert str(config) in err and "missing 'budget'" in err
 
 
 def test_instance_with_oversize_chunk_tables_exits_1(tmp_path, capsys):

@@ -1,4 +1,5 @@
-"""Every module's public export list names things that exist, and every import is used."""
+"""Every module's public export list names things that exist, every import is
+used, and only ``harness`` reads or writes JSON."""
 
 import ast
 import importlib
@@ -34,3 +35,20 @@ def test_every_imported_name_is_used():
         module = importlib.import_module("qdpb" if path.stem == "__init__" else f"qdpb.{path.stem}")
         unused = sorted(imported - used - set(getattr(module, "__all__", ())))
         assert not unused, f"{path.name} imports {unused} and never uses them"
+
+
+def test_only_harness_reads_and_writes_json():
+    # Instance files, configs and reports are parsed and written by one codec.
+    banned = {"load", "loads", "dump", "dumps"}
+    for path in sorted(Path(qdpb.__file__).parent.glob("*.py")):
+        if path.stem == "harness":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "json":
+                names = {alias.name for alias in node.names}
+                assert not names & banned, f"{path.name} imports {sorted(names & banned)} from json"
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                owner = node.func.value
+                called = isinstance(owner, ast.Name) and owner.id == "json" and node.func.attr in banned
+                assert not called, f"{path.name}:{node.lineno} calls json.{node.func.attr}"

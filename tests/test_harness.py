@@ -20,8 +20,9 @@ from qdpb.harness import (
     resolve_problem,
     resolve_seed_members,
     run_experiment,
+    write_instance,
 )
-from qdpb.instances import Example2Params, example2_set_cover, write_instance
+from qdpb.instances import Example2Params, example2_set_cover
 from qdpb.problems import make_problem
 
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from qdpb.core import RandomSource, Solution
 from qdpb.errors import ValidationError
+from qdpb.harness import read_instance, write_instance
 from qdpb.instances import (
     Example1Params,
     Example2Params,
@@ -20,8 +21,6 @@ from qdpb.instances import (
     identify_instance,
     random_max_coverage,
     random_set_cover,
-    read_instance,
-    write_instance,
 )
 from qdpb.analysis import reference_probe
 from qdpb.problems import make_problem
