@@ -126,6 +126,8 @@ class ProblemSpec:
                 raise ParameterError(f"problem kind {self.kind!r} requires {name!r}")
         require_ints(self, (), optional=("n", "m_elements", "k", "max_weight", "instance_seed"))
         require_numbers(self, (), optional=("density",))
+        if self.path is not None and not isinstance(self.path, str):
+            raise ParameterError(f"path must be a string, got {self.path!r}")
         if self.delta is not None:
             try:
                 if not isinstance(self.delta, str):
@@ -537,10 +539,8 @@ def _read_json(path, decode, what: str, format=None):
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(
-                f"{path}: not valid JSON (line {exc.lineno}, column {exc.colno}: {exc.msg})"
-            ) from exc
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ValidationError(f"{path}: not valid UTF-8 JSON ({exc})") from exc
     if not isinstance(data, dict):
         raise ValidationError(f"{path}: expected a JSON object, got {type(data).__name__}")
     if format is not None and data.get("format") != format:

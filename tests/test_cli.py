@@ -219,6 +219,8 @@ def test_run_config_file(star5, tmp_path, capsys):
         ({"target": 5}, "target must be an object"),
         ({"target": [1]}, "target must be an object"),
         ({"problem": {"kind": "example1", "n": 9, "delta": "abc"}}, "delta must be a fraction string"),
+        # A number would be opened as a file descriptor.
+        ({"problem": {"kind": "file", "path": 5}}, "path must be a string"),
         # Seed members that are not strings, and bools given as strings.
         ({"algorithm": "ea", "seed_population": [5]}, "seed_population members must be strings"),
         ({"strict": "yes"}, "strict must be true or false"),
@@ -273,9 +275,10 @@ def test_malformed_documents_exit_1_naming_the_file(star5, tmp_path, capsys):
         ("no-kind", {k: v for k, v in doc.items() if k != "kind"}, "'kind'"),
         # json.load parses NaN, so an int field can carry it.
         ("nan-penalty", {**doc, "penalty": float("nan")}, "penalty must be an integer"),
+        ("latin-1", b'{"format": "qdpb-instance-v1", "kind": "\xe9t\xe9"}', "not valid UTF-8"),
     ):
         path = tmp_path / f"{name}.json"
-        path.write_text(json.dumps(bad))
+        path.write_bytes(bad if isinstance(bad, bytes) else json.dumps(bad).encode())
         for argv in (["oracle", str(path)], ["run", "--algo", "ea", "--instance", str(path), "--budget", "50"]):
             capsys.readouterr()
             assert main(argv) == 1, (name, argv)
