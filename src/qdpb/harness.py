@@ -539,7 +539,7 @@ def _read_json(path, decode, what: str, format=None):
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise ValidationError(f"{path}: not valid UTF-8 JSON ({exc})") from exc
     if not isinstance(data, dict):
         raise ValidationError(f"{path}: expected a JSON object, got {type(data).__name__}")

@@ -276,6 +276,7 @@ def test_malformed_documents_exit_1_naming_the_file(star5, tmp_path, capsys):
         # json.load parses NaN, so an int field can carry it.
         ("nan-penalty", {**doc, "penalty": float("nan")}, "penalty must be an integer"),
         ("latin-1", b'{"format": "qdpb-instance-v1", "kind": "\xe9t\xe9"}', "not valid UTF-8"),
+        ("nested", b"[" * 100_000, "maximum recursion depth"),
     ):
         path = tmp_path / f"{name}.json"
         path.write_bytes(bad if isinstance(bad, bytes) else json.dumps(bad).encode())
