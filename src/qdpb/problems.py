@@ -78,7 +78,7 @@ def is_better(a: Fitness, b: Fitness, direction: Direction, *, strict: bool = Tr
     return comparison(direction, strict)(a, b)
 
 
-def _check_family(inst, ints) -> None:
+def _check_instance(inst, ints) -> None:
     """The checks both instance types share: the fields named in ``ints`` are
     ints, ``n`` and ``m_elements`` are positive, and each of the ``n`` sets is
     a strictly ascending tuple of elements in ``0..m_elements-1``."""
@@ -129,7 +129,7 @@ class MaxCoverageInstance:
     sets: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        _check_family(self, ("n", "m_elements", "k"))
+        _check_instance(self, ("n", "m_elements", "k"))
         if not 1 <= self.k <= self.n:
             raise ValidationError(f"k must lie in 1..n={self.n}, got {self.k}")
 
@@ -153,7 +153,7 @@ class SetCoverInstance:
     sets: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        _check_family(self, ("n", "m_elements", "penalty"))
+        _check_instance(self, ("n", "m_elements", "penalty"))
         if len(self.weights) != self.n:
             raise ValidationError(
                 f"expected one weight per set: got {len(self.weights)} weights for n={self.n}"
