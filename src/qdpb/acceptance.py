@@ -63,7 +63,7 @@ from .instances import (
     random_max_coverage,
     random_set_cover,
 )
-from .problems import is_better, make_problem
+from .problems import comparison, make_problem
 
 __all__ = [
     "CriterionResult",
@@ -95,13 +95,14 @@ class CriterionResult:
 def _independent_enumeration(problem):
     """Deliberately different loop shape and evaluator from the oracle: a
     descending scan scored by the set-based ``reference_probe``."""
+    better = comparison(problem.direction)
     best = None
     count = 0
     for word in range((1 << problem.n) - 1, -1, -1):
         fitness, _cell, feasible = reference_probe(Solution(problem.n, word), problem.instance)
         if not feasible:
             continue
-        if best is None or is_better(fitness, best, problem.direction):
+        if best is None or better(fitness, best):
             best, count = fitness, 1
         elif fitness == best:
             count += 1
@@ -117,7 +118,7 @@ def _c1_oracle_agreement() -> tuple[bool, str]:
         best, count = _independent_enumeration(problem)
         if (result.fitness, result.optima_count) != (best, count):
             return False, f"coverage instance seed={1000 + seed}: oracle disagreement"
-        greedy_value = problem.evaluate(greedy_max_coverage(inst))
+        greedy_value = problem.probe(greedy_max_coverage(inst))[0]
         if greedy_value < (1 - 1 / math.e) * result.fitness - 1e-9:
             return False, f"coverage instance seed={1000 + seed}: greedy below (1-1/e) bound"
         checked += 1
@@ -128,10 +129,10 @@ def _c1_oracle_agreement() -> tuple[bool, str]:
         best, count = _independent_enumeration(problem)
         if (result.fitness, result.optima_count) != (best, count):
             return False, f"cover instance seed={2000 + seed}: oracle disagreement"
-        greedy = greedy_set_cover(inst)
-        if not problem.feasible(greedy):
+        greedy_value, _cell, feasible = problem.probe(greedy_set_cover(inst))
+        if not feasible:
             return False, f"cover instance seed={2000 + seed}: greedy cover incomplete"
-        if problem.evaluate(greedy) > (math.log(inst.m_elements) + 1) * result.fitness + 1e-9:
+        if greedy_value > (math.log(inst.m_elements) + 1) * result.fitness + 1e-9:
             return False, f"cover instance seed={2000 + seed}: greedy above harmonic bound"
         checked += 1
     return True, f"{checked}/40 random instances: both enumerations and greedy bounds agree"

@@ -42,7 +42,7 @@ from typing import Optional
 
 from .core import RandomSource, Solution, flip_sampler
 from .errors import ParameterError, require_bools, require_ints, require_numbers
-from .problems import Direction, Fitness, Problem, Result, comparison, is_better
+from .problems import Direction, Fitness, Problem, Result, comparison
 
 __all__ = [
     "QualityTarget",
@@ -82,7 +82,7 @@ class QualityTarget:
             return False
         if self.required_cell is not None and cell != self.required_cell:
             return False
-        return is_better(fitness, self.threshold, direction, strict=self.strict)
+        return comparison(direction, self.strict)(fitness, self.threshold)
 
 
 @dataclass(frozen=True)
@@ -166,8 +166,8 @@ class Archive:
     ``strict=False``), so cells never empty once filled and per-cell fitness
     can only move in the improving direction.  Each occupant is a bit word of
     ``n`` variables kept with its ``probe_word`` result ``(fitness, cell,
-    feasible)``; ``solutions``, ``cell`` and ``occupants`` build
-    ``Solution``s when read.
+    feasible)``; ``solutions`` and ``occupants`` build ``Solution``s when
+    read.
     """
 
     __slots__ = ("num_cells", "n", "direction", "beats", "words", "occupied", "results")
@@ -205,14 +205,6 @@ class Archive:
     def solutions(self) -> list[Optional[Solution]]:
         n = self.n
         return [None if word is None else Solution(n, word) for word in self.words]
-
-    def cell(self, index: int) -> Optional[tuple[Solution, Fitness]]:
-        if not 0 <= index < self.num_cells:
-            raise ParameterError(f"cell {index} outside 0..{self.num_cells - 1}")
-        word = self.words[index]
-        if word is None:
-            return None
-        return Solution(self.n, word), self.results[index][0]
 
     def occupants(self) -> list[tuple[int, Solution, Fitness]]:
         n, words, results = self.n, self.words, self.results
@@ -335,6 +327,10 @@ def _run(algorithm: str, problem: Problem, config: RunConfig) -> RunTrace:
     """
     n = problem.n
     direction = problem.direction
+    target = config.target
+    required_cell = None if target is None else target.required_cell
+    if required_cell is not None and not 0 <= required_cell < problem.num_cells:
+        raise ParameterError(f"target cell {required_cell} outside 0..{problem.num_cells - 1}")
     rng = RandomSource(config.seed)
     members = config.initial_population
     if members is not None:
@@ -362,7 +358,6 @@ def _run(algorithm: str, problem: Problem, config: RunConfig) -> RunTrace:
             return len({r[1] for r in results})
 
         admit, keep = population.add, population.replace_worst_if_better
-    target = config.target
     better = comparison(direction)
     interval = config.milestone_interval
     milestones: list[Milestone] = []

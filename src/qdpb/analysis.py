@@ -25,7 +25,6 @@ from .problems import (
     Problem,
     SetCoverInstance,
     comparison,
-    is_better,
 )
 from .algorithms import Archive
 
@@ -143,7 +142,7 @@ def best_greedy_gain(x: Solution, inst: MaxCoverageInstance) -> tuple[int, int]:
 
 def greedy_max_coverage(inst: MaxCoverageInstance) -> Solution:
     """k rounds of best single-set gain from the empty selection."""
-    x = Solution.zero(inst.n)
+    x = Solution(inst.n, 0)
     for _ in range(inst.k):
         index, _gain = best_greedy_gain(x, inst)
         x = Solution(inst.n, x.word | (1 << index))
@@ -309,23 +308,21 @@ def gamma_min(table: SetFunctionTable, k: int) -> float:
 def escape_radius(x: Solution, problem: Problem) -> int:
     """Hamming distance to the nearest strictly better solution.
 
-    Searches distance shells outward; returns n+1 when nothing beats ``x``
-    anywhere (i.e. ``x`` is globally optimal).  Guarded to n <= 20.
+    Scores distance shells outward with ``probe_word``; returns n+1 when
+    nothing beats ``x`` anywhere (``x`` is globally optimal).  Guarded to n <= 20.
     """
     n = problem.n
     if n > _ESCAPE_LIMIT:
         raise ParameterError(f"escape radius search is limited to n <= {_ESCAPE_LIMIT}, got n={n}")
-    if x.n != n:
-        raise ParameterError(f"solution has {x.n} variables, problem has {n}")
-    base = problem.evaluate(x)
-    evaluate = problem.evaluate
-    direction = problem.direction
+    base = problem.probe(x)[0]
+    probe_word = problem.probe_word
+    better = comparison(problem.direction)
     for distance in range(1, n + 1):
         for flips in combinations(range(n), distance):
             word = x.word
             for i in flips:
                 word ^= 1 << i
-            if is_better(evaluate(Solution(n, word)), base, direction):
+            if better(probe_word(word)[0], base):
                 return distance
     return n + 1
 
@@ -389,6 +386,7 @@ class QdMetrics:
 
 def qd_metrics(archive: Archive) -> QdMetrics:
     """Read from the ``probe_word`` results the archive kept; probes nothing."""
+    better = comparison(archive.direction)
     best: Optional[Fitness] = None
     total: Fitness = 0
     for result in archive.results:
@@ -396,7 +394,7 @@ def qd_metrics(archive: Archive) -> QdMetrics:
             continue
         fitness, _cell, feasible = result
         total += fitness
-        if feasible and (best is None or is_better(fitness, best, archive.direction)):
+        if feasible and (best is None or better(fitness, best)):
             best = fitness
     return QdMetrics(optimization=best, coverage=len(archive), qd_score=total)
 

@@ -82,16 +82,6 @@ def _cmd_gen_instance(args) -> int:
 # run
 
 
-def _read_seed_population(value: str):
-    if value.startswith("@"):
-        with open(value[1:], "r", encoding="utf-8") as fh:
-            members = tuple(line.strip() for line in fh if line.strip())
-        if not members:
-            raise ParameterError(f"seed population file {value[1:]!r} is empty")
-        return members
-    return value
-
-
 def _build_config_from_flags(args):
     """The config the flags describe, and its problem if resolving it was
     needed here (for --target-ratio), else None."""
@@ -122,9 +112,9 @@ def _build_config_from_flags(args):
         )
     elif args.target_cell is not None or args.target_strict or args.target_allow_infeasible:
         raise ParameterError("target modifiers need --target-fitness or --target-ratio")
-    seed_population = None
-    if args.seed_population is not None:
-        seed_population = _read_seed_population(args.seed_population)
+    seed_population = args.seed_population
+    if seed_population is not None and seed_population.startswith("@"):
+        seed_population = harness._read_seed_file(seed_population[1:])
     config = ExperimentConfig(
         problem=spec,
         algorithm=args.algo,
@@ -221,8 +211,6 @@ def _cmd_oracle(args) -> int:
 def _cmd_analyze(args) -> int:
     problem = resolve_problem(ProblemSpec(kind="file", path=args.instance))
     x = Solution.from_string(args.solution)
-    if x.n != problem.n:
-        raise ParameterError(f"solution has {x.n} bits, instance has n={problem.n}")
     fitness, cell, feasible = problem.probe(x)
     print(f"solution: {args.solution} (ones={x.ones()})")
     print(f"fitness: {fitness:g}")

@@ -56,19 +56,6 @@ class Solution:
         return tuple(bool((w >> i) & 1) for i in range(self.n))
 
     @classmethod
-    def zero(cls, n: int) -> "Solution":
-        return cls(n, 0)
-
-    @classmethod
-    def from_bits(cls, bits) -> "Solution":
-        seq = list(bits)
-        word = 0
-        for i, b in enumerate(seq):
-            if b:
-                word |= 1 << i
-        return cls(len(seq), word)
-
-    @classmethod
     def from_string(cls, text: str) -> "Solution":
         if not text or any(c not in "01" for c in text):
             raise ParameterError(f"expected a non-empty string over 0/1, got {text!r}")

@@ -402,9 +402,11 @@ def effective_workers(config: ExperimentConfig) -> int:
     if requested is None:
         env = os.environ.get("QDPB_WORKERS", "")
         try:
-            requested = max(1, int(env)) if env else 1
+            requested = int(env) if env else 1
         except ValueError as exc:
             raise ParameterError(f"QDPB_WORKERS must be an integer, got {env!r}") from exc
+        if requested < 1:
+            raise ParameterError(f"QDPB_WORKERS must be positive, got {env!r}")
     return min(requested, config.trials, os.cpu_count() or 1)
 
 
@@ -533,14 +535,25 @@ def _from_json(cls, data, what: str):
     return cls(**data)
 
 
+def _read_text(path) -> str:
+    """The UTF-8 text of the file at ``path``; a file that cannot be read or
+    decoded is a ``ValidationError`` naming it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ValidationError(f"{path}: cannot be read ({exc.strerror or exc})") from exc
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not valid UTF-8 ({exc})") from exc
+
+
 def _read_json(path, decode, what: str, format=None):
     """``decode(obj, what)`` of the JSON object in ``path``, whose ``format``
     field must equal ``format`` when one is given.  Every error names the file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
-            raise ValidationError(f"{path}: not valid UTF-8 JSON ({exc})") from exc
+    try:
+        data = json.loads(_read_text(path))
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise ValidationError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(data, dict):
         raise ValidationError(f"{path}: expected a JSON object, got {type(data).__name__}")
     if format is not None and data.get("format") != format:
@@ -549,6 +562,14 @@ def _read_json(path, decode, what: str, format=None):
         return decode(data, what)
     except (ParameterError, ValidationError) as exc:
         raise ValidationError(f"{path}: malformed {what} field ({exc})") from exc
+
+
+def _read_seed_file(path) -> tuple[str, ...]:
+    """The stripped non-blank lines of ``path``: a seed population's members."""
+    members = tuple(line.strip() for line in _read_text(path).split("\n") if line.strip())
+    if not members:
+        raise ParameterError(f"seed population file {path!r} is empty")
+    return members
 
 
 def _write_json(doc: dict, path) -> None:

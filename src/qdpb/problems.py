@@ -31,7 +31,6 @@ __all__ = [
     "Direction",
     "Fitness",
     "comparison",
-    "is_better",
     "MaxCoverageInstance",
     "SetCoverInstance",
     "Problem",
@@ -71,11 +70,6 @@ def comparison(direction: Direction, strict: bool = True) -> Callable[[Fitness, 
     Loops that compare once per offspring or per word bind it once.
     """
     return _COMPARISONS[direction, strict]
-
-
-def is_better(a: Fitness, b: Fitness, direction: Direction, *, strict: bool = True) -> bool:
-    """Compare two fitness values under the given direction."""
-    return comparison(direction, strict)(a, b)
 
 
 def _check_instance(inst, ints) -> None:
@@ -202,13 +196,10 @@ class Problem:
     """A pseudo-Boolean objective bound to a behaviour grid.
 
     ``probe_word(word)`` returns ``(fitness, cell, feasible)`` of the solution
-    whose bit word is ``word``, in one pass.  It is the only evaluator: the
-    run loops and the exhaustive oracle call it directly (unchecked).
-    ``probe(x)`` is the same on a ``Solution``.  Unless one is given, it is
-    derived from ``probe_word``, and ``dataclasses.replace`` with a new
-    ``probe_word`` derives it again; a given ``probe`` is kept.
-    ``evaluate``, ``descriptor`` and ``feasible`` return the parts of
-    ``probe(x)`` after checking the solution length.
+    whose bit word is ``word``, in one pass: the one evaluator, unchecked.
+    ``probe(x)`` is the same on a ``Solution`` after checking its length.
+    Unless one is given, it is derived from ``probe_word``, and again by
+    ``dataclasses.replace`` with a new ``probe_word``.
     """
 
     name: str
@@ -223,31 +214,15 @@ class Problem:
     def __post_init__(self) -> None:
         probe = self.probe
         # A derived probe carries the probe_word it calls (a functools.wraps
-        # wrapper copies it), so one carried over from another probe_word by
-        # dataclasses.replace is derived again.
+        # wrapper copies it), so one carried over from another is derived again.
         if probe is None or getattr(probe, "probe_word", self.probe_word) is not self.probe_word:
-            object.__setattr__(self, "probe", _probe_from_word(self.probe_word))
-
-    def _checked_probe(self, x: Solution) -> Result:
-        if x.n != self.n:
-            raise ParameterError(f"solution has {x.n} variables, problem has {self.n}")
-        return self.probe(x)
-
-    def evaluate(self, x: Solution) -> Fitness:
-        """The fitness of ``x``."""
-        return self._checked_probe(x)[0]
-
-    def descriptor(self, x: Solution) -> int:
-        """The behaviour cell of ``x``: selected sets (coverage) or covered elements (set cover)."""
-        return self._checked_probe(x)[1]
-
-    def feasible(self, x: Solution) -> bool:
-        """Whether ``x`` satisfies the original (pre-reformulation) constraint."""
-        return self._checked_probe(x)[2]
+            object.__setattr__(self, "probe", _probe_from_word(self.probe_word, self.n))
 
 
-def _probe_from_word(probe_word: Callable[[int], Result]) -> Callable[[Solution], Result]:
+def _probe_from_word(probe_word: Callable[[int], Result], n: int) -> Callable[[Solution], Result]:
     def probe(x: Solution) -> Result:
+        if x.n != n:
+            raise ParameterError(f"solution has {x.n} variables, problem has {n}")
         return probe_word(x.word)
 
     probe.probe_word = probe_word

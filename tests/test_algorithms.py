@@ -30,7 +30,7 @@ from qdpb.instances import (
     random_max_coverage,
     random_set_cover,
 )
-from qdpb.problems import Direction, is_better, make_problem
+from qdpb.problems import Direction, comparison, make_problem
 
 S = Solution.from_string
 
@@ -75,14 +75,14 @@ def test_archive_insert_rules():
     assert a.consider(x.word, R(5, 2))          # empty cell fills
     assert not a.consider(y.word, R(4, 2))      # worse rejected
     assert not a.consider(y.word, R(5, 2))      # equal rejected when strict
-    assert a.cell(2) == (x, 5)
+    assert a.occupants() == [(2, x, 5)]
     assert a.consider(y.word, R(6, 2))          # strictly better replaces
-    assert a.cell(2) == (y, 6)
+    assert a.occupants() == [(2, y, 6)]
     assert len(a) == 1 and a.occupied == [2]
     relaxed = Archive(4, 4, Direction.MAXIMIZE, strict=False)
     relaxed.consider(y.word, R(6, 2))
     assert relaxed.consider(x.word, R(6, 2))    # relaxed accepts ties
-    assert relaxed.cell(2) == (x, 6)
+    assert relaxed.occupants() == [(2, x, 6)]
     assert len(relaxed) == 1 and relaxed.occupied == [2]
 
 
@@ -91,15 +91,13 @@ def test_archive_minimize_direction():
     a.consider(W("100"), R(10))
     assert not a.consider(W("010"), R(11))
     assert a.consider(W("010"), R(9))
-    assert a.cell(0) == (S("010"), 9)
+    assert a.occupants() == [(0, S("010"), 9)]
 
 
 def test_archive_bounds():
     a = Archive(3, 3, Direction.MAXIMIZE)
     with pytest.raises(ParameterError):
         a.consider(W("100"), R(1, 3))
-    with pytest.raises(ParameterError):
-        a.cell(-1)
     with pytest.raises(ParameterError):
         Archive(0, 3, Direction.MAXIMIZE)
 
@@ -112,8 +110,7 @@ def test_map_elites_init_deterministic():
     assert 1 <= len(a) <= 7
     # Every occupant sits in the cell its descriptor names.
     for cell, sol, fit in a.occupants():
-        assert problem.descriptor(sol) == cell
-        assert problem.evaluate(sol) == fit
+        assert problem.probe(sol)[:2] == (fit, cell)
 
 
 # ---------------------------------------------------------------------------
@@ -163,8 +160,9 @@ def test_mu_plus_one_keeps_size_and_never_worsens():
     for pop in prefix_states(run_ea, problem, 5, 21, 300):
         assert len(pop) == 5
         worst_values.append(pop.worst()[0])
+    better = comparison(problem.direction)
     for before, after in zip(worst_values, worst_values[1:]):
-        assert not is_better(before, after, problem.direction)
+        assert not better(before, after)
 
 
 def test_seed_population_validation():
@@ -176,7 +174,7 @@ def test_seed_population_validation():
     members = (S("000000"), S("100000"))
     pop = run_ea(problem, RunConfig(budget=2, init_count=2, seed=0, initial_population=members)).population
     assert pop.solutions == list(members)
-    assert pop.fitnesses == [problem.evaluate(S("000000")), problem.evaluate(S("100000"))]
+    assert pop.fitnesses == [problem.probe(x)[0] for x in members]
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +195,25 @@ def test_quality_target_semantics():
         with pytest.raises(ParameterError, match="threshold must be finite"):
             QualityTarget(threshold)
     assert QualityTarget(10**400).threshold == 10**400  # an int is always finite
+
+
+def test_a_target_cell_outside_the_grid_is_refused_before_any_probe():
+    base = small_problem()
+    calls = []
+
+    def probe_word(word):
+        calls.append(word)
+        return base.probe_word(word)
+
+    problem = dataclasses.replace(base, probe_word=probe_word)
+    for engine in (run_map_elites, run_ea):
+        for cell in (-1, problem.num_cells, 999):
+            target = QualityTarget(threshold=99999, required_cell=cell)
+            with pytest.raises(ParameterError, match=f"target cell {cell} outside 0..{problem.num_cells - 1}"):
+                engine(problem, RunConfig(budget=50, init_count=7, seed=0, target=target))
+    assert calls == []
+    target = QualityTarget(threshold=99999, required_cell=problem.num_cells - 1)
+    assert run_ea(problem, RunConfig(budget=50, init_count=7, seed=0, target=target)).first_hit is None
 
 
 # ---------------------------------------------------------------------------
@@ -271,8 +288,9 @@ def test_milestones_are_ordered_and_monotone():
     assert evals == sorted(evals)
     assert trace.milestones[-1].evaluations == trace.evaluations_used
     best_values = [m.best_fitness for m in trace.milestones if m.best_fitness is not None]
+    better = comparison(problem.direction)
     for before, after in zip(best_values, best_values[1:]):
-        assert not is_better(before, after, problem.direction)
+        assert not better(before, after)
     occupancies = [m.occupied for m in trace.milestones]
     for before, after in zip(occupancies, occupancies[1:]):
         assert after >= before
@@ -288,7 +306,7 @@ def test_map_elites_rejects_seeded_population():
                 budget=10,
                 init_count=1,
                 seed=0,
-                initial_population=(Solution.zero(6),),
+                initial_population=(Solution(6, 0),),
             ),
         )
 
@@ -303,14 +321,14 @@ def test_seeded_ea_run_matches_seed_population():
         seed=31,
         initial_population=(local,) * 9,
         target=QualityTarget(
-            threshold=problem.evaluate(local), strict=True, require_feasible=False
+            threshold=problem.probe(local)[0], strict=True, require_feasible=False
         ),
     )
     trace = run_ea(problem, cfg)
     assert trace.evaluations_used == 3000
     assert trace.first_hit is None
     assert trace.population.solutions == [local] * 9  # nothing ever improved
-    assert trace.best_fitness == problem.evaluate(local)
+    assert trace.best_fitness == problem.probe(local)[0]
 
 
 @settings(max_examples=12, deadline=None)
@@ -320,16 +338,17 @@ def test_archive_fitness_only_improves(seed, use_cover):
         problem = make_problem(random_set_cover(6, 7, 0.4, 5, RandomSource(seed + 1)))
     else:
         problem = make_problem(random_max_coverage(6, 7, 0.4, 3, RandomSource(seed + 1)))
+    better = comparison(problem.direction)
     snapshot = None
     for archive in prefix_states(run_map_elites, problem, 5, seed, 150):
         for cell in range(archive.num_cells):
             after = archive.fitnesses[cell]
             if snapshot is not None and snapshot[cell] is not None:
                 assert after is not None
-                assert not is_better(snapshot[cell], after, problem.direction)
+                assert not better(snapshot[cell], after)
             if after is not None:
                 sol = archive.solutions[cell]
-                assert problem.descriptor(sol) == cell
+                assert problem.probe(sol)[1] == cell
         snapshot = archive.fitnesses
 
 
@@ -456,7 +475,7 @@ def reference_run(engine, problem, config):
     def note(word, result):
         nonlocal best, best_string, first_hit
         fitness, cell, feasible = result
-        improved = feasible and (best is None or is_better(fitness, best, direction))
+        improved = feasible and (best is None or comparison(direction)(fitness, best))
         if improved:
             best, best_string = fitness, Solution(n, word).to_string()
         if target is not None and first_hit is None and target.met(fitness, cell, feasible, direction):

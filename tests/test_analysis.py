@@ -21,6 +21,7 @@ from qdpb.analysis import (
     greedy_max_coverage,
     greedy_set_cover,
     qd_metrics,
+    reference_probe,
     submodularity_ratio,
     trap_escape_probability_bound,
 )
@@ -38,13 +39,14 @@ from qdpb.instances import (
     random_max_coverage,
     random_set_cover,
 )
-from qdpb.problems import is_better, make_problem
+from qdpb.problems import Direction, comparison, make_problem
 
 S = Solution.from_string
 
 
 def reverse_enumeration(problem):
     """Independent oracle: scan words downward, track best feasible and tie count."""
+    better = comparison(problem.direction)
     best_fitness = None
     count = 0
     witness = None
@@ -52,7 +54,7 @@ def reverse_enumeration(problem):
         fitness, _cell, feasible = problem.probe(Solution(problem.n, word))
         if not feasible:
             continue
-        if best_fitness is None or is_better(fitness, best_fitness, problem.direction):
+        if best_fitness is None or better(fitness, best_fitness):
             best_fitness, count, witness = fitness, 1, word
         elif fitness == best_fitness:
             count += 1
@@ -82,7 +84,7 @@ def test_brute_force_star_reference_and_runner_up():
     # Runner-up check by independent full enumeration: the umbrella-only cover
     # is the second-best solution overall.
     all_values = sorted(
-        (problem.evaluate(Solution(5, w)), w) for w in range(32)
+        (problem.probe_word(w)[0], w) for w in range(32)
     )
     assert all_values[0] == (4, S("01111").word)
     assert all_values[1] == (32, S("10000").word)
@@ -100,8 +102,7 @@ def test_brute_force_agrees_with_reverse_enumeration(seed, cover):
     fitness, count, _witness = reverse_enumeration(problem)
     assert result.fitness == fitness
     assert result.optima_count == count
-    assert problem.feasible(result.solution)
-    assert problem.evaluate(result.solution) == result.fitness
+    assert problem.probe(result.solution)[0::2] == (result.fitness, True)
 
 
 def test_brute_force_guard():
@@ -132,7 +133,7 @@ def test_greedy_max_coverage_solves_bipartite_reference():
 def test_greedy_gain_ties_go_to_lowest_index():
     params = Example1Params(9, Fraction(1, 3))
     inst = example1_max_coverage(params)
-    index, gain = best_greedy_gain(Solution.zero(9), inst)
+    index, gain = best_greedy_gain(Solution(9, 0), inst)
     assert (index, gain) == (0, 5)  # all left vertices tie at 5; lowest wins
 
 
@@ -142,7 +143,7 @@ def test_greedy_max_coverage_beats_the_classic_bound(seed):
     inst = random_max_coverage(8, 10, 0.35, 3, RandomSource(seed))
     problem = make_problem(inst)
     opt = brute_force_opt(problem).fitness
-    value = problem.evaluate(greedy_max_coverage(inst))
+    value = problem.probe(greedy_max_coverage(inst))[0]
     assert value >= (1 - 1 / math.e) * opt - 1e-9
 
 
@@ -157,10 +158,10 @@ def test_greedy_set_cover_star_reference():
 def test_greedy_set_cover_meets_harmonic_bound(seed):
     inst = random_set_cover(8, 9, 0.3, 7, RandomSource(seed))
     problem = make_problem(inst)
-    greedy = greedy_set_cover(inst)
-    assert problem.feasible(greedy)
+    value, _cell, feasible = problem.probe(greedy_set_cover(inst))
+    assert feasible
     opt = brute_force_opt(problem).fitness
-    assert problem.evaluate(greedy) <= (math.log(inst.m_elements) + 1) * opt + 1e-9
+    assert value <= (math.log(inst.m_elements) + 1) * opt + 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -273,13 +274,15 @@ def test_greedy_gain_inequality_on_random_states(seed):
 
 
 def distance_scan(x, problem):
-    """Independent escape-radius oracle: full enumeration grouped by XOR popcount."""
-    base = problem.evaluate(x)
+    """Independent escape-radius oracle: full enumeration grouped by XOR popcount,
+    scored by the set-based ``reference_probe`` and compared with plain ``>``/``<``."""
+    inst = problem.instance
+    base = reference_probe(x, inst)[0]
+    maximize = problem.direction is Direction.MAXIMIZE
     best = problem.n + 1
     for word in range(1 << problem.n):
-        if word == x.word:
-            continue
-        if is_better(problem.evaluate(Solution(problem.n, word)), base, problem.direction):
+        fitness = reference_probe(Solution(problem.n, word), inst)[0]
+        if (fitness > base) if maximize else (fitness < base):
             best = min(best, (word ^ x.word).bit_count())
     return best
 
@@ -305,7 +308,7 @@ def test_escape_radius_bipartite_reference():
 def test_escape_radius_guard():
     inst = random_max_coverage(21, 4, 0.5, 2, RandomSource(0))
     with pytest.raises(ParameterError):
-        escape_radius(Solution.zero(21), make_problem(inst))
+        escape_radius(Solution(21, 0), make_problem(inst))
 
 
 def test_trap_bound_star_is_exact():
@@ -362,13 +365,13 @@ def test_qd_metrics_counts_and_sums():
     inst = random_max_coverage(5, 6, 0.5, 2, RandomSource(1))
     problem = make_problem(inst)
     archive = Archive(problem.num_cells, problem.n, problem.direction)
-    a, b = Solution.zero(5), S("11000")
+    a, b = S("00000"), S("11000")
     archive.consider(a.word, problem.probe(a))
     archive.consider(b.word, problem.probe(b))
     metrics = qd_metrics(archive)
     assert metrics.coverage == 2
-    assert metrics.optimization == max(problem.evaluate(a), problem.evaluate(b))
-    assert metrics.qd_score == problem.evaluate(a) + problem.evaluate(b)
+    assert metrics.optimization == max(problem.probe(a)[0], problem.probe(b)[0])
+    assert metrics.qd_score == problem.probe(a)[0] + problem.probe(b)[0]
 
 
 def test_qd_metrics_all_infeasible_archive():

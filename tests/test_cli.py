@@ -227,6 +227,9 @@ def test_run_config_file(star5, tmp_path, capsys):
         ({"stop_on_target": 1}, "stop_on_target must be true or false"),
         ({"target": {"threshold": 5, "strict": "yes"}}, "strict must be true or false"),
         ({"target": {"threshold": 5, "require_feasible": "no"}}, "require_feasible must be true or false"),
+        # A target cell outside the grid of 5 cells.
+        ({"target": {"threshold": 99999, "required_cell": 999}}, "target cell 999 outside 0..4"),
+        ({"target": {"threshold": 99999, "required_cell": -1}}, "target cell -1 outside 0..4"),
     ):
         path.write_text(json.dumps({**config, **overrides}))
         assert main(["run", "--config", str(path)]) == 1
@@ -291,6 +294,42 @@ def test_malformed_documents_exit_1_naming_the_file(star5, tmp_path, capsys):
     assert main(["run", "--config", str(config)]) == 1
     err = capsys.readouterr().err
     assert str(config) in err and "missing 'budget'" in err
+
+
+@pytest.mark.parametrize("case", ["oracle", "analyze", "run-config", "seed-folder", "seed-latin-1"])
+def test_unreadable_input_exits_1_naming_the_path(case, star5, tmp_path, capsys):
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    latin1 = tmp_path / "members.txt"
+    latin1.write_bytes(b"10000\n\xe9t\xe9\n")
+    seeded = ["run", "--algo", "ea", "--instance", star5, "--budget", "50", "--seed-population"]
+    path, argv = {
+        "oracle": (folder, ["oracle", str(folder)]),
+        "analyze": (folder, ["analyze", str(folder), "--solution", "010"]),
+        "run-config": (folder, ["run", "--config", str(folder)]),
+        "seed-folder": (folder, [*seeded, f"@{folder}"]),
+        "seed-latin-1": (latin1, [*seeded, f"@{latin1}"]),
+    }[case]
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err, err
+
+
+def test_run_refuses_a_target_cell_that_does_not_exist(tmp_path, capsys):
+    path = tmp_path / "star6.json"
+    assert main(["gen-instance", "example2", "--n", "6", "--out", str(path)]) == 0
+    run = [
+        "run", "--algo", "map-elites", "--instance", str(path),
+        "--budget", "2000", "--trials", "3", "--target-fitness", "99999",
+    ]
+    for cell in ("999", "-1"):
+        capsys.readouterr()
+        assert main([*run, "--target-cell", cell]) == 1, cell
+        assert f"target cell {cell} outside 0..5" in capsys.readouterr().err
+    capsys.readouterr()
+    assert main([*run, "--target-cell", "5"]) == 0  # the full cover's cell; any cover meets 99999
+    assert "successes: 3/3" in capsys.readouterr().out
 
 
 def test_instance_with_oversize_chunk_tables_exits_1(tmp_path, capsys):

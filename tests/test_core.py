@@ -33,11 +33,6 @@ def test_solution_string_round_trip():
     assert s.bits == (True, False, True, True, False)
 
 
-def test_solution_from_bits():
-    assert Solution.from_bits([False, True, True]) == Solution.from_string("011")
-    assert Solution.zero(4) == Solution.from_string("0000")
-
-
 @given(bitstrings)
 def test_solution_string_round_trip_property(text):
     assert Solution.from_string(text).to_string() == text

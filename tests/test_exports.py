@@ -1,5 +1,5 @@
-"""Every module's public export list names things that exist, every import is
-used, and only ``harness`` reads or writes JSON."""
+"""Every module's public export list names things that exist, every import and
+private name is used, and only ``harness`` reads or writes JSON."""
 
 import ast
 import importlib
@@ -52,3 +52,39 @@ def test_only_harness_reads_and_writes_json():
                 owner = node.func.value
                 called = isinstance(owner, ast.Name) and owner.id == "json" and node.func.attr in banned
                 assert not called, f"{path.name}:{node.lineno} calls json.{node.func.attr}"
+
+
+def test_every_private_name_is_used():
+    # A private helper a refactor left behind: an underscore-named function,
+    # method, class or module constant that nothing in the package reads
+    # outside its own definition.
+    trees = {
+        path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for path in sorted(Path(qdpb.__file__).parent.glob("*.py"))
+    }
+    assert len(trees) >= 10
+    definitions, references = [], []
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                definitions.append((name, node.name, node))
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                references.append((name, node.id, node.lineno))
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                references.append((name, node.attr, node.lineno))
+            elif isinstance(node, ast.alias):
+                references.append((name, node.name, node.lineno))
+        for node in tree.body:
+            targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+            definitions.extend((name, t.id, node) for t in targets if isinstance(t, ast.Name))
+    unused = [
+        f"{file}:{node.lineno} {private}"
+        for file, private, node in definitions
+        if private.startswith("_")
+        and not private.startswith("__")
+        and not any(
+            used == private and not (where == file and node.lineno <= line <= node.end_lineno)
+            for where, used, line in references
+        )
+    ]
+    assert not unused, f"private names nothing uses: {unused}"

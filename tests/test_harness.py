@@ -217,6 +217,10 @@ def test_effective_workers_env_fallback(monkeypatch):
     monkeypatch.setenv("QDPB_WORKERS", "lots")
     with pytest.raises(ParameterError, match="QDPB_WORKERS"):
         effective_workers(config)
+    for value in ("0", "-4"):
+        monkeypatch.setenv("QDPB_WORKERS", value)
+        with pytest.raises(ParameterError, match=f"QDPB_WORKERS must be positive, got '{value}'"):
+            effective_workers(config)
 
 
 def test_effective_workers_is_bounded_by_trials_and_cpus(monkeypatch):

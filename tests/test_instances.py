@@ -41,10 +41,10 @@ def test_example1_small_layout():
     assert inst.sets[4] == (0, 5, 10, 15)
     assert inst.sets[8] == (4, 9, 14, 19)
     problem = make_problem(inst)
-    assert problem.evaluate(example1_optimum(params)) == 20 == params.opt_fitness
+    assert problem.probe(example1_optimum(params))[0] == 20 == params.opt_fitness
     local = example1_local_optimum(params)
     assert local.to_string() == "000011110"
-    assert problem.evaluate(local) == 16 == params.local_fitness
+    assert problem.probe(local)[0] == 16 == params.local_fitness
     assert reference_probe(local, inst) == (16, 4, True)
 
 
@@ -54,15 +54,14 @@ def test_example1_reference_size():
     assert params.m_edges == 209
     inst = example1_max_coverage(params)
     problem = make_problem(inst)
-    assert problem.evaluate(example1_optimum(params)) == 209
+    assert problem.probe(example1_optimum(params))[0] == 209
     assert reference_probe(example1_optimum(params), inst)[0] == 209
     local = example1_local_optimum(params)
     assert local.to_string() == "0" * 11 + "1" * 11 + "0" * 8
-    assert problem.evaluate(local) == 121
+    assert problem.probe(local)[0] == 121
     # One set past the budget is infeasible.
     over = Solution.from_string("1" * 12 + "0" * 18)
-    assert problem.evaluate(over) == -1
-    assert not problem.feasible(over)
+    assert problem.probe(over)[0::2] == (-1, False)
     assert reference_probe(over, inst) == (-1, 12, False)
 
 

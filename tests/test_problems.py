@@ -16,8 +16,8 @@ from qdpb.problems import (
     Direction,
     MaxCoverageInstance,
     SetCoverInstance,
+    comparison,
     default_penalty,
-    is_better,
     make_max_coverage_problem,
     make_problem,
     make_set_cover_problem,
@@ -50,17 +50,17 @@ def star_cover5():
 def test_coverage_eval_worked_examples(tiny_coverage):
     problem = make_max_coverage_problem(tiny_coverage)
     for text, fitness in (("110", 3), ("011", 3), ("010", 2), ("000", 0), ("111", -1)):
-        assert problem.evaluate(S(text)) == fitness  # "111" is over the size cap
+        assert problem.probe(S(text))[0] == fitness  # "111" is over the size cap
         assert reference_probe(S(text), tiny_coverage)[0] == fitness
 
 
 def test_coverage_descriptor_counts_ones(tiny_coverage):
     problem = make_max_coverage_problem(tiny_coverage)
-    assert problem.descriptor(S("000")) == 0
-    assert problem.descriptor(S("101")) == 2
+    assert problem.probe(S("000"))[1] == 0
+    assert problem.probe(S("101"))[1] == 2
     assert problem.num_cells == 4
-    assert problem.feasible(S("110"))
-    assert not problem.feasible(S("111"))
+    assert problem.probe(S("110"))[2]
+    assert not problem.probe(S("111"))[2]
     assert reference_probe(S("111"), tiny_coverage) == (-1, 3, False)
 
 
@@ -72,14 +72,13 @@ def test_coverage_count_matches_set_oracle(tiny_coverage):
         if x.ones() > tiny_coverage.k:
             continue
         expected = len(set().union(*(sets[i] for i in range(3) if word >> i & 1), set()))
-        assert problem.evaluate(x) == expected
+        assert problem.probe(x)[0] == expected
 
 
 def test_coverage_length_mismatch(tiny_coverage):
     problem = make_max_coverage_problem(tiny_coverage)
-    for accessor in (problem.evaluate, problem.descriptor, problem.feasible):
-        with pytest.raises(ParameterError):
-            accessor(S("1100"))
+    with pytest.raises(ParameterError, match="solution has 4 variables, problem has 3"):
+        problem.probe(S("1100"))
     with pytest.raises(ParameterError):
         reference_probe(S("11"), tiny_coverage)
 
@@ -104,18 +103,18 @@ def test_set_cover_eval_worked_examples(star_cover5):
     problem = make_set_cover_problem(star_cover5)
     # "01100": two singletons cover 2 of 4 elements, so 2 are penalised.
     for text, fitness in (("01111", 4), ("10000", 32), ("00000", 644), ("11111", 36), ("01100", 2 + 161 * 2)):
-        assert problem.evaluate(S(text)) == fitness
+        assert problem.probe(S(text))[0] == fitness
         assert reference_probe(S(text), star_cover5)[0] == fitness
 
 
 def test_set_cover_descriptor(star_cover5):
     problem = make_set_cover_problem(star_cover5)
-    assert problem.descriptor(S("01100")) == 2
-    assert problem.descriptor(S("10000")) == 4
+    assert problem.probe(S("01100"))[1] == 2
+    assert problem.probe(S("10000"))[1] == 4
     assert problem.num_cells == 5
     assert problem.direction is Direction.MINIMIZE
-    assert problem.feasible(S("10000"))
-    assert not problem.feasible(S("01100"))
+    assert problem.probe(S("10000"))[2]
+    assert not problem.probe(S("01100"))[2]
     assert reference_probe(S("01100"), star_cover5) == (2 + 161 * 2, 2, False)
 
 
@@ -209,13 +208,15 @@ def test_oversize_chunk_tables_are_refused_before_any_is_built(monkeypatch):
 # Direction helper and probe coherence
 
 
-def test_is_better_truth_table():
-    assert is_better(2, 1, Direction.MAXIMIZE)
-    assert not is_better(1, 1, Direction.MAXIMIZE)
-    assert is_better(1, 1, Direction.MAXIMIZE, strict=False)
-    assert is_better(1, 2, Direction.MINIMIZE)
-    assert not is_better(2, 2, Direction.MINIMIZE)
-    assert is_better(2, 2, Direction.MINIMIZE, strict=False)
+def test_comparison_truth_table():
+    assert comparison(Direction.MAXIMIZE)(2, 1)
+    assert not comparison(Direction.MAXIMIZE)(1, 1)
+    assert comparison(Direction.MAXIMIZE, strict=False)(1, 1)
+    assert not comparison(Direction.MAXIMIZE, strict=False)(1, 2)
+    assert comparison(Direction.MINIMIZE)(1, 2)
+    assert not comparison(Direction.MINIMIZE)(2, 2)
+    assert comparison(Direction.MINIMIZE, strict=False)(2, 2)
+    assert not comparison(Direction.MINIMIZE, strict=False)(2, 1)
 
 
 # Sizes on both sides of the 8-bit chunk boundaries of the probe's tables.
@@ -265,8 +266,7 @@ def assert_probe_matches_reference(inst, data):
     for word in probed_words(inst.n, data):
         x = Solution(inst.n, word)
         probed = problem.probe_word(word)
-        assert probed == (problem.evaluate(x), problem.descriptor(x), problem.feasible(x))
-        assert probed == reference_probe(x, inst)
+        assert probed == problem.probe(x) == reference_probe(x, inst)
 
 
 def test_replace_derives_probe_from_a_new_probe_word(tiny_coverage):
@@ -280,8 +280,11 @@ def test_replace_derives_probe_from_a_new_probe_word(tiny_coverage):
 
     swapped = dataclasses.replace(base, probe_word=probe_word)
     assert swapped.probe(x) == base.probe(x) == base.probe_word(x.word)
-    assert swapped.evaluate(x) == base.evaluate(x)
-    assert calls == [x.word, x.word]
+    assert calls == [x.word]
+    # The derived probe checks the length, also after the replace.
+    with pytest.raises(ParameterError, match="solution has 4 variables, problem has 3"):
+        swapped.probe(S("1100"))
+    assert calls == [x.word]
     # A given probe is kept, also when another field is replaced later; so is
     # a functools.wraps wrapper of the derived probe.
     def probe(_x):
@@ -300,10 +303,10 @@ def test_replace_derives_probe_from_a_new_probe_word(tiny_coverage):
 
 
 @given(coverage_instances(), st.data())
-def test_max_coverage_probe_agrees_with_parts(inst, data):
+def test_max_coverage_probe_matches_reference(inst, data):
     assert_probe_matches_reference(inst, data)
 
 
 @given(cover_instances(), st.data())
-def test_set_cover_probe_agrees_with_parts(inst, data):
+def test_set_cover_probe_matches_reference(inst, data):
     assert_probe_matches_reference(inst, data)
