@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import fields
 
 from .analysis import (
     _BRUTE_FORCE_LIMIT,
@@ -49,7 +48,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _number(text: str):
-    """Fitness values on the command line: int when integral, float otherwise."""
+    """Numbers on the command line: int when integral, float otherwise."""
     try:
         return int(text)
     except ValueError:
@@ -64,17 +63,14 @@ def _number(text: str):
 
 
 def _cmd_gen_instance(args) -> int:
-    names = {f.name for f in fields(ProblemSpec)}
-    spec = ProblemSpec(kind=args.family, **{k: v for k, v in vars(args).items() if k in names})
-    inst, _ = harness._build_instance(spec)
+    _, takes, build = harness._KIND_TABLE[args.family]
+    inst, _ = build(ProblemSpec(kind=args.family, **{name: getattr(args, name) for name in takes}))
     write_instance(inst, args.out)
     if isinstance(inst, MaxCoverageInstance):
-        print(f"wrote max-coverage instance: n={inst.n} m={inst.m_elements} k={inst.k} -> {args.out}")
+        kind, detail = "max-coverage", f"k={inst.k}"
     else:
-        print(
-            f"wrote set-cover instance: n={inst.n} m={inst.m_elements} "
-            f"penalty={inst.penalty} -> {args.out}"
-        )
+        kind, detail = "set-cover", f"penalty={inst.penalty}"
+    print(f"wrote {kind} instance: n={inst.n} m={inst.m_elements} {detail} -> {args.out}")
     return 0
 
 
@@ -263,24 +259,14 @@ def build_parser() -> _Parser:
 
     gen = subparsers.add_parser("gen-instance", help="generate an instance file")
     gen_sub = gen.add_subparsers(dest="family", parser_class=_Parser, required=True)
-    g1 = gen_sub.add_parser("example1", help="bipartite max-coverage family")
-    g1.add_argument("--n", type=int, required=True)
-    g1.add_argument("--delta", required=True, help="fraction like 1/10")
-    g2 = gen_sub.add_parser("example2", help="umbrella-vs-singletons set cover family")
-    g2.add_argument("--n", type=int, required=True)
-    gr1 = gen_sub.add_parser("random-max-coverage", help="random coverage instance")
-    gr1.add_argument("--n", type=int, required=True)
-    gr1.add_argument("--m-elements", type=int, required=True)
-    gr1.add_argument("--density", type=float, required=True)
-    gr1.add_argument("--k", type=int, required=True)
-    gr1.add_argument("--instance-seed", type=int, required=True)
-    gr2 = gen_sub.add_parser("random-set-cover", help="random weighted cover instance")
-    gr2.add_argument("--n", type=int, required=True)
-    gr2.add_argument("--m-elements", type=int, required=True)
-    gr2.add_argument("--density", type=float, required=True)
-    gr2.add_argument("--max-weight", type=int, required=True)
-    gr2.add_argument("--instance-seed", type=int, required=True)
-    for sub in (g1, g2, gr1, gr2):
+    for kind, (description, takes, _) in harness._KIND_TABLE.items():
+        if kind == "file":
+            continue
+        sub = gen_sub.add_parser(kind, help=description, description=description)
+        for name in takes:
+            sub.add_argument(
+                "--" + name.replace("_", "-"), type=str if name == "delta" else _number, required=True
+            )
         sub.add_argument("--out", required=True, help="instance file to write")
         sub.set_defaults(handler=_cmd_gen_instance)
 

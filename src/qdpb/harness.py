@@ -74,30 +74,56 @@ __all__ = [
 
 INSTANCE_FORMAT = "qdpb-instance-v1"
 REPORT_FORMAT = "qdpb-report-v1"
-PROBLEM_KINDS = (
-    "example1",
-    "example2",
-    "file",
-    "random-max-coverage",
-    "random-set-cover",
-)
+
+
+def _family(build, params):
+    return build(params), params
+
+
+def _random(generate, spec, k_or_max_weight):
+    rng = RandomSource(spec.instance_seed)
+    return generate(spec.n, spec.m_elements, spec.density, k_or_max_weight, rng), None
+
+
+# kind -> (one-line description, the fields it takes, builder: spec -> (instance,
+# family parameters or None)).  Builders name their generator when called, so
+# a module global rebound after import (a tracing wrapper, say) is the one used.
+_KIND_TABLE = {
+    "example1": (
+        "bipartite max-coverage family; delta is a fraction such as 1/10",
+        ("n", "delta"),
+        lambda spec: _family(example1_max_coverage, Example1Params(spec.n, Fraction(spec.delta))),
+    ),
+    "example2": (
+        "umbrella-vs-singletons set cover family",
+        ("n",),
+        lambda spec: _family(example2_set_cover, Example2Params(spec.n)),
+    ),
+    "file": ("an instance file", ("path",), lambda spec: (read_instance(spec.path), None)),
+    "random-max-coverage": (
+        "random coverage instance",
+        ("n", "m_elements", "density", "k", "instance_seed"),
+        lambda spec: _random(random_max_coverage, spec, spec.k),
+    ),
+    "random-set-cover": (
+        "random weighted cover instance",
+        ("n", "m_elements", "density", "max_weight", "instance_seed"),
+        lambda spec: _random(random_set_cover, spec, spec.max_weight),
+    ),
+}
+PROBLEM_KINDS = tuple(_KIND_TABLE)
 
 # resolve_problem enumerates unrecognized instances up to this size before a
 # run (about a second at n=20); larger ones report no ratio column.  Use
 # `qdpb oracle` to enumerate up to brute_force_opt's own guard.
 _AUTO_OPT_LIMIT = 20
+# A constructed family's canonical local optimum, for seed_population="local".
+_LOCAL_OPTIMA = {Example1Params: example1_local_optimum, Example2Params: example2_local_optimum}
 
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """Declarative problem selection, JSON-friendly on purpose.
-
-    kind="example1"            bipartite max-coverage family; needs n, delta ("1/10")
-    kind="example2"            umbrella-vs-singletons set cover; needs n
-    kind="file"                load any instance file; needs path
-    kind="random-max-coverage" needs n, m_elements, density, k, instance_seed
-    kind="random-set-cover"    needs n, m_elements, density, max_weight, instance_seed
-    """
+    """Declarative, JSON-friendly problem selection: a kind and exactly its fields."""
 
     kind: str
     n: Optional[int] = None
@@ -114,16 +140,6 @@ class ProblemSpec:
             raise ParameterError(
                 f"unknown problem kind {self.kind!r}; expected one of {', '.join(PROBLEM_KINDS)}"
             )
-        required = {
-            "example1": ("n", "delta"),
-            "example2": ("n",),
-            "file": ("path",),
-            "random-max-coverage": ("n", "m_elements", "density", "k", "instance_seed"),
-            "random-set-cover": ("n", "m_elements", "density", "max_weight", "instance_seed"),
-        }[self.kind]
-        for name in required:
-            if getattr(self, name) is None:
-                raise ParameterError(f"problem kind {self.kind!r} requires {name!r}")
         require_ints(self, (), optional=("n", "m_elements", "k", "max_weight", "instance_seed"))
         require_numbers(self, (), optional=("density",))
         if self.path is not None and not isinstance(self.path, str):
@@ -137,26 +153,11 @@ class ProblemSpec:
                 raise ParameterError(
                     f"delta must be a fraction string such as '1/10', got {self.delta!r}"
                 ) from None
-
-
-def _build_instance(spec: ProblemSpec):
-    """The instance ``spec`` names, with its family parameters when the kind
-    is a constructed family (None otherwise)."""
-    if spec.kind == "example1":
-        params = Example1Params(spec.n, Fraction(spec.delta))
-        return example1_max_coverage(params), params
-    if spec.kind == "example2":
-        params = Example2Params(spec.n)
-        return example2_set_cover(params), params
-    if spec.kind == "file":
-        return read_instance(spec.path), None
-    if spec.kind == "random-max-coverage":
-        return random_max_coverage(
-            spec.n, spec.m_elements, spec.density, spec.k, RandomSource(spec.instance_seed)
-        ), None
-    return random_set_cover(
-        spec.n, spec.m_elements, spec.density, spec.max_weight, RandomSource(spec.instance_seed)
-    ), None
+        takes = _KIND_TABLE[self.kind][1]
+        for f in fields(self)[1:]:  # every field after kind
+            if (getattr(self, f.name) is None) == (f.name in takes):
+                verb = "requires" if f.name in takes else "does not take"
+                raise ParameterError(f"problem kind {self.kind!r} {verb} {f.name!r}")
 
 
 def resolve_problem(spec: ProblemSpec) -> Problem:
@@ -166,7 +167,7 @@ def resolve_problem(spec: ProblemSpec) -> Problem:
     instances fall back to the exhaustive oracle up to ``_AUTO_OPT_LIMIT``
     variables, and to ``known_opt=None`` (no ratio reporting) above it.
     """
-    inst, params = _build_instance(spec)
+    inst, params = _KIND_TABLE[spec.kind][2](spec)
     if params is None:
         params = identify_instance(inst)
     if params is not None:
@@ -285,16 +286,13 @@ def resolve_seed_members(
     """
     if seed_population == "local":
         params = identify_instance(problem.instance)
-        if isinstance(params, Example1Params):
-            member = example1_local_optimum(params)
-        elif isinstance(params, Example2Params):
-            member = example2_local_optimum(params)
-        else:
+        local_optimum = _LOCAL_OPTIMA.get(type(params))
+        if local_optimum is None:
             raise ParameterError(
                 "seed_population='local' needs an instance from one of the two "
                 "constructed families; this one was not recognized"
             )
-        return (member,) * init_count
+        return (local_optimum(params),) * init_count
     if isinstance(seed_population, str):
         if set(seed_population) <= {"0", "1"} and seed_population:
             return (Solution.from_string(seed_population),) * init_count

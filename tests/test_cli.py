@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -40,6 +41,30 @@ def test_gen_instance_writes_readable_files(tmp_path, capsys):
     )
     assert code == 0
     assert read_instance(rand).n == 7
+
+
+@pytest.mark.parametrize(
+    "family, description, flags",
+    [
+        ("example1", "bipartite max-coverage family", ["--n", "--delta"]),
+        ("example2", "umbrella-vs-singletons set cover family", ["--n"]),
+        (
+            "random-max-coverage",
+            "random coverage instance",
+            ["--n", "--m-elements", "--density", "--k", "--instance-seed"],
+        ),
+        (
+            "random-set-cover",
+            "random weighted cover instance",
+            ["--n", "--m-elements", "--density", "--max-weight", "--instance-seed"],
+        ),
+    ],
+)
+def test_gen_instance_help_shows_the_family_and_its_flags(family, description, flags, capsys):
+    assert main(["gen-instance", family, "--help"]) == 0
+    out = capsys.readouterr().out
+    assert description in out
+    assert set(re.findall(r"(?<![\w-])--[a-z-]+", out)) == {"--help", "--out", *flags}
 
 
 def test_gen_instance_rejects_inadmissible_parameters(tmp_path, capsys):
@@ -230,6 +255,15 @@ def test_run_config_file(star5, tmp_path, capsys):
         # A target cell outside the grid of 5 cells.
         ({"target": {"threshold": 99999, "required_cell": 999}}, "target cell 999 outside 0..4"),
         ({"target": {"threshold": 99999, "required_cell": -1}}, "target cell -1 outside 0..4"),
+        # A field the problem kind does not take.
+        ({"problem": {"kind": "example1", "n": 9, "delta": "1/3", "path": star5}}, "does not take 'path'"),
+        ({"problem": {"kind": "example2", "n": 6, "delta": "1/10"}}, "does not take 'delta'"),
+        ({"problem": {"kind": "file", "path": star5, "k": 3}}, "does not take 'k'"),
+        ({"problem": {**random_cover, "density": 0.4, "k": 3}}, "does not take 'k'"),
+        (
+            {"problem": {**random_cover, "kind": "random-max-coverage", "density": 0.4, "k": 3}},
+            "does not take 'max_weight'",
+        ),
     ):
         path.write_text(json.dumps({**config, **overrides}))
         assert main(["run", "--config", str(path)]) == 1

@@ -75,6 +75,19 @@ def test_resolve_file_identifies_known_family(tmp_path):
     assert problem.known_opt == 5
 
 
+# The fields each problem kind takes, and a well-typed value for every field.
+KIND_FIELDS = {
+    "example1": ("n", "delta"),
+    "example2": ("n",),
+    "file": ("path",),
+    "random-max-coverage": ("n", "m_elements", "density", "k", "instance_seed"),
+    "random-set-cover": ("n", "m_elements", "density", "max_weight", "instance_seed"),
+}
+FIELD_VALUES = dict(
+    n=6, delta="1/10", path="star.json", m_elements=7, density=0.4, k=3, max_weight=5, instance_seed=1
+)
+
+
 def test_problem_spec_validation():
     with pytest.raises(ParameterError, match="unknown problem kind"):
         ProblemSpec(kind="exotic")
@@ -85,6 +98,47 @@ def test_problem_spec_validation():
     for delta in ("abc", "1/0", 0.1):
         with pytest.raises(ParameterError, match="delta must be a fraction string"):
             ProblemSpec(kind="example1", n=30, delta=delta)
+    assert harness.PROBLEM_KINDS == tuple(KIND_FIELDS)
+    # Every kind refuses each field it does not take, from the constructor
+    # and from a config document alike.
+    document = config_to_dict(small_me_config())
+    for kind, takes in KIND_FIELDS.items():
+        spec = {"kind": kind, **{name: FIELD_VALUES[name] for name in takes}}
+        assert config_from_dict({**document, "problem": spec}).problem == ProblemSpec(**spec)
+        for name in FIELD_VALUES.keys() - takes:
+            stray = {**spec, name: FIELD_VALUES[name]}
+            message = f"problem kind '{kind}' does not take '{name}'"
+            with pytest.raises(ParameterError, match=message):
+                ProblemSpec(**stray)
+            with pytest.raises(ParameterError, match=message):
+                config_from_dict({**document, "problem": stray})
+
+
+@pytest.mark.parametrize(
+    "kind, generator",
+    [
+        ("example1", "example1_max_coverage"),
+        ("example2", "example2_set_cover"),
+        ("random-max-coverage", "random_max_coverage"),
+        ("random-set-cover", "random_set_cover"),
+    ],
+)
+def test_builders_call_the_generator_bound_in_harness(kind, generator, monkeypatch):
+    # A tracer times instance building by rebinding these names in harness,
+    # so a builder must look its generator up when it runs.
+    calls = 0
+    original = getattr(harness, generator)
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return original(*args)
+
+    monkeypatch.setattr(harness, generator, counted)
+    spec = {"n": 9, "delta": "1/3"} if kind == "example1" else {}
+    spec = {name: FIELD_VALUES[name] for name in KIND_FIELDS[kind]} | spec
+    resolve_problem(ProblemSpec(kind=kind, **spec))
+    assert calls == 1
 
 
 # ---------------------------------------------------------------------------
