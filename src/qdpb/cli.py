@@ -115,8 +115,8 @@ def _build_config_from_flags(args):
         problem=spec,
         algorithm=args.algo,
         budget=args.budget,
-        trials=args.trials,
-        master_seed=args.master_seed,
+        trials=1 if args.trials is None else args.trials,
+        master_seed=0 if args.master_seed is None else args.master_seed,
         init_count=args.init_count,
         target=target,
         stop_on_target=not args.run_to_budget,
@@ -132,13 +132,15 @@ def _build_config_from_flags(args):
 def _cmd_run(args) -> int:
     problem = None
     if args.config is not None:
-        if args.instance is not None or args.budget is not None:
-            raise ParameterError("--config replaces the problem/budget flags; give one or the other")
+        given = [
+            "--" + name.replace("_", "-")
+            for name, value in vars(args).items()
+            if name not in ("command", "handler", "config", "rows", "document")
+            and value is not None and value is not False
+        ]
+        if given:
+            raise ParameterError(f"--config replaces the experiment flags; drop {', '.join(given)}")
         config = load_config(args.config)
-        if args.algo is not None and args.algo != config.algorithm:
-            raise ParameterError(
-                f"--algo {args.algo} conflicts with the config file's {config.algorithm!r}"
-            )
     else:
         if args.algo is None:
             raise ParameterError("run needs --algo map-elites|ea (or --config FILE)")
@@ -273,10 +275,12 @@ def build_parser() -> _Parser:
     run = subparsers.add_parser("run", help="run a multi-trial experiment")
     run.add_argument("--algo", choices=("map-elites", "ea"))
     run.add_argument("--instance", help="instance file")
-    run.add_argument("--config", help="full experiment config as JSON (replaces other flags)")
+    run.add_argument(
+        "--config", help="full experiment config as JSON (takes no other flag but --rows and --document)"
+    )
     run.add_argument("--budget", type=int)
-    run.add_argument("--trials", type=int, default=1)
-    run.add_argument("--master-seed", type=int, default=0)
+    run.add_argument("--trials", type=int, help="default 1")
+    run.add_argument("--master-seed", type=int, help="default 0")
     run.add_argument("--init-count", type=int)
     run.add_argument("--allow-unfair", action="store_true")
     run.add_argument(
@@ -329,7 +333,7 @@ def main(argv=None) -> int:
         return 1
     try:
         return args.handler(args)
-    except (ParameterError, ValidationError, FileNotFoundError) as exc:
+    except (ParameterError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except QdpbError as exc:

@@ -9,6 +9,7 @@ compact CSV form carries one row per trial for spreadsheet work.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import json
@@ -570,8 +571,19 @@ def _read_seed_file(path) -> tuple[str, ...]:
     return members
 
 
+@contextlib.contextmanager
+def _writing(path, newline=None):
+    """The file at ``path``, open to write UTF-8 text; a file that cannot be
+    opened or written is a ``ValidationError`` naming it."""
+    try:
+        with open(path, "w", encoding="utf-8", newline=newline) as fh:
+            yield fh
+    except OSError as exc:
+        raise ValidationError(f"{path}: cannot be written ({exc.strerror or exc})") from exc
+
+
 def _write_json(doc: dict, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with _writing(path) as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
 
@@ -633,7 +645,7 @@ def export_report(report: ExperimentReport, path, form: str = "document") -> Non
     if form == "document":
         _write_json(report_to_dict(report), path)
     elif form == "rows":
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+        with _writing(path, newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(_ROW_FIELDS)
             for r in report.records:

@@ -185,6 +185,10 @@ def example2_local_optimum(params: Example2Params) -> Solution:
 # ---------------------------------------------------------------------------
 # Random families
 
+# The largest chance of drawing an empty set that a generator accepts.  An
+# empty set is drawn again, so above it a set takes over 1,000 draws on average.
+_EMPTY_SET_LIMIT = 0.999
+
 
 def random_max_coverage(
     n: int, m_elements: int, density: float, k: int, rng: RandomSource
@@ -193,8 +197,7 @@ def random_max_coverage(
 
     Empty draws are redone so every candidate set covers something.
     """
-    if not 0 < density <= 1:
-        raise ParameterError(f"density must lie in (0, 1], got {density}")
+    _check_draws(m_elements, density)
     sets = tuple(_random_nonempty_set(m_elements, density, rng) for _ in range(n))
     return MaxCoverageInstance(n=n, m_elements=m_elements, sets=sets, k=k)
 
@@ -211,8 +214,7 @@ def random_set_cover(
     After sampling, any element no set picked up is patched into a random
     set so the full-cover constraint is satisfiable.
     """
-    if not 0 < density <= 1:
-        raise ParameterError(f"density must lie in (0, 1], got {density}")
+    _check_draws(m_elements, density)
     if max_weight < 1:
         raise ParameterError(f"max_weight must be positive, got {max_weight}")
     members = [set(_random_nonempty_set(m_elements, density, rng)) for _ in range(n)]
@@ -226,6 +228,16 @@ def random_set_cover(
         n=n, m_elements=m_elements, sets=sets, weights=weights,
         penalty=default_penalty(n, weights),
     )
+
+
+def _check_draws(m_elements: int, density: float) -> None:
+    if not 0 < density <= 1:
+        raise ParameterError(f"density must lie in (0, 1], got {density}")
+    if m_elements < 1 or (1 - density) ** m_elements > _EMPTY_SET_LIMIT:
+        raise ParameterError(
+            f"m_elements={m_elements} at density={density} draws an empty set with "
+            f"probability over {_EMPTY_SET_LIMIT}, and empty sets are drawn again"
+        )
 
 
 def _random_nonempty_set(m_elements: int, density: float, rng: RandomSource) -> tuple[int, ...]:

@@ -225,9 +225,24 @@ def test_run_config_file(star5, tmp_path, capsys):
     path.write_text(json.dumps(config))
     assert main(["run", "--config", str(path)]) == 0
     assert "algorithm: map-elites" in capsys.readouterr().out
-    # Conflicting flag next to --config is a config error.
-    assert main(["run", "--config", str(path), "--algo", "ea"]) == 1
-    capsys.readouterr()
+    # Any experiment flag next to --config is a config error, naming the flags;
+    # only the output flags may be given with it.
+    for flags in (
+        ["--algo", "ea"],
+        ["--algo", "map-elites"],
+        ["--trials", "7", "--master-seed", "9", "--target-fitness", "5", "--workers", "2"],
+        ["--master-seed", "0"],
+        ["--run-to-budget"],
+    ):
+        assert main(["run", "--config", str(path), *flags]) == 1, flags
+        err = capsys.readouterr().err
+        assert "--config replaces the experiment flags" in err
+        assert all(flag in err for flag in flags if flag.startswith("--")), err
+    rows, document = tmp_path / "rows.csv", tmp_path / "report.json"
+    assert main(["run", "--config", str(path), "--rows", str(rows), "--document", str(document)]) == 0
+    assert "master-seed=9" in capsys.readouterr().out
+    assert len(rows.read_text().splitlines()) == 3  # header + one line per trial
+    assert json.loads(document.read_text())["config"]["master_seed"] == 9
     # So is a number given as a string.
     path.write_text(json.dumps({**config, "budget": "300"}))
     assert main(["run", "--config", str(path)]) == 1
@@ -348,6 +363,22 @@ def test_unreadable_input_exits_1_naming_the_path(case, star5, tmp_path, capsys)
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(path) in err, err
+
+
+@pytest.mark.parametrize("writer", ["instance", "rows", "document"])
+def test_unwritable_output_exits_1_naming_the_path(writer, star5, tmp_path, capsys):
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    for path in (folder, tmp_path / "missing" / "out"):
+        argv = {
+            "instance": ["gen-instance", "example2", "--n", "5", "--out", str(path)],
+            "rows": ["run", "--algo", "ea", "--instance", star5, "--budget", "50", "--rows", str(path)],
+            "document": ["run", "--algo", "ea", "--instance", star5, "--budget", "50", "--document", str(path)],
+        }[writer]
+        capsys.readouterr()
+        assert main(argv) == 1, path
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{path}: cannot be written" in err, err
 
 
 def test_run_refuses_a_target_cell_that_does_not_exist(tmp_path, capsys):

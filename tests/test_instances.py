@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdpb.core import RandomSource, Solution
-from qdpb.errors import ValidationError
+from qdpb.errors import ParameterError, ValidationError
 from qdpb.harness import read_instance, write_instance
 from qdpb.instances import (
     Example1Params,
@@ -156,6 +156,22 @@ def test_random_set_cover_covers_everything():
 def test_random_generators_always_validate(n, m, seed):
     random_max_coverage(n, m, 0.4, 1 + seed % n, RandomSource(seed))
     random_set_cover(n, m, 0.4, 5, RandomSource(seed))
+
+
+@pytest.mark.parametrize(
+    "m_elements, density", [(0, 0.5), (-3, 1.0), (1, 1e-12), (1, 0.0005), (4, 0.0002)]
+)
+def test_random_generators_refuse_sets_that_are_almost_surely_empty(m_elements, density):
+    # An empty draw is redone, so each of these would draw (nearly) for ever.
+    for generate, bound in ((random_max_coverage, 1), (random_set_cover, 5)):
+        rng = RandomSource(1)
+        fresh = rng.getstate()
+        with pytest.raises(ParameterError) as refused:
+            generate(3, m_elements, density, bound, rng)
+        assert f"m_elements={m_elements} at density={density}" in str(refused.value)
+        assert rng.getstate() == fresh  # refused before any draw
+    # Just inside the limit: an empty set is drawn with probability 0.998.
+    assert random_max_coverage(3, 1, 0.002, 1, RandomSource(1)).sets == ((0,),) * 3
 
 
 # ---------------------------------------------------------------------------
