@@ -135,8 +135,9 @@ def test_builders_call_the_generator_bound_in_harness(kind, generator, monkeypat
         return original(*args)
 
     monkeypatch.setattr(harness, generator, counted)
-    spec = {"n": 9, "delta": "1/3"} if kind == "example1" else {}
-    spec = {name: FIELD_VALUES[name] for name in KIND_FIELDS[kind]} | spec
+    spec = {name: FIELD_VALUES[name] for name in KIND_FIELDS[kind]}
+    if kind == "example1":
+        spec.update(n=9, delta="1/3")  # n=6 is not admissible at delta 1/10
     resolve_problem(ProblemSpec(kind=kind, **spec))
     assert calls == 1
 
