@@ -130,6 +130,9 @@ def _build_config_from_flags(args):
 
 
 def _cmd_run(args) -> int:
+    for path in (args.rows, args.document):
+        if path is not None:
+            harness._check_writable(path)
     problem = None
     if args.config is not None:
         given = [

@@ -16,7 +16,7 @@ import json
 import os
 import statistics
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, fields, replace
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -173,9 +173,10 @@ def resolve_problem(spec: ProblemSpec) -> Problem:
         params = identify_instance(inst)
     if params is not None:
         return make_problem(inst, known_opt=params.opt_fitness)
+    problem = make_problem(inst)
     if inst.n <= _AUTO_OPT_LIMIT:
-        return make_problem(inst, known_opt=brute_force_opt(make_problem(inst)).fitness)
-    return make_problem(inst)
+        return replace(problem, known_opt=brute_force_opt(problem).fitness)
+    return problem
 
 
 @dataclass(frozen=True)
@@ -572,14 +573,24 @@ def _read_seed_file(path) -> tuple[str, ...]:
 
 
 @contextlib.contextmanager
-def _writing(path, newline=None):
+def _writing(path, newline=None, mode="w"):
     """The file at ``path``, open to write UTF-8 text; a file that cannot be
     opened or written is a ``ValidationError`` naming it."""
     try:
-        with open(path, "w", encoding="utf-8", newline=newline) as fh:
+        with open(path, mode, encoding="utf-8", newline=newline) as fh:
             yield fh
     except OSError as exc:
         raise ValidationError(f"{path}: cannot be written ({exc.strerror or exc})") from exc
+
+
+def _check_writable(path) -> None:
+    """Refuse now, as ``_writing`` would later, a path that cannot be opened
+    to write; a file already there is not truncated, and none is left behind."""
+    new = not os.path.lexists(path)
+    with _writing(path, mode="a"):
+        pass
+    if new:
+        os.remove(path)
 
 
 def _write_json(doc: dict, path) -> None:

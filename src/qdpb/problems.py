@@ -46,6 +46,7 @@ Result = tuple[Fitness, int, bool]  # what a probe returns: (fitness, cell, feas
 
 _FLOAT_EXACT_LIMIT = 2**53
 _CHUNK_TABLE_LIMIT = 512 * 2**20  # bytes of union masks a problem's probe may build
+_TABLE_LIMIT = 12  # up to this n, probe_word looks its word up in a table of all 2^n results
 
 
 class Direction(Enum):
@@ -197,6 +198,9 @@ class Problem:
 
     ``probe_word(word)`` returns ``(fitness, cell, feasible)`` of the solution
     whose bit word is ``word``, in one pass: the one evaluator, unchecked.
+    The factories make it a lookup in a table of all 2^n results when
+    n ≤ 12 (``_TABLE_LIMIT``); the lookup is unchecked too, so a negative
+    word indexes the table from its end.
     ``probe(x)`` is the same on a ``Solution`` after checking its length.
     Unless one is given, it is derived from ``probe_word``, and again by
     ``dataclasses.replace`` with a new ``probe_word``.
@@ -249,6 +253,20 @@ def _chunk_tables(values, combine) -> tuple[tuple, ...]:
     return tuple(tables)
 
 
+def _tabulated(probe_word: Callable[[int], Result], n: int) -> Callable[[int], Result]:
+    """``probe_word``, or for n ≤ ``_TABLE_LIMIT`` the ``__getitem__`` of the
+    tuple of its results on every word ``0..2^n - 1``.
+
+    Equal results are interned to one object, so the table holds one pointer
+    per word and only as many results as there are distinct ones (24 for
+    either n = 12 family).
+    """
+    if n > _TABLE_LIMIT:
+        return probe_word
+    interned: dict[Result, Result] = {}
+    return tuple(interned.setdefault(r, r) for r in map(probe_word, range(1 << n))).__getitem__
+
+
 def _check_chunk_tables(inst: Instance) -> None:
     """Refuse an instance whose ⌈n/8⌉·256 table masks of ``m_elements`` bits
     would exceed ``_CHUNK_TABLE_LIMIT``; they grow as n³ on the bipartite family."""
@@ -266,7 +284,8 @@ def make_max_coverage_problem(
     """The coverage problem; ``probe_word`` ORs one precomputed union per byte of the word.
 
     The tables hold at most 256 union masks per 8-bit chunk, ⌈n/8⌉·256 masks
-    of ``m_elements`` bits in all.
+    of ``m_elements`` bits in all.  For n ≤ 12 that probe fills a table of
+    every word's result once, and ``probe_word`` is a lookup in it.
     """
     _check_chunk_tables(inst)
     tables = _chunk_tables(inst.set_masks, operator.or_)
@@ -287,7 +306,7 @@ def make_max_coverage_problem(
         n=inst.n,
         num_cells=inst.n + 1,
         direction=Direction.MAXIMIZE,
-        probe_word=probe_word,
+        probe_word=_tabulated(probe_word, inst.n),
         known_opt=known_opt,
         instance=inst,
     )
@@ -298,6 +317,8 @@ def make_set_cover_problem(inst: SetCoverInstance, known_opt: Fitness | None = N
 
     Each entry is the (union mask, weight sum) pair of a subset of one 8-bit
     chunk: ⌈n/8⌉·256 masks of ``m_elements`` bits and as many ints in all.
+    For n ≤ 12 that probe fills a table of every word's result once, and
+    ``probe_word`` is a lookup in it.
     """
     _check_chunk_tables(inst)
     tables = tuple(
@@ -324,7 +345,7 @@ def make_set_cover_problem(inst: SetCoverInstance, known_opt: Fitness | None = N
         n=inst.n,
         num_cells=m + 1,
         direction=Direction.MINIMIZE,
-        probe_word=probe_word,
+        probe_word=_tabulated(probe_word, inst.n),
         known_opt=known_opt,
         instance=inst,
     )

@@ -507,11 +507,14 @@ def _fitness_values(problem):
 def _reference_problems():
     bipartite = Example1Params(9, Fraction(1, 3))
     umbrella = Example2Params(8)
+    wide = Example2Params(13)
     cases = [
         (make_problem(example1_max_coverage(bipartite)), example1_local_optimum(bipartite)),
         (make_problem(example2_set_cover(umbrella)), example2_local_optimum(umbrella)),
         (make_problem(random_max_coverage(8, 10, 0.3, 3, RandomSource(21))), None),
         (make_problem(random_set_cover(7, 9, 0.35, 6, RandomSource(22))), None),
+        # Above the result-table limit: the engines call the chunk probe.
+        (make_problem(example2_set_cover(wide)), example2_local_optimum(wide)),
     ]
     return [(problem, trap, _fitness_values(problem)) for problem, trap in cases]
 

@@ -381,6 +381,31 @@ def test_unwritable_output_exits_1_naming_the_path(writer, star5, tmp_path, caps
         assert err.startswith("error: ") and f"{path}: cannot be written" in err, err
 
 
+def test_output_paths_are_checked_before_the_first_trial(star5, tmp_path, capsys, monkeypatch):
+    def no_trials(*args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(harness, "_run_one_trial", no_trials)
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    kept = tmp_path / "kept.csv"
+    kept.write_text("an earlier report\n")
+    fresh = tmp_path / "fresh.csv"
+    run = ["run", "--algo", "ea", "--instance", star5, "--budget", "50"]
+    for outputs in (
+        ["--rows", str(folder)],
+        ["--rows", str(kept), "--document", str(folder)],
+        ["--rows", str(fresh), "--document", str(tmp_path / "missing" / "report.json")],
+    ):
+        capsys.readouterr()
+        assert main([*run, *outputs]) == 1, outputs
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and "cannot be written" in err, err
+        # Neither the file already there nor a fresh path is touched.
+        assert kept.read_text() == "an earlier report\n"
+        assert not fresh.exists()
+
+
 def test_run_refuses_a_target_cell_that_does_not_exist(tmp_path, capsys):
     path = tmp_path / "star6.json"
     assert main(["gen-instance", "example2", "--n", "6", "--out", str(path)]) == 0

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from qdpb import algorithms, harness
+from qdpb import algorithms, harness, problems
 from qdpb.algorithms import QualityTarget, RunConfig
 from qdpb.analysis import brute_force_opt
 from qdpb.core import RandomSource
@@ -59,6 +59,30 @@ def test_resolve_random_instance_brute_forces_small_optimum():
     # Same spec, same instance, same optimum: resolution is deterministic.
     again = resolve_problem(spec)
     assert again.instance == problem.instance
+
+
+def test_resolve_builds_an_enumerated_problem_once(monkeypatch):
+    # An unrecognized instance is enumerated for its optimum; the problem
+    # enumerated is the one returned, so its tables are built once.
+    calls = []
+
+    def counted(factory):
+        def make(inst, known_opt=None):
+            calls.append(inst.n)
+            return factory(inst, known_opt)
+
+        return make
+
+    for name in ("make_max_coverage_problem", "make_set_cover_problem"):
+        monkeypatch.setattr(problems, name, counted(getattr(problems, name)))
+    for spec in (
+        ProblemSpec(kind="random-max-coverage", n=13, m_elements=9, density=0.4, k=3, instance_seed=5),
+        ProblemSpec(kind="random-set-cover", n=12, m_elements=9, density=0.4, max_weight=5, instance_seed=6),
+    ):
+        calls.clear()
+        problem = resolve_problem(spec)
+        assert calls == [spec.n]
+        assert problem.known_opt == brute_force_opt(problem).fitness
 
 
 def test_resolve_large_random_instance_has_no_optimum():

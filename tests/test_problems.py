@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -10,8 +11,16 @@ from hypothesis import strategies as st
 
 from qdpb import problems
 from qdpb.analysis import reference_probe
-from qdpb.core import Solution
+from qdpb.core import RandomSource, Solution
 from qdpb.errors import ParameterError, ValidationError
+from qdpb.instances import (
+    Example1Params,
+    Example2Params,
+    example1_max_coverage,
+    example2_set_cover,
+    random_max_coverage,
+    random_set_cover,
+)
 from qdpb.problems import (
     Direction,
     MaxCoverageInstance,
@@ -310,3 +319,46 @@ def test_max_coverage_probe_matches_reference(inst, data):
 @given(cover_instances(), st.data())
 def test_set_cover_probe_matches_reference(inst, data):
     assert_probe_matches_reference(inst, data)
+
+
+# ---------------------------------------------------------------------------
+# The result table below the limit, the chunk probe above it
+
+
+def result_table(problem):
+    """The tuple ``probe_word`` looks words up in, or None for the chunk probe."""
+    table = getattr(problem.probe_word, "__self__", None)
+    return table if isinstance(table, tuple) else None
+
+
+BIPARTITE12 = example1_max_coverage(Example1Params(12, Fraction(1, 4)))
+UMBRELLA12 = example2_set_cover(Example2Params(12))
+
+
+@pytest.mark.parametrize(
+    "inst, tabulated",
+    [
+        (BIPARTITE12, True),
+        (UMBRELLA12, True),
+        (random_max_coverage(13, 11, 0.3, 4, RandomSource(31)), False),
+        (random_set_cover(13, 11, 0.3, 7, RandomSource(32)), False),
+    ],
+    ids=["bipartite12", "umbrella12", "random-max-coverage13", "random-set-cover13"],
+)
+def test_every_word_matches_the_reference_on_both_sides_of_the_table_limit(inst, tabulated):
+    assert (inst.n <= problems._TABLE_LIMIT) == tabulated
+    problem = make_problem(inst)
+    table = result_table(problem)
+    assert (table is not None) == tabulated
+    if tabulated:
+        assert len(table) == 2**inst.n
+        # probe_word stays unchecked: a negative word indexes from the end.
+        assert problem.probe_word(-1) == problem.probe_word(2**inst.n - 1)
+    for word in range(2**inst.n):
+        assert problem.probe_word(word) == reference_probe(Solution(inst.n, word), inst), word
+
+
+@pytest.mark.parametrize("inst", [BIPARTITE12, UMBRELLA12], ids=["bipartite12", "umbrella12"])
+def test_equal_results_share_one_object_in_the_table(inst):
+    table = result_table(make_problem(inst))
+    assert len(set(map(id, table))) == len(set(table)) == 24
