@@ -14,10 +14,42 @@ from qdpb.acceptance import CRITERION_IDS, run_criterion
 from qdpb.analysis import brute_force_opt
 
 
+# The verdict text of every criterion, frozen: a refactor of the experiments
+# behind a criterion must reproduce each count, median and bound exactly.
+DETAILS = {
+    "c1": "40/40 random instances: both enumerations and greedy bounds agree",
+    "c2": (
+        "50/50 trials reached fitness >= 133 in cell 11 within 259221 evaluations "
+        "(median first hit 99.5)"
+    ),
+    "c3": (
+        "50/50 trials found a full cover of weight <= 37 within 57559 evaluations "
+        "(median first hit 450.0)"
+    ),
+    "c4": (
+        "0 improvements in 20x1e6 evaluations from the n=60 local optimum; "
+        "per-step escape bound 3.71e-15; exhaustive n=9 analogue: radius 8, bound 2.32e-08"
+    ),
+    "c5": (
+        "0 improvements in 20x1e6 evaluations from the n=12 umbrella cover; "
+        "escape needs all n flips (radius == n verified for n=4..10), probability "
+        "1.12e-13 per step; staying trapped costs 372.4x the optimum"
+    ),
+    "c6": (
+        "archive search: median ratio 1.000, 50/50 trials at ratio >= 0.95; "
+        "population search: median ratio 1.000, 50/50 at ratio >= 0.95 overall, "
+        "0/50 had a column-only best at some point, 0 of those later beat its value, "
+        "0 reached ratio >= 0.95 after entering"
+    ),
+    "c7": "8/8 invariant groups hold",
+}
+
+
 def _check(cid: str) -> None:
     result = run_criterion(cid)
     print(result.line())
     assert result.passed, result.line()
+    assert result.details == DETAILS[cid]
 
 
 def test_c1_exact_oracles_and_greedy_baselines_agree():
@@ -77,6 +109,6 @@ def test_c7_invariant_suites():
 
 
 def test_registry_is_complete():
-    assert CRITERION_IDS == ("c1", "c2", "c3", "c4", "c5", "c6", "c7")
+    assert CRITERION_IDS == ("c1", "c2", "c3", "c4", "c5", "c6", "c7") == tuple(DETAILS)
     with pytest.raises(Exception, match="unknown criterion"):
         run_criterion("c8")
