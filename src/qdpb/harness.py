@@ -321,9 +321,11 @@ def _population_archive(trace: RunTrace, problem: Problem) -> Archive:
     return archive
 
 
-def _record_from_trace(
-    trial: int, seed: int, trace: RunTrace, problem: Problem
-) -> TrialRecord:
+def _trial(algorithm: str, run: RunConfig, problem: Problem, t: int) -> TrialRecord:
+    """Trial ``t`` of an experiment: ``run`` with seed ``run.seed + t``."""
+    seed = run.seed + t
+    runner = run_map_elites if algorithm == "map-elites" else run_ea
+    trace = runner(problem, replace(run, seed=seed))
     archive = trace.archive if trace.archive is not None else _population_archive(trace, problem)
     metrics = qd_metrics(archive)
     ratio = None
@@ -331,7 +333,7 @@ def _record_from_trace(
         ratio = approximation_ratio(trace.best_fitness, problem.known_opt)
     best = trace.best_solution
     return TrialRecord(
-        trial=trial,
+        trial=t,
         seed=seed,
         evaluations_used=trace.evaluations_used,
         first_hit=trace.first_hit,
@@ -344,33 +346,13 @@ def _record_from_trace(
     )
 
 
-def _run_one_trial(
-    config: ExperimentConfig,
-    problem: Problem,
-    initial: Optional[tuple[Solution, ...]],
-    trial: int,
-) -> TrialRecord:
-    seed = config.master_seed + trial
-    init_count = config.init_count if config.init_count is not None else problem.num_cells
-    run_config = RunConfig(
-        budget=config.budget,
-        init_count=init_count,
-        seed=seed,
-        target=config.target,
-        strict=config.strict,
-        stop_on_target=config.stop_on_target,
-        initial_population=initial,
-        milestone_every=config.milestone_every,
-    )
-    runner = run_map_elites if config.algorithm == "map-elites" else run_ea
-    return _record_from_trace(trial, seed, runner(problem, run_config), problem)
-
-
 def _trial_job(args) -> TrialRecord:
     # Worker-side entry point: rebuilds the problem from its picklable
-    # instance (closures do not cross process boundaries).
-    config, instance, known_opt, initial, trial = args
-    return _run_one_trial(config, make_problem(instance, known_opt=known_opt), initial, trial)
+    # instance (closures do not cross process boundaries).  So a worker
+    # always runs the factory's probe_word: a Problem whose probe_word was
+    # swapped (dataclasses.replace) runs the swapped one only when serial.
+    algorithm, run, instance, known_opt, t = args
+    return _trial(algorithm, run, make_problem(instance, known_opt=known_opt), t)
 
 
 def _aggregate(records: tuple[TrialRecord, ...], direction: Direction) -> Aggregate:
@@ -426,16 +408,27 @@ def _run_experiment(config: ExperimentConfig, problem: Problem) -> ExperimentRep
         )
     initial = None
     if config.seed_population is not None:
-        # Resolved once, before any trial runs, and shared by every trial.
         initial = resolve_seed_members(config.seed_population, problem, init_count)
+    # The one run configuration of every trial, checked before any trial runs
+    # or any worker starts; trial t runs it with seed master_seed + t.
+    run = RunConfig(
+        budget=config.budget,
+        init_count=init_count,
+        seed=config.master_seed,
+        target=config.target,
+        strict=config.strict,
+        stop_on_target=config.stop_on_target,
+        initial_population=initial,
+        milestone_every=config.milestone_every,
+    )
     workers = effective_workers(config)
     trials = range(config.trials)
     if workers > 1:
-        jobs = [(config, problem.instance, problem.known_opt, initial, t) for t in trials]
+        jobs = [(config.algorithm, run, problem.instance, problem.known_opt, t) for t in trials]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             records = tuple(pool.map(_trial_job, jobs))
     else:
-        records = tuple(_run_one_trial(config, problem, initial, t) for t in trials)
+        records = tuple(_trial(config.algorithm, run, problem, t) for t in trials)
     return ExperimentReport(
         config=config,
         problem_name=problem.name,

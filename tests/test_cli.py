@@ -385,7 +385,7 @@ def test_output_paths_are_checked_before_the_first_trial(star5, tmp_path, capsys
     def no_trials(*args):
         raise AssertionError("a trial ran")
 
-    monkeypatch.setattr(harness, "_run_one_trial", no_trials)
+    monkeypatch.setattr(harness, "_trial", no_trials)
     folder = tmp_path / "folder"
     folder.mkdir()
     kept = tmp_path / "kept.csv"

@@ -285,6 +285,23 @@ def test_workers_do_not_change_results():
     ).records
 
 
+@pytest.mark.parametrize(
+    "setting, message",
+    [
+        ({"budget": 4}, "budget 4 cannot be smaller than init_count 5"),
+        ({"milestone_every": 0}, "milestone_every must be positive, got 0"),
+    ],
+)
+def test_bad_run_settings_are_refused_before_any_worker_starts(setting, message, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    with pytest.raises(ParameterError, match=message):
+        run_experiment(small_me_config(workers=2, trials=2, **setting))
+
+
 def test_effective_workers_env_fallback(monkeypatch):
     config = small_me_config()
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 8)
