@@ -142,7 +142,9 @@ def _c1_oracle_agreement() -> tuple[bool, str]:
 # c2/c3: archive search hits a quality target
 
 
-def _archive_hits(spec: ProblemSpec, budget: int, master_seed: int, target, goal: str):
+def _archive_hits(
+    spec: ProblemSpec, budget: int, master_seed: int, target: QualityTarget, goal: str
+) -> tuple[bool, str]:
     """At least 45 of 50 archive-search trials on ``spec`` meet ``target``
     within ``budget``; ``goal`` says what meeting it means."""
     config = ExperimentConfig(
