@@ -1,7 +1,9 @@
 """Unit and distribution tests for solutions, randomness, and mutation."""
 
 import math
+from bisect import bisect_right
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -126,6 +128,33 @@ def test_bitwise_mutate_draws_the_flip_mask_stream(n, seed):
         assert (child is x) == (mask == 0)
         x = child
     assert rng.getstate() == rng_flip.getstate()
+
+
+def plain_flip_sampler(n, rng):
+    """The mutation law written plainly, independent of ``flip_sampler``: a
+    flip count by ``bisect_right`` over the exact CDF, then that many
+    distinct positions, each drawn with ``rng.randrange(n)`` and redrawn
+    while it repeats one already drawn."""
+    cdf = [float(p) for p in accumulate(exact_flip_count_pmf(n))]
+
+    def flip():
+        count = bisect_right(cdf, rng.random())
+        positions = set()
+        while len(positions) < count:
+            positions.add(rng.randrange(n))
+        return sum(1 << p for p in positions)
+
+    return flip
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 12, 13, 30, 60, 64, 65])
+def test_flip_sampler_draws_the_plain_stream(n):
+    # Same flip words and the same final generator state, draw for draw.
+    for seed in (0, 7, 2024):
+        rng, rng_plain = RandomSource(seed), RandomSource(seed)
+        flip, plain = flip_sampler(n, rng), plain_flip_sampler(n, rng_plain)
+        assert [flip() for _ in range(20_000)] == [plain() for _ in range(20_000)]
+        assert rng.getstate() == rng_plain.getstate()
 
 
 def test_n_equal_one_always_flips():
