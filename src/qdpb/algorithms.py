@@ -312,6 +312,23 @@ def run_ea(problem: Problem, config: RunConfig) -> RunTrace:
     return _run("ea", problem, config)
 
 
+def check_run(algorithm: str, problem: Problem, config: RunConfig) -> None:
+    """Refuse a ``config`` that does not fit ``problem`` or ``algorithm``:
+    a target cell outside the problem's cells, or seed members given to the
+    archive or of another length than the problem's."""
+    target = config.target
+    required_cell = None if target is None else target.required_cell
+    if required_cell is not None and not 0 <= required_cell < problem.num_cells:
+        raise ParameterError(f"target cell {required_cell} outside 0..{problem.num_cells - 1}")
+    members = config.initial_population
+    if members is not None:
+        if algorithm == "map-elites":
+            raise ParameterError("initial_population is an EA feature; the archive self-seeds")
+        for x in members:
+            if x.n != problem.n:
+                raise ParameterError(f"seed member has {x.n} variables, problem has {problem.n}")
+
+
 def _run(algorithm: str, problem: Problem, config: RunConfig) -> RunTrace:
     """The loop both engines share; only the container and its keep policy differ.
 
@@ -328,17 +345,10 @@ def _run(algorithm: str, problem: Problem, config: RunConfig) -> RunTrace:
     n = problem.n
     direction = problem.direction
     target = config.target
-    required_cell = None if target is None else target.required_cell
-    if required_cell is not None and not 0 <= required_cell < problem.num_cells:
-        raise ParameterError(f"target cell {required_cell} outside 0..{problem.num_cells - 1}")
+    check_run(algorithm, problem, config)
     rng = RandomSource(config.seed)
     members = config.initial_population
     if members is not None:
-        if algorithm == "map-elites":
-            raise ParameterError("initial_population is an EA feature; the archive self-seeds")
-        for x in members:
-            if x.n != n:
-                raise ParameterError(f"seed member has {x.n} variables, problem has {n}")
         init_words = [x.word for x in members]
     else:
         init_words = (rng.getrandbits(n) for _ in range(config.init_count))
@@ -392,11 +402,13 @@ def _run(algorithm: str, problem: Problem, config: RunConfig) -> RunTrace:
     threshold = None if target is None else target.threshold
     watching = target is not None and first_hit is None
     next_milestone = evals - evals % interval + interval
+    # rng.randrange(len(slots)), inlined as in flip_sampler.  len(slots)
+    # changes only when the archive fills a new cell, and only a kept
+    # offspring (consider returns True) can do that; the population never
+    # grows, so its keep's victim index 0 reading false skips nothing.
+    size = len(slots)
+    k = size.bit_length()
     while evals < budget:
-        # rng.randrange(len(slots)), inlined as in flip_sampler; the archive
-        # grows, so the bit length is taken afresh each step.
-        size = len(slots)
-        k = size.bit_length()
         r = getrandbits(k)
         while r >= size:
             r = getrandbits(k)
@@ -408,7 +420,9 @@ def _run(algorithm: str, problem: Problem, config: RunConfig) -> RunTrace:
         else:
             word = words[index]
             result = results[index]
-        keep(word, result)
+        if keep(word, result) and len(slots) != size:
+            size = len(slots)
+            k = size.bit_length()
         evals += 1
         fitness, _cell, feasible = result
         if (

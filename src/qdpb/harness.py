@@ -26,6 +26,7 @@ from .algorithms import (
     QualityTarget,
     RunConfig,
     RunTrace,
+    check_run,
     run_ea,
     run_map_elites,
 )
@@ -421,6 +422,7 @@ def _run_experiment(config: ExperimentConfig, problem: Problem) -> ExperimentRep
         initial_population=initial,
         milestone_every=config.milestone_every,
     )
+    check_run(config.algorithm, problem, run)
     workers = effective_workers(config)
     trials = range(config.trials)
     if workers > 1:

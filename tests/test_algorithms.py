@@ -18,7 +18,7 @@ from qdpb.algorithms import (
     run_map_elites,
 )
 from qdpb.analysis import brute_force_opt
-from qdpb.core import RandomSource, Solution, flip_sampler
+from qdpb.core import RandomSource, Solution
 from qdpb.errors import ParameterError
 from qdpb.instances import (
     Example1Params,
@@ -31,6 +31,8 @@ from qdpb.instances import (
     random_set_cover,
 )
 from qdpb.problems import Direction, comparison, make_problem
+
+from test_core import plain_flip_sampler
 
 S = Solution.from_string
 
@@ -444,8 +446,10 @@ def test_solutions_are_built_only_at_the_boundaries(monkeypatch):
 
 def reference_run(engine, problem, config):
     """The run loop written plainly: every offspring is probed (copies too)
-    and every evaluation is noted, with no event filter.  A hit stops the run
-    only once init is complete.  Returns ``(evaluations, first_hit,
+    and every evaluation is noted, with no event filter.  Parents are drawn
+    with ``rng.randrange`` and flip words with the test's plain spelling of
+    the mutation law, not ``flip_sampler``.  A hit stops the run only once
+    init is complete.  Returns ``(evaluations, first_hit,
     best_fitness, best_string, milestones, container)``.
     """
     n, direction, target = problem.n, problem.direction, config.target
@@ -454,7 +458,7 @@ def reference_run(engine, problem, config):
         init_words = [x.word for x in config.initial_population]
     else:
         init_words = [rng.getrandbits(n) for _ in range(config.init_count)]
-    flip = flip_sampler(n, rng)
+    flip = plain_flip_sampler(n, rng)
     if engine == "map-elites":
         container = Archive(problem.num_cells, n, direction, config.strict)
         admit = keep = container.consider

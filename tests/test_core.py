@@ -135,7 +135,7 @@ def plain_flip_sampler(n, rng):
     flip count by ``bisect_right`` over the exact CDF, then that many
     distinct positions, each drawn with ``rng.randrange(n)`` and redrawn
     while it repeats one already drawn."""
-    cdf = [float(p) for p in accumulate(exact_flip_count_pmf(n))]
+    cdf = exact_flip_count_cdf(n)
 
     def flip():
         count = bisect_right(cdf, rng.random())
@@ -157,6 +157,32 @@ def test_flip_sampler_draws_the_plain_stream(n):
         assert rng.getstate() == rng_plain.getstate()
 
 
+class ScriptedRandom:
+    """``random()`` always returns ``u``; ``getrandbits`` counts 0, 1, 2, ...,
+    so drawn positions never repeat."""
+
+    def __init__(self, u):
+        self.u = u
+        self.drawn = 0
+
+    def random(self):
+        return self.u
+
+    def getrandbits(self, k):
+        self.drawn += 1
+        return self.drawn - 1
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 30, 60])
+def test_flip_count_at_the_cdf_boundaries(n):
+    # u == cdf[j] counts j + 1 flips, as bisect_right does; just below
+    # cdf[j] counts j.
+    cdf = exact_flip_count_cdf(n)
+    draws = cdf[:3] + [math.nextafter(c, 0) for c in cdf]
+    for u in [u for u in draws if u < 1.0]:
+        assert flip_sampler(n, ScriptedRandom(u))().bit_count() == bisect_right(cdf, u), u
+
+
 def test_n_equal_one_always_flips():
     rng = RandomSource(3)
     x = Solution.from_string("0")
@@ -174,6 +200,11 @@ def exact_flip_count_pmf(n):
     """P(|mask| = k) as exact fractions: C(n,k) (n-1)^(n-k) / n^n."""
     total = Fraction(n**n)
     return [Fraction(math.comb(n, k) * (n - 1) ** (n - k)) / total for k in range(n + 1)]
+
+
+def exact_flip_count_cdf(n):
+    """P(|mask| <= k) for k = 0..n, each exact sum rounded once to float."""
+    return [float(p) for p in accumulate(exact_flip_count_pmf(n))]
 
 
 def test_pmf_matches_exhaustive_enumeration():

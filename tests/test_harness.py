@@ -290,6 +290,8 @@ def test_workers_do_not_change_results():
     [
         ({"budget": 4}, "budget 4 cannot be smaller than init_count 5"),
         ({"milestone_every": 0}, "milestone_every must be positive, got 0"),
+        ({"target": QualityTarget(threshold=4, required_cell=999)}, "target cell 999 outside 0..4"),
+        ({"algorithm": "ea", "seed_population": "0101"}, "seed member has 4 variables, problem has 5"),
     ],
 )
 def test_bad_run_settings_are_refused_before_any_worker_starts(setting, message, monkeypatch):
