@@ -403,9 +403,9 @@ def _run(algorithm: str, problem: Problem, config: RunConfig) -> RunTrace:
     watching = target is not None and first_hit is None
     next_milestone = evals - evals % interval + interval
     # rng.randrange(len(slots)), inlined as in flip_sampler.  len(slots)
-    # changes only when the archive fills a new cell, and only a kept
-    # offspring (consider returns True) can do that; the population never
-    # grows, so its keep's victim index 0 reading false skips nothing.
+    # changes only when the archive fills a new cell, which only a kept
+    # offspring (consider returns True) can do; the population never grows,
+    # so a falsy victim index 0 from its keep skips nothing.
     size = len(slots)
     k = size.bit_length()
     while evals < budget:
