@@ -19,11 +19,12 @@ traces reproducible.
 
 Inside a run a solution is its int bit word: mutation XORs the parent's
 word with a flip word from ``core.flip_sampler`` and ``Problem.probe_word``
-evaluates it.  Archive and population keep each member's word with its
-``probe_word`` result ``(fitness, cell, feasible)``, and everything read
-after the run (fitnesses, QD metrics) comes from those results.  A
-``Solution`` is built only for what leaves the run: milestone strings, the
-best solution of the trace, and members read from a container.  An offspring
+evaluates it.  Archive and population share one member store, ``_Members``,
+which keeps each member's word with its ``probe_word`` result ``(fitness,
+cell, feasible)``; each adds only its keep policy.  Everything read after
+the run (fitnesses, QD metrics) comes from those results.  A ``Solution`` is
+built only for what leaves the run: milestone strings, the best solution of
+the trace, and members read from a container.  An offspring
 whose flip word is 0 is a copy of its parent and reuses the parent's result
 instead of being probed again; it still counts as one evaluation and still
 goes through the keep step.
@@ -158,38 +159,27 @@ class RunTrace:
     population: Optional["Population"] = None
 
 
-class Archive:
-    """Fixed grid of ``num_cells`` cells holding at most one solution each.
-
-    The keep rule is bound at construction: an occupant is replaced only by
-    strictly better fitness under ``direction`` (or at-least-as-good with
-    ``strict=False``), so cells never empty once filled and per-cell fitness
-    can only move in the improving direction.  Each occupant is a bit word of
-    ``n`` variables kept with its ``probe_word`` result ``(fitness, cell,
-    feasible)``; ``solutions`` and ``occupants`` build ``Solution``s when
-    read.
+class _Members:
+    """The member store both keep policies share: bit words of ``n``
+    variables, each kept with its ``probe_word`` result ``(fitness, cell,
+    feasible)``, and the keep rule's comparison ``beats``, bound at
+    construction from ``direction`` and ``strict``.  ``solutions`` builds
+    ``Solution``s when read.  Two stores are equal when they are of the same
+    kind and hold the same words and results.
     """
 
-    __slots__ = ("num_cells", "n", "direction", "beats", "words", "occupied", "results")
+    __slots__ = ("n", "direction", "beats", "words", "results")
 
-    def __init__(self, num_cells: int, n: int, direction: Direction, strict: bool = True):
-        if num_cells < 1:
-            raise ParameterError(f"num_cells must be positive, got {num_cells}")
-        self.num_cells = num_cells
+    def __init__(self, n: int, direction: Direction, strict: bool, size: int = 0):
         self.n = n
         self.direction = direction
         self.beats = comparison(direction, strict)
-        self.words: list[Optional[int]] = [None] * num_cells
-        self.occupied: list[int] = []  # fill order; supports O(1) uniform parent choice
-        self.results: list[Optional[Result]] = [None] * num_cells
-
-    def __len__(self) -> int:
-        return len(self.occupied)
+        self.words: list[Optional[int]] = [None] * size
+        self.results: list[Optional[Result]] = [None] * size
 
     def __eq__(self, other) -> bool:
         return (
-            isinstance(other, Archive)
-            and self.num_cells == other.num_cells
+            type(other) is type(self)
             and self.n == other.n
             and self.words == other.words
             and self.results == other.results
@@ -205,6 +195,28 @@ class Archive:
     def solutions(self) -> list[Optional[Solution]]:
         n = self.n
         return [None if word is None else Solution(n, word) for word in self.words]
+
+
+class Archive(_Members):
+    """Fixed grid of ``num_cells`` cells holding at most one solution each.
+
+    An occupant is replaced only by strictly better fitness under
+    ``direction`` (or at-least-as-good with ``strict=False``), so cells never
+    empty once filled and per-cell fitness can only move in the improving
+    direction.  An empty cell's word and result are None.
+    """
+
+    __slots__ = ("num_cells", "occupied")
+
+    def __init__(self, num_cells: int, n: int, direction: Direction, strict: bool = True):
+        if num_cells < 1:
+            raise ParameterError(f"num_cells must be positive, got {num_cells}")
+        super().__init__(n, direction, strict, num_cells)
+        self.num_cells = num_cells
+        self.occupied: list[int] = []  # fill order; supports O(1) uniform parent choice
+
+    def __len__(self) -> int:
+        return len(self.occupied)
 
     def occupants(self) -> list[tuple[int, Solution, Fitness]]:
         n, words, results = self.n, self.words, self.results
@@ -226,51 +238,26 @@ class Archive:
         return True
 
 
-class Population:
-    """The (mu+1) EA's multiset of solutions of ``n`` variables.
+class Population(_Members):
+    """The (mu+1) EA's multiset of solutions.
 
-    The keep rule is bound at construction: an offspring evicts one worst
-    member if it is strictly better under ``direction`` (or at least as good
-    with ``strict=False``), and ties for worst are broken with draws from
-    ``rng``, the run's stream.  Members are bit words kept with their
-    ``probe_word`` results; ``solutions`` builds ``Solution``s when read.
-    The population starts empty and ``add`` admits the initial members.  The
+    An offspring evicts one worst member if it is strictly better under
+    ``direction`` (or at least as good with ``strict=False``), and ties for
+    worst are broken with draws from ``rng``, the run's stream.  The
+    population starts empty and ``add`` admits the initial members.  The
     worst-member scan is cached between evictions, which makes stagnating
     runs (the interesting ones) cheap.
     """
 
-    __slots__ = ("n", "direction", "rng", "beats", "words", "results", "_worst_cache")
+    __slots__ = ("rng", "_worst_cache")
 
     def __init__(self, n: int, direction: Direction, rng: RandomSource, strict: bool = True):
-        self.n = n
-        self.direction = direction
+        super().__init__(n, direction, strict)
         self.rng = rng
-        self.beats = comparison(direction, strict)
-        self.words: list[int] = []
-        self.results: list[Result] = []
         self._worst_cache: Optional[tuple[Fitness, list[int]]] = None
 
     def __len__(self) -> int:
         return len(self.words)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Population)
-            and self.n == other.n
-            and self.words == other.words
-            and self.results == other.results
-        )
-
-    __hash__ = None
-
-    @property
-    def fitnesses(self) -> list[Fitness]:
-        return [result[0] for result in self.results]
-
-    @property
-    def solutions(self) -> list[Solution]:
-        n = self.n
-        return [Solution(n, word) for word in self.words]
 
     def add(self, word: int, result: Result) -> None:
         self.words.append(word)

@@ -25,6 +25,7 @@ from .errors import ParameterError, ValidationError
 from .problems import (
     MaxCoverageInstance,
     SetCoverInstance,
+    _check_chunk_tables,
     default_penalty,
 )
 
@@ -112,6 +113,7 @@ def example1_max_coverage(params: Example1Params) -> MaxCoverageInstance:
     0-based, so left vertex i covers a contiguous block of edge indices and
     right vertex j covers a strided column.
     """
+    _check_chunk_tables(params.n, params.m_edges)
     left, right = params.left_count, params.right_count
     sets = [tuple(range(i * right, (i + 1) * right)) for i in range(left)]
     sets += [tuple(i * right + j for i in range(left)) for j in range(right)]
@@ -197,6 +199,7 @@ def random_max_coverage(
 
     Empty draws are redone so every candidate set covers something.
     """
+    _check_chunk_tables(n, m_elements)
     _check_draws(m_elements, density)
     sets = tuple(_random_nonempty_set(m_elements, density, rng) for _ in range(n))
     return MaxCoverageInstance(n=n, m_elements=m_elements, sets=sets, k=k)
@@ -214,6 +217,7 @@ def random_set_cover(
     After sampling, any element no set picked up is patched into a random
     set so the full-cover constraint is satisfiable.
     """
+    _check_chunk_tables(n, m_elements)
     _check_draws(m_elements, density)
     if max_weight < 1:
         raise ParameterError(f"max_weight must be positive, got {max_weight}")

@@ -267,14 +267,15 @@ def _tabulated(probe_word: Callable[[int], Result], n: int) -> Callable[[int], R
     return tuple(interned.setdefault(r, r) for r in map(probe_word, range(1 << n))).__getitem__
 
 
-def _check_chunk_tables(inst: Instance) -> None:
-    """Refuse an instance whose ⌈n/8⌉·256 table masks of ``m_elements`` bits
-    would exceed ``_CHUNK_TABLE_LIMIT``; they grow as n³ on the bipartite family."""
-    estimate = -(-inst.n // 8) * 256 * -(-inst.m_elements // 8)
+def _check_chunk_tables(n: int, m_elements: int) -> None:
+    """Refuse a size whose ⌈n/8⌉·256 table masks of ``m_elements`` bits would
+    exceed ``_CHUNK_TABLE_LIMIT`` (they grow as n³ on the bipartite family),
+    before a generator or a problem builds anything."""
+    estimate = -(-n // 8) * 256 * -(-m_elements // 8)
     if estimate > _CHUNK_TABLE_LIMIT:
         raise ParameterError(
-            f"the probe's chunk tables for n={inst.n}, m_elements={inst.m_elements} would take "
-            f"about {estimate / 2**20:.0f} MiB, over the {_CHUNK_TABLE_LIMIT // 2**20} MiB limit"
+            f"the probe's chunk tables for n={n}, m_elements={m_elements} would take "
+            f"about {estimate >> 20} MiB, over the {_CHUNK_TABLE_LIMIT // 2**20} MiB limit"
         )
 
 
@@ -287,7 +288,7 @@ def make_max_coverage_problem(
     of ``m_elements`` bits in all.  For n ≤ 12 that probe fills a table of
     every word's result once, and ``probe_word`` is a lookup in it.
     """
-    _check_chunk_tables(inst)
+    _check_chunk_tables(inst.n, inst.m_elements)
     tables = _chunk_tables(inst.set_masks, operator.or_)
     width = len(tables)
     k = inst.k
@@ -320,7 +321,7 @@ def make_set_cover_problem(inst: SetCoverInstance, known_opt: Fitness | None = N
     For n ≤ 12 that probe fills a table of every word's result once, and
     ``probe_word`` is a lookup in it.
     """
-    _check_chunk_tables(inst)
+    _check_chunk_tables(inst.n, inst.m_elements)
     tables = tuple(
         tuple(zip(masks, weights))
         for masks, weights in zip(

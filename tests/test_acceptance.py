@@ -6,6 +6,7 @@ the whole file takes a few minutes on one core.
 """
 
 import dataclasses
+import os
 
 import pytest
 
@@ -112,3 +113,21 @@ def test_registry_is_complete():
     assert CRITERION_IDS == ("c1", "c2", "c3", "c4", "c5", "c6", "c7") == tuple(DETAILS)
     with pytest.raises(Exception, match="unknown criterion"):
         run_criterion("c8")
+
+
+@pytest.mark.parametrize("cpus", [None, 1, 5])
+def test_long_criteria_use_every_core_and_short_ones_stay_serial(cpus, monkeypatch):
+    # c2/c3 trials stop within a few hundred evaluations, less than a process
+    # pool costs; c4-c6 run millions.  Stop each criterion at its first experiment.
+    class Asked(Exception):
+        pass
+
+    def asked(config):
+        raise Asked(config.workers)
+
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(acceptance, "run_experiment", asked)
+    for cid in ("c2", "c3", "c4", "c5", "c6"):
+        with pytest.raises(Asked) as stopped:
+            run_criterion(cid)
+        assert stopped.value.args == (1 if cid in ("c2", "c3") else cpus or 1,), cid

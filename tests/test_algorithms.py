@@ -156,6 +156,25 @@ def test_worst_cache_tracks_replacements():
     assert pop.worst() == (2, [1])
 
 
+def test_container_equality():
+    first, second = Archive(3, 3, Direction.MAXIMIZE), Archive(3, 3, Direction.MAXIMIZE)
+    for archive, cells in ((first, (0, 2)), (second, (2, 0))):
+        for cell in cells:
+            archive.consider(cell + 1, R(cell, cell))
+    assert first == second and first.occupied != second.occupied  # fill order is not compared
+    assert Archive(3, 3, Direction.MAXIMIZE) != Archive(3, 4, Direction.MAXIMIZE)
+    rng = RandomSource(0)
+    assert Population(3, Direction.MAXIMIZE, rng) != Population(4, Direction.MAXIMIZE, rng)
+    # The same words and results in both kinds of container.
+    archive = Archive(1, 3, Direction.MAXIMIZE)
+    archive.consider(W("100"), R(5))
+    population = filled(Population(3, Direction.MAXIMIZE, RandomSource(0)), ["100"], [5])
+    assert (archive.words, archive.results) == (population.words, population.results)
+    assert archive != population and population != archive
+    with pytest.raises(TypeError):
+        hash(archive)
+
+
 def test_mu_plus_one_keeps_size_and_never_worsens():
     problem = small_problem(9)
     worst_values = []
@@ -411,6 +430,53 @@ def test_kept_members_carry_their_probe_results():
     for cell in archive.occupied:
         assert archive.results[cell] == problem.probe(archive.solutions[cell])
     assert population.results == [problem.probe(x) for x in population.solutions]
+
+
+def _cubed(problem):
+    """``problem`` with every fitness cubed: x ↦ x³ is strictly increasing on
+    the ints, −1 included, so it keeps the order of any two fitness values."""
+    probe_word = problem.probe_word
+
+    def cubed(word):
+        fitness, cell, feasible = probe_word(word)
+        return fitness**3, cell, feasible
+
+    return dataclasses.replace(problem, probe_word=cubed)
+
+
+@pytest.mark.parametrize("engine", [run_map_elites, run_ea])
+@pytest.mark.parametrize("strict", [True, False])
+@pytest.mark.parametrize("use_cover", [False, True])
+def test_keep_rules_only_compare_fitness_values(engine, strict, use_cover):
+    # A run on g∘f for a strictly increasing g makes every choice a run on f
+    # makes: the same hits, milestones and kept words, only the fitness cubed.
+    if use_cover:
+        problem = make_problem(random_set_cover(7, 9, 0.35, 6, RandomSource(22)))
+    else:
+        problem = make_problem(random_max_coverage(8, 10, 0.3, 3, RandomSource(21)))
+    threshold = brute_force_opt(problem).fitness
+    for seed in (3, 4):
+        runs = []
+        for subject, cube in ((problem, 1), (_cubed(problem), 3)):
+            config = RunConfig(
+                budget=1500,
+                init_count=problem.num_cells,
+                seed=seed,
+                target=QualityTarget(threshold=threshold**cube),
+                strict=strict,
+                stop_on_target=False,
+                milestone_every=100,
+            )
+            runs.append(engine(subject, config))
+        plain, cubed = runs
+        assert cubed.first_hit == plain.first_hit
+        assert cubed.best_fitness == plain.best_fitness**3
+        assert [(m.evaluations, m.occupied, m.best_solution) for m in cubed.milestones] == [
+            (m.evaluations, m.occupied, m.best_solution) for m in plain.milestones
+        ]
+        kept = [run.archive if run.archive is not None else run.population for run in runs]
+        assert kept[1].words == kept[0].words
+        assert kept[1].fitnesses == [None if f is None else f**3 for f in kept[0].fitnesses]
 
 
 def test_solutions_are_built_only_at_the_boundaries(monkeypatch):

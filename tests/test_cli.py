@@ -79,6 +79,19 @@ def test_gen_instance_rejects_inadmissible_parameters(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_gen_instance_refuses_sizes_no_problem_could_serve(tmp_path, capsys):
+    out = tmp_path / "never.json"
+    huge = ["--n", "8", "--m-elements", str(10**30), "--density", "0.3", "--instance-seed", "1"]
+    for argv in (
+        ["random-max-coverage", *huge, "--k", "3"],
+        ["random-set-cover", *huge, "--max-weight", "3"],
+        ["example1", "--n", "30000", "--delta", "1/10"],
+    ):
+        assert main(["gen-instance", *argv, "--out", str(out)]) == 1, argv
+        assert "MiB, over the 512 MiB limit" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_oracle_reports_optimum(star5, capsys):
     assert main(["oracle", star5]) == 0
     out = capsys.readouterr().out

@@ -174,6 +174,24 @@ def test_random_generators_refuse_sets_that_are_almost_surely_empty(m_elements, 
     assert random_max_coverage(3, 1, 0.002, 1, RandomSource(1)).sets == ((0,),) * 3
 
 
+@pytest.mark.parametrize("n, m_elements", [(8, 10**30), (10**30, 8), (64, 2**22)])
+def test_random_generators_refuse_sizes_no_problem_could_serve(n, m_elements):
+    # The probe's chunk tables for these would pass their limit, so the
+    # instance is refused before its first draw.
+    for generate, bound in ((random_max_coverage, 1), (random_set_cover, 5)):
+        rng = RandomSource(1)
+        fresh = rng.getstate()
+        with pytest.raises(ParameterError, match="MiB, over the 512 MiB limit"):
+            generate(n, m_elements, 0.3, bound, rng)
+        assert rng.getstate() == fresh
+
+
+def test_example1_refuses_a_size_no_problem_could_serve():
+    # 11,000 x 19,000 = 209M edges: refused before any set is built.
+    with pytest.raises(ParameterError, match=r"m_elements=209000000 would take about 23918151 MiB"):
+        example1_max_coverage(Example1Params(30000, Fraction(1, 10)))
+
+
 # ---------------------------------------------------------------------------
 # Identification
 
