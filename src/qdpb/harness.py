@@ -47,6 +47,7 @@ from .instances import (
 from .problems import (
     Direction,
     Fitness,
+    Instance,
     MaxCoverageInstance,
     Problem,
     SetCoverInstance,
@@ -116,8 +117,8 @@ _KIND_TABLE = {
 PROBLEM_KINDS = tuple(_KIND_TABLE)
 
 # resolve_problem enumerates unrecognized instances up to this size before a
-# run (about a second at n=20); larger ones report no ratio column.  Use
-# `qdpb oracle` to enumerate up to brute_force_opt's own guard.
+# run (0.1-0.5 s at n=20 on a 2-vCPU guest, CPython 3.11); larger ones report
+# no ratio column.  Use `qdpb oracle` to enumerate up to brute_force_opt's own guard.
 _AUTO_OPT_LIMIT = 20
 # A constructed family's canonical local optimum, for seed_population="local".
 _LOCAL_OPTIMA = {Example1Params: example1_local_optimum, Example2Params: example2_local_optimum}
@@ -347,13 +348,23 @@ def _trial(algorithm: str, run: RunConfig, problem: Problem, t: int) -> TrialRec
     )
 
 
+# The problem a pool worker runs its trials on, built once by _init_worker.
+_worker_problem: Optional[Problem] = None
+
+
+def _init_worker(instance: Instance, known_opt: Optional[Fitness]) -> None:
+    # Worker-side set-up: rebuilds the problem from its picklable instance
+    # (closures do not cross process boundaries).  So a worker always runs
+    # the factory's probe_word: a Problem whose probe_word was swapped
+    # (dataclasses.replace) runs the swapped one only when serial.
+    global _worker_problem
+    _worker_problem = make_problem(instance, known_opt=known_opt)
+
+
 def _trial_job(args) -> TrialRecord:
-    # Worker-side entry point: rebuilds the problem from its picklable
-    # instance (closures do not cross process boundaries).  So a worker
-    # always runs the factory's probe_word: a Problem whose probe_word was
-    # swapped (dataclasses.replace) runs the swapped one only when serial.
-    algorithm, run, instance, known_opt, t = args
-    return _trial(algorithm, run, make_problem(instance, known_opt=known_opt), t)
+    # Worker-side entry point: one trial on the worker's problem.
+    algorithm, run, t = args
+    return _trial(algorithm, run, _worker_problem, t)
 
 
 def _aggregate(records: tuple[TrialRecord, ...], direction: Direction) -> Aggregate:
@@ -426,8 +437,10 @@ def _run_experiment(config: ExperimentConfig, problem: Problem) -> ExperimentRep
     workers = effective_workers(config)
     trials = range(config.trials)
     if workers > 1:
-        jobs = [(config.algorithm, run, problem.instance, problem.known_opt, t) for t in trials]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        jobs = [(config.algorithm, run, t) for t in trials]
+        with ProcessPoolExecutor(
+            max_workers=workers, initializer=_init_worker, initargs=(problem.instance, problem.known_opt)
+        ) as pool:
             records = tuple(pool.map(_trial_job, jobs))
     else:
         records = tuple(_trial(config.algorithm, run, problem, t) for t in trials)

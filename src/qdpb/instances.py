@@ -190,6 +190,10 @@ def example2_local_optimum(params: Example2Params) -> Solution:
 # The largest chance of drawing an empty set that a generator accepts.  An
 # empty set is drawn again, so above it a set takes over 1,000 draws on average.
 _EMPTY_SET_LIMIT = 0.999
+# The most element draws a generator may expect to make.  At the 2.8-7M
+# draws/s measured on a 2-vCPU guest (CPython 3.11) that is 0.6-1.5 s, and a
+# peak of 63-322 MB with n=16 at densities 0.3-1.
+_DRAW_LIMIT = 2**22
 
 
 def random_max_coverage(
@@ -200,7 +204,7 @@ def random_max_coverage(
     Empty draws are redone so every candidate set covers something.
     """
     _check_chunk_tables(n, m_elements)
-    _check_draws(m_elements, density)
+    _check_draws(n, m_elements, density)
     sets = tuple(_random_nonempty_set(m_elements, density, rng) for _ in range(n))
     return MaxCoverageInstance(n=n, m_elements=m_elements, sets=sets, k=k)
 
@@ -218,7 +222,7 @@ def random_set_cover(
     set so the full-cover constraint is satisfiable.
     """
     _check_chunk_tables(n, m_elements)
-    _check_draws(m_elements, density)
+    _check_draws(n, m_elements, density)
     if max_weight < 1:
         raise ParameterError(f"max_weight must be positive, got {max_weight}")
     members = [set(_random_nonempty_set(m_elements, density, rng)) for _ in range(n)]
@@ -234,13 +238,23 @@ def random_set_cover(
     )
 
 
-def _check_draws(m_elements: int, density: float) -> None:
+def _check_draws(n: int, m_elements: int, density: float) -> None:
+    """Refuse, before a generator draws anything, a density at which sets are
+    mostly empty or more than ``_DRAW_LIMIT`` expected element draws: each of
+    the ``n`` sets draws once per element, and again while it is empty."""
     if not 0 < density <= 1:
         raise ParameterError(f"density must lie in (0, 1], got {density}")
-    if m_elements < 1 or (1 - density) ** m_elements > _EMPTY_SET_LIMIT:
+    empty = (1 - density) ** m_elements if m_elements >= 1 else 1.0
+    if empty > _EMPTY_SET_LIMIT:
         raise ParameterError(
             f"m_elements={m_elements} at density={density} draws an empty set with "
             f"probability over {_EMPTY_SET_LIMIT}, and empty sets are drawn again"
+        )
+    draws = n * m_elements / (1 - empty)
+    if draws > _DRAW_LIMIT:
+        raise ParameterError(
+            f"n={n}, m_elements={m_elements} at density={density} would make about "
+            f"{draws:,.0f} element draws, over the {_DRAW_LIMIT:,} limit"
         )
 
 

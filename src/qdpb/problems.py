@@ -199,8 +199,9 @@ class Problem:
     ``probe_word(word)`` returns ``(fitness, cell, feasible)`` of the solution
     whose bit word is ``word``, in one pass: the one evaluator, unchecked.
     The factories make it a lookup in a table of all 2^n results when
-    n ≤ 12 (``_TABLE_LIMIT``); the lookup is unchecked too, so a negative
-    word indexes the table from its end.
+    n ≤ 12 (``_TABLE_LIMIT``), and a walk over the word's bytes by shift
+    and mask above it.  Neither checks the word: a negative one, or one of
+    2^n or more, gives an unspecified triple or raises ``IndexError``.
     ``probe(x)`` is the same on a ``Solution`` after checking its length.
     Unless one is given, it is derived from ``probe_word``, and again by
     ``dataclasses.replace`` with a new ``probe_word``.
@@ -285,21 +286,22 @@ def make_max_coverage_problem(
     """The coverage problem; ``probe_word`` ORs one precomputed union per byte of the word.
 
     The tables hold at most 256 union masks per 8-bit chunk, ⌈n/8⌉·256 masks
-    of ``m_elements`` bits in all.  For n ≤ 12 that probe fills a table of
-    every word's result once, and ``probe_word`` is a lookup in it.
+    of ``m_elements`` bits in all.  A word with more than ``k`` ones gets one
+    of n + 1 shared ``(-1, ones, False)`` results, so no triple is built.
     """
     _check_chunk_tables(inst.n, inst.m_elements)
     tables = _chunk_tables(inst.set_masks, operator.or_)
-    width = len(tables)
     k = inst.k
+    over_size = tuple((-1, ones, False) for ones in range(inst.n + 1))
 
     def probe_word(word: int) -> tuple[int, int, bool]:
         ones = word.bit_count()
         if ones > k:
-            return -1, ones, False
+            return over_size[ones]
         union = 0
-        for table, byte in zip(tables, word.to_bytes(width, "little")):
-            union |= table[byte]
+        for table in tables:
+            union |= table[word & 255]
+            word >>= 8
         return union.bit_count(), ones, True
 
     return Problem(
@@ -318,8 +320,6 @@ def make_set_cover_problem(inst: SetCoverInstance, known_opt: Fitness | None = N
 
     Each entry is the (union mask, weight sum) pair of a subset of one 8-bit
     chunk: ⌈n/8⌉·256 masks of ``m_elements`` bits and as many ints in all.
-    For n ≤ 12 that probe fills a table of every word's result once, and
-    ``probe_word`` is a lookup in it.
     """
     _check_chunk_tables(inst.n, inst.m_elements)
     tables = tuple(
@@ -328,16 +328,16 @@ def make_set_cover_problem(inst: SetCoverInstance, known_opt: Fitness | None = N
             _chunk_tables(inst.set_masks, operator.or_), _chunk_tables(inst.weights, operator.add)
         )
     )
-    width = len(tables)
     m = inst.m_elements
     penalty = inst.penalty
 
     def probe_word(word: int) -> tuple[int, int, bool]:
         weight = union = 0
-        for table, byte in zip(tables, word.to_bytes(width, "little")):
-            mask, chunk_weight = table[byte]
+        for table in tables:
+            mask, chunk_weight = table[word & 255]
             union |= mask
             weight += chunk_weight
+            word >>= 8
         covered = union.bit_count()
         return weight + penalty * (m - covered), covered, covered == m
 

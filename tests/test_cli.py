@@ -92,6 +92,14 @@ def test_gen_instance_refuses_sizes_no_problem_could_serve(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_gen_instance_refuses_more_draws_than_the_limit(tmp_path, capsys):
+    out = tmp_path / "never.json"
+    argv = ["--n", "8", "--m-elements", str(2**24), "--density", "0.3", "--k", "3", "--instance-seed", "1"]
+    assert main(["gen-instance", "random-max-coverage", *argv, "--out", str(out)]) == 1
+    assert "134,217,728 element draws, over the 4,194,304 limit" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_oracle_reports_optimum(star5, capsys):
     assert main(["oracle", star5]) == 0
     out = capsys.readouterr().out

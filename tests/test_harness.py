@@ -285,6 +285,41 @@ def test_workers_do_not_change_results():
     ).records
 
 
+def test_each_worker_builds_the_problem_once(monkeypatch):
+    class InlinePool:
+        # A process pool run in this process: it runs the initializer once
+        # per worker, as ProcessPoolExecutor does, then maps the jobs.
+        def __init__(self, max_workers, initializer, initargs):
+            for _ in range(max_workers):
+                initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    builds = 0
+
+    def counted_make_problem(*args, **kwargs):
+        nonlocal builds
+        builds += 1
+        return make_problem(*args, **kwargs)
+
+    config = small_me_config(trials=4, workers=2)
+    problem = resolve_problem(config.problem)
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(harness, "make_problem", counted_make_problem)
+    monkeypatch.setattr(harness, "_worker_problem", None)
+    report = harness._run_experiment(config, problem)
+    assert builds == 2  # one per worker, not one per trial
+    assert report.records == run_experiment(dataclasses.replace(config, workers=1)).records
+
+
 @pytest.mark.parametrize(
     "setting, message",
     [

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qdpb import instances
 from qdpb.core import RandomSource, Solution
 from qdpb.errors import ParameterError, ValidationError
 from qdpb.harness import read_instance, write_instance
@@ -184,6 +185,22 @@ def test_random_generators_refuse_sizes_no_problem_could_serve(n, m_elements):
         with pytest.raises(ParameterError, match="MiB, over the 512 MiB limit"):
             generate(n, m_elements, 0.3, bound, rng)
         assert rng.getstate() == fresh
+
+
+@pytest.mark.parametrize(
+    "n, m_elements, density, draws",
+    [(8, 2**24, 0.3, "134,217,728"), (64, 2**16 + 1, 1.0, "4,194,368"), (1, 2**22, 1e-9, "1,002,098,646")],
+)
+def test_random_generators_refuse_more_draws_than_the_limit(n, m_elements, density, draws):
+    # The chunk tables of each would fit, but the draws would not: the first
+    # takes 2^27 draws, the last about a thousand tries per set.
+    for generate, bound in ((random_max_coverage, 1), (random_set_cover, 5)):
+        rng = RandomSource(1)
+        fresh = rng.getstate()
+        with pytest.raises(ParameterError, match=f"about {draws} element draws, over the 4,194,304 limit"):
+            generate(n, m_elements, density, bound, rng)
+        assert rng.getstate() == fresh  # refused before any draw
+    instances._check_draws(64, 2**16, 1.0)  # exactly at the limit
 
 
 def test_example1_refuses_a_size_no_problem_could_serve():

@@ -362,3 +362,51 @@ def test_every_word_matches_the_reference_on_both_sides_of_the_table_limit(inst,
 def test_equal_results_share_one_object_in_the_table(inst):
     table = result_table(make_problem(inst))
     assert len(set(map(id, table))) == len(set(table)) == 24
+
+
+# ---------------------------------------------------------------------------
+# The chunk probe's shift-and-mask walk and its shared over-size results
+
+
+def sampled_words(n, seed, count=20_000):
+    """``count`` seeded words, each with a number of ones drawn uniformly from
+    0..n, then 0, all ones and every word whose only set bits lie in the
+    partial last chunk."""
+    rng = RandomSource(seed)
+    words = [sum(1 << i for i in rng.sample(range(n), rng.randint(0, n))) for _ in range(count)]
+    base = n // 8 * 8
+    return [*words, 0, 2**n - 1, *(low << base for low in range(1, 1 << (n - base)))]
+
+
+BIPARTITE60 = example1_max_coverage(Example1Params(60, Fraction(1, 10)))
+RANDOM_COVERAGE20 = random_max_coverage(20, 40, 0.15, 5, RandomSource(52))
+
+
+@pytest.mark.parametrize(
+    "inst",
+    [
+        random_max_coverage(17, 24, 0.2, 6, RandomSource(51)),
+        RANDOM_COVERAGE20,
+        random_set_cover(17, 20, 0.2, 9, RandomSource(53)),
+        random_set_cover(20, 30, 0.15, 9, RandomSource(54)),
+        BIPARTITE60,
+    ],
+    ids=["random-max-coverage17", "random-max-coverage20", "random-set-cover17", "random-set-cover20", "bipartite60"],
+)
+def test_chunk_walk_matches_the_reference_on_sampled_words(inst):
+    assert inst.n > problems._TABLE_LIMIT and inst.n % 8  # the chunk probe, with a partial last chunk
+    probe_word = make_problem(inst).probe_word
+    for word in sampled_words(inst.n, seed=inst.n):
+        assert probe_word(word) == reference_probe(Solution(inst.n, word), inst), word
+
+
+@pytest.mark.parametrize(
+    "inst", [RANDOM_COVERAGE20, BIPARTITE60, BIPARTITE12], ids=["random-max-coverage20", "bipartite60", "bipartite12"]
+)
+def test_over_size_results_are_shared_per_count_of_ones(inst):
+    probe_word = make_problem(inst).probe_word
+    for ones in range(inst.k + 1, inst.n + 1):
+        block = (1 << ones) - 1
+        low, high = probe_word(block), probe_word(block << (inst.n - ones))
+        assert low == (-1, ones, False) == reference_probe(Solution(inst.n, block), inst)
+        assert high is low, ones
