@@ -25,6 +25,7 @@ from .problems import (
     Problem,
     SetCoverInstance,
     comparison,
+    make_element_masks,
 )
 from .algorithms import Archive
 
@@ -122,7 +123,7 @@ def best_greedy_gain(x: Solution, inst: MaxCoverageInstance) -> tuple[int, int]:
         raise ParameterError(f"solution has {x.n} variables, instance has {inst.n}")
     if x.word == (1 << x.n) - 1:
         raise ParameterError("every set is already selected")
-    masks = inst.set_masks
+    masks = make_element_masks(inst.sets)
     covered = 0
     word = x.word
     while word:
@@ -155,7 +156,7 @@ def greedy_set_cover(inst: SetCoverInstance) -> Solution:
     Ratios are compared by cross-multiplication, so weight/coverage ties are
     resolved exactly rather than through float rounding.
     """
-    masks = inst.set_masks
+    masks = make_element_masks(inst.sets)
     weights = inst.weights
     full = (1 << inst.m_elements) - 1
     word = 0
@@ -206,7 +207,7 @@ class SetFunctionTable:
         """Tabulate raw coverage (the size cap is not part of the set function)."""
         if inst.n > _TABLE_LIMIT:
             raise ParameterError(f"tables are limited to n <= {_TABLE_LIMIT}, got n={inst.n}")
-        masks = inst.set_masks
+        masks = make_element_masks(inst.sets)
         # Build unions incrementally: union(word) = union(word - lowbit) | mask(lowbit).
         unions = [0] * (1 << inst.n)
         values = [0] * (1 << inst.n)

@@ -8,6 +8,7 @@ and for failed verification, 2 for runtime errors.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .analysis import (
@@ -130,6 +131,9 @@ def _build_config_from_flags(args):
 
 
 def _cmd_run(args) -> int:
+    if args.rows is not None and args.document is not None:
+        if os.path.realpath(args.rows) == os.path.realpath(args.document):
+            raise ParameterError(f"--rows and --document name the same file {args.document!r}")
     for path in (args.rows, args.document):
         if path is not None:
             harness._check_writable(path)

@@ -52,18 +52,16 @@ class Solution:
 
     @property
     def bits(self) -> tuple[bool, ...]:
-        w = self.word
-        return tuple(bool((w >> i) & 1) for i in range(self.n))
+        return tuple(c == "1" for c in self.to_string())
 
     @classmethod
     def from_string(cls, text: str) -> "Solution":
         if not text or any(c not in "01" for c in text):
             raise ParameterError(f"expected a non-empty string over 0/1, got {text!r}")
-        return cls(len(text), sum(1 << i for i, c in enumerate(text) if c == "1"))
+        return cls(len(text), int(text[::-1], 2))
 
     def to_string(self) -> str:
-        w = self.word
-        return "".join("1" if (w >> i) & 1 else "0" for i in range(self.n))
+        return format(self.word, f"0{self.n}b")[::-1]
 
     def __str__(self) -> str:
         return self.to_string()

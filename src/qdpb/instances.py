@@ -239,9 +239,11 @@ def random_set_cover(
 
 
 def _check_draws(n: int, m_elements: int, density: float) -> None:
-    """Refuse, before a generator draws anything, a density at which sets are
-    mostly empty or more than ``_DRAW_LIMIT`` expected element draws: each of
-    the ``n`` sets draws once per element, and again while it is empty."""
+    """Refuse, before a generator draws anything, fewer than one set, a density
+    at which sets are mostly empty or more than ``_DRAW_LIMIT`` expected element
+    draws: each of the ``n`` sets draws once per element, and again while it is empty."""
+    if n < 1:
+        raise ParameterError(f"n must be positive, got {n}")
     if not 0 < density <= 1:
         raise ParameterError(f"density must lie in (0, 1], got {density}")
     empty = (1 - density) ** m_elements if m_elements >= 1 else 1.0

@@ -21,7 +21,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, reduce
+from itertools import filterfalse, islice
 from typing import Callable, Optional, Union
 
 from .core import Solution
@@ -128,10 +128,6 @@ class MaxCoverageInstance:
         if not 1 <= self.k <= self.n:
             raise ValidationError(f"k must lie in 1..n={self.n}, got {self.k}")
 
-    @cached_property
-    def set_masks(self) -> tuple[int, ...]:
-        return make_element_masks(self.sets)
-
 
 @dataclass(frozen=True)
 class SetCoverInstance:
@@ -167,17 +163,11 @@ class SetCoverInstance:
             raise ValidationError(
                 f"worst-case fitness {worst} reaches 2^53; shrink n, weights, or penalty"
             )
-        union = reduce(operator.or_, self.set_masks, 0)
-        uncovered = self.m_elements - union.bit_count()
+        covered = set().union(*self.sets)
+        uncovered = self.m_elements - len(covered)
         if uncovered:
-            # Bit e of the union at index e, then zeros for the elements above its top bit.
-            bits = bin(union)[:1:-1] + "0" * 10
-            first = [e for e, bit in enumerate(bits) if bit == "0"][: min(uncovered, 10)]
+            first = list(islice(filterfalse(covered.__contains__, range(self.m_elements)), 10))
             raise ValidationError(f"{uncovered} element(s) are not covered by any set, the lowest {first}")
-
-    @cached_property
-    def set_masks(self) -> tuple[int, ...]:
-        return make_element_masks(self.sets)
 
 
 def default_penalty(n: int, weights) -> int:
@@ -290,7 +280,7 @@ def make_max_coverage_problem(
     of n + 1 shared ``(-1, ones, False)`` results, so no triple is built.
     """
     _check_chunk_tables(inst.n, inst.m_elements)
-    tables = _chunk_tables(inst.set_masks, operator.or_)
+    tables = _chunk_tables(make_element_masks(inst.sets), operator.or_)
     k = inst.k
     over_size = tuple((-1, ones, False) for ones in range(inst.n + 1))
 
@@ -325,7 +315,8 @@ def make_set_cover_problem(inst: SetCoverInstance, known_opt: Fitness | None = N
     tables = tuple(
         tuple(zip(masks, weights))
         for masks, weights in zip(
-            _chunk_tables(inst.set_masks, operator.or_), _chunk_tables(inst.weights, operator.add)
+            _chunk_tables(make_element_masks(inst.sets), operator.or_),
+            _chunk_tables(inst.weights, operator.add),
         )
     )
     m = inst.m_elements

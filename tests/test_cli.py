@@ -1,17 +1,24 @@
 """CLI tests drive main(argv) in-process and check text + exit codes."""
 
+import importlib.util
 import json
+import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qdpb import cli, harness
 from qdpb.cli import main
 from qdpb.harness import read_instance, write_instance
+from qdpb.instances import Example2Params, example2_set_cover, random_max_coverage
+from qdpb.core import RandomSource
 from qdpb.problems import MaxCoverageInstance
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -427,6 +434,26 @@ def test_output_paths_are_checked_before_the_first_trial(star5, tmp_path, capsys
         assert not fresh.exists()
 
 
+def test_rows_and_document_must_name_different_files(star5, tmp_path, capsys, monkeypatch):
+    def no_trials(*args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(harness, "_trial", no_trials)
+    report = tmp_path / "report"
+    (tmp_path / "link").symlink_to(report)
+    run = ["run", "--algo", "ea", "--instance", star5, "--budget", "100"]
+    for rows, document in (
+        (report, report),
+        (report, tmp_path / "." / "report"),
+        (tmp_path / "link", report),
+    ):
+        capsys.readouterr()
+        assert main([*run, "--rows", str(rows), "--document", str(document)]) == 1, (rows, document)
+        out, err = capsys.readouterr()
+        assert out == "" and "--rows and --document name the same file" in err, err
+        assert not report.exists()
+
+
 def test_run_refuses_a_target_cell_that_does_not_exist(tmp_path, capsys):
     path = tmp_path / "star6.json"
     assert main(["gen-instance", "example2", "--n", "6", "--out", str(path)]) == 0
@@ -451,6 +478,184 @@ def test_instance_with_oversize_chunk_tables_exits_1(tmp_path, capsys):
     for argv in (["run", "--algo", "ea", "--instance", str(path), "--budget", "100"], ["oracle", str(path)]):
         assert main(argv) == 1, argv
         assert "over the 512 MiB limit" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# Hostile input, run in a subprocess with its address space capped at 1 GiB
+
+
+_CAPPED_MAIN = (
+    "import resource, sys\n"
+    "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+    "from qdpb.cli import main\n"
+    "sys.exit(main(sys.argv[1:]))\n"
+)
+needs_rlimit = pytest.mark.skipif(
+    importlib.util.find_spec("resource") is None, reason="address-space caps need the resource module"
+)
+
+
+def _capped_main(argv, cwd=ROOT):
+    """``main(argv)`` in a fresh interpreter capped at 1 GiB of address space and 10 s."""
+    return subprocess.run(
+        [sys.executable, "-c", _CAPPED_MAIN, *argv],
+        cwd=cwd,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        stdin=subprocess.DEVNULL,
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+
+
+def _far_cover_file(folder) -> str:
+    """A 3.5 kB set-cover file: 200 sets of elements 0 and 10^9, whose masks
+    would take 125 MB each."""
+    n = 200
+    doc = {
+        "format": "qdpb-instance-v1", "kind": "set-cover", "n": n, "m_elements": 10**9 + 1,
+        "weights": [1] * n, "penalty": n + 1, "sets": [[0, 10**9]] * n,
+    }
+    path = os.path.join(folder, "far.json")
+    with open(path, "w") as fh:
+        json.dump(doc, fh, separators=(",", ":"))
+    return path
+
+
+@needs_rlimit
+def test_instance_with_far_elements_exits_1_naming_the_file(tmp_path):
+    path = _far_cover_file(tmp_path)
+    for argv in (
+        ["oracle", path],
+        ["analyze", path, "--solution", "0" * 200],
+        ["run", "--algo", "ea", "--instance", path, "--budget", "100"],
+    ):
+        proc = _capped_main(argv)
+        assert proc.returncode == 1, (argv, proc.stderr)
+        assert proc.stderr.startswith(f"error: {path}: ") and "999999999 element(s)" in proc.stderr, proc.stderr
+
+
+_HOSTILE = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.just(math.nan),
+    st.sampled_from([10**30, -(10**30), 2**63, 1e30, -1, 0]),
+    st.text(max_size=6),
+    st.lists(st.integers(-2, 2), max_size=3),
+    st.dictionaries(st.sampled_from(["n", "kind", "x"]), st.integers(-2, 2), max_size=2),
+)
+
+
+def _paths(value, prefix=()):
+    """The path of every field and item inside a JSON value, outermost first."""
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, item in items:
+        yield prefix + (key,)
+        yield from _paths(item, prefix + (key,))
+
+
+@st.composite
+def _mutated(draw, doc, fixed=()):
+    """``doc`` with one or two of its fields or items (none in ``fixed``) hostile."""
+    doc = json.loads(json.dumps(doc))
+    paths = [path for path in _paths(doc) if path[0] not in fixed]
+    chosen = draw(st.lists(st.sampled_from(paths), min_size=1, max_size=2, unique=True))
+    for path in sorted(chosen, key=len, reverse=True):  # inner fields first
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = draw(_HOSTILE)
+    return doc
+
+
+def _instance_doc(inst) -> dict:
+    with tempfile.TemporaryDirectory() as folder:
+        path = os.path.join(folder, "inst.json")
+        write_instance(inst, path)
+        with open(path) as fh:
+            return json.load(fh)
+
+
+_COVERAGE_DOC = _instance_doc(random_max_coverage(6, 8, 0.4, 3, RandomSource(5)))
+_COVER_DOC = _instance_doc(example2_set_cover(Example2Params(5)))
+
+
+@st.composite
+def _far_elements(draw):
+    """A file of one or two sets whose elements lie near 10^9, with m_elements to match."""
+    n = draw(st.integers(1, 2))
+    sets = [
+        sorted(draw(st.sets(st.integers(10**9 - 20, 10**9 + 20), min_size=1, max_size=3)))
+        for _ in range(n)
+    ]
+    m_elements = max(max(s) for s in sets) + 1 + draw(st.integers(0, 3))
+    doc = {"format": "qdpb-instance-v1", "n": n, "m_elements": m_elements, "sets": sets}
+    if draw(st.booleans()):
+        return {**doc, "kind": "max-coverage", "k": 1}
+    return {**doc, "kind": "set-cover", "weights": [1] * n, "penalty": n + 1}
+
+
+@needs_rlimit
+@settings(max_examples=30, deadline=None)
+@given(
+    doc=st.one_of(_mutated(_COVERAGE_DOC), _mutated(_COVER_DOC), _far_elements()),
+    command=st.sampled_from(["oracle", "analyze"]),
+    solution=st.sampled_from(["000000", "110000", "10000", "1"]),
+)
+@example(doc=None, command="oracle", solution="1")  # None: the 200-set file of far elements
+def test_hostile_instance_files_exit_0_or_1(doc, command, solution):
+    with tempfile.TemporaryDirectory() as folder:
+        if doc is None:
+            path = _far_cover_file(folder)
+        else:
+            path = os.path.join(folder, "inst.json")
+            with open(path, "w") as fh:
+                json.dump(doc, fh)
+        argv = [command, path]
+        if command == "analyze":
+            argv += ["--solution", solution, "--escape-radius"]
+        proc = _capped_main(argv)
+    assert proc.returncode in (0, 1), (argv, doc, proc.stderr[-2000:])
+
+
+_RUN = {"budget": 60, "trials": 2}
+_CONFIGS = (
+    {
+        **_RUN, "algorithm": "map-elites", "master_seed": 1, "milestone_every": 10,
+        "problem": {
+            "kind": "random-max-coverage", "n": 8, "m_elements": 10, "density": 0.4, "k": 3, "instance_seed": 1,
+        },
+        "target": {"threshold": 5, "strict": False, "require_feasible": True, "required_cell": 3},
+    },
+    {
+        **_RUN, "algorithm": "ea", "master_seed": 2, "init_count": 3, "allow_unfair": True,
+        "problem": {
+            "kind": "random-set-cover", "n": 6, "m_elements": 7, "density": 0.4, "max_weight": 5,
+            "instance_seed": 2,
+        },
+        "seed_population": ["101010", "010101"], "stop_on_target": False, "strict": True,
+    },
+    {
+        **_RUN, "algorithm": "ea", "master_seed": 3, "seed_population": "local", "workers": 1,
+        "problem": {"kind": "example1", "n": 9, "delta": "1/3"},
+    },
+    {**_RUN, "algorithm": "map-elites", "master_seed": 4, "problem": {"kind": "example2", "n": 6}},
+    {**_RUN, "algorithm": "ea", "master_seed": 5, "problem": {"kind": "file", "path": "star5.json"}},
+)
+
+
+@needs_rlimit
+@settings(max_examples=30, deadline=None)
+@given(config=st.one_of([_mutated(config, fixed=tuple(_RUN)) for config in _CONFIGS]))
+@example(config={**_CONFIGS[1], "problem": {**_CONFIGS[1]["problem"], "n": -1}})  # no set to patch into
+def test_hostile_configs_exit_0_or_1(config):
+    # budget and trials stay as they are: a huge budget is a long run the user asked for.
+    with tempfile.TemporaryDirectory() as folder:
+        write_instance(example2_set_cover(Example2Params(5)), os.path.join(folder, "star5.json"))
+        with open(os.path.join(folder, "config.json"), "w") as fh:
+            json.dump(config, fh)
+        proc = _capped_main(["run", "--config", "config.json"], cwd=folder)
+    assert proc.returncode in (0, 1), (config, proc.stderr[-2000:])
 
 
 def test_archive_profile_script_reports_bad_parameters():

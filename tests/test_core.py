@@ -1,6 +1,7 @@
 """Unit and distribution tests for solutions, randomness, and mutation."""
 
 import math
+import time
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import accumulate
@@ -51,6 +52,34 @@ def test_solution_rejects_bad_input():
         Solution.from_string("")
     with pytest.raises(ParameterError):
         Solution.from_string("01x")
+    # int() would read these as base-2 numbers; the string form refuses them.
+    for text in ("1_0", " 01", "01\n", "+1"):
+        with pytest.raises(ParameterError):
+            Solution.from_string(text)
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 64, 65])
+def test_solution_strings_match_the_bit_by_bit_spelling(n):
+    rng = RandomSource(n)
+    for word in (0, (1 << n) - 1, 1, 1 << (n - 1), 0x5555555555555555555 % (1 << n), rng.getrandbits(n)):
+        text = "".join("1" if (word >> i) & 1 else "0" for i in range(n))
+        x = Solution(n, word)
+        assert x.to_string() == text
+        assert x.bits == tuple(bool((word >> i) & 1) for i in range(n))
+        assert Solution.from_string(text) == x
+        assert Solution.from_string(text).word == sum(1 << i for i, c in enumerate(text) if c == "1")
+
+
+def test_long_solution_strings_convert_in_linear_time():
+    n = 200_000
+    word = RandomSource(3).getrandbits(n) | (1 << (n - 1))
+    start = time.perf_counter()
+    text = Solution(n, word).to_string()
+    x = Solution.from_string(text)
+    bits = x.bits
+    assert time.perf_counter() - start < 0.5
+    assert x.word == word and len(text) == len(bits) == n
+    assert bits[n - 1] and text[n - 1] == "1"
 
 
 # ---------------------------------------------------------------------------

@@ -175,6 +175,18 @@ def test_random_generators_refuse_sets_that_are_almost_surely_empty(m_elements, 
     assert random_max_coverage(3, 1, 0.002, 1, RandomSource(1)).sets == ((0,),) * 3
 
 
+@pytest.mark.parametrize("n", [0, -1, -(10**30)])
+def test_random_generators_refuse_a_size_below_one_set(n):
+    # random_set_cover would otherwise patch an uncovered element into one of
+    # no sets, and raise ValueError from randrange(n).
+    for generate, bound in ((random_max_coverage, 1), (random_set_cover, 5)):
+        rng = RandomSource(1)
+        fresh = rng.getstate()
+        with pytest.raises(ParameterError, match=f"n must be positive, got {n}"):
+            generate(n, 7, 0.4, bound, rng)
+        assert rng.getstate() == fresh
+
+
 @pytest.mark.parametrize("n, m_elements", [(8, 10**30), (10**30, 8), (64, 2**22)])
 def test_random_generators_refuse_sizes_no_problem_could_serve(n, m_elements):
     # The probe's chunk tables for these would pass their limit, so the

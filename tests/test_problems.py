@@ -183,10 +183,29 @@ def test_masks_of_a_large_set_build_in_linear_time():
     start = time.perf_counter()
     coverage = MaxCoverageInstance(n=1, m_elements=m, sets=sets, k=1)
     cover = SetCoverInstance(n=1, m_elements=m, sets=sets, weights=(1,), penalty=2)
-    masks = (coverage.set_masks, cover.set_masks)
+    masks = (problems.make_element_masks(coverage.sets), problems.make_element_masks(cover.sets))
     assert time.perf_counter() - start < 0.5
     assert masks == (((1 << m) - 1,),) * 2
     assert problems.make_element_masks([(), (9, 0, 3), (7,)]) == (0, 0b1000001001, 0b10000000)
+
+
+def _no_masks(sets):
+    raise AssertionError("an element mask was built")
+
+
+def test_set_cover_instances_check_coverage_without_masks(monkeypatch):
+    # Coverage is checked from the listed elements: an instance holds its
+    # fields, and no mask of m_elements bits is built for it.
+    monkeypatch.setattr(problems, "make_element_masks", _no_masks)
+    cover = SetCoverInstance(n=2, m_elements=3, sets=((0, 2), (1,)), weights=(1, 1), penalty=3)
+    assert cover.sets == ((0, 2), (1,))
+    with pytest.raises(ValidationError, match=r"1 element\(s\) are not covered by any set, the lowest \[2\]"):
+        SetCoverInstance(n=2, m_elements=3, sets=((0,), (1,)), weights=(1, 1), penalty=3)
+    # 200 sets naming element 10^9: each mask would take 125 MB.
+    m, n = 10**9 + 1, 200
+    with pytest.raises(ValidationError) as err:
+        SetCoverInstance(n=n, m_elements=m, sets=((0, m - 1),) * n, weights=(1,) * n, penalty=n + 1)
+    assert f"{m - 2} element(s) are not covered by any set, the lowest {list(range(1, 11))}" in str(err.value)
 
 
 def test_oversize_chunk_tables_are_refused_before_any_is_built(monkeypatch):
@@ -208,6 +227,7 @@ def test_oversize_chunk_tables_are_refused_before_any_is_built(monkeypatch):
         raise AssertionError("a chunk table was built")
 
     monkeypatch.setattr(problems, "_chunk_tables", no_tables)
+    monkeypatch.setattr(problems, "make_element_masks", _no_masks)
     for inst, estimate in ((coverage, "1024 MiB"), (cover, "514 MiB")):
         with pytest.raises(ParameterError, match=f"about {estimate}, over the 512 MiB limit"):
             make_problem(inst)
