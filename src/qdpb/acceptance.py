@@ -95,12 +95,19 @@ class CriterionResult:
 
 def _independent_enumeration(problem):
     """Deliberately different loop shape and evaluator from the oracle: a
-    descending scan scored by the set-based ``reference_probe``."""
+    descending scan scored by the set-based ``reference_probe``.  Every word's
+    ``probe_word`` triple is checked against it too, since the oracle never
+    probes: on the first difference ``(None, 0)`` is returned, which no
+    oracle result matches."""
     better = comparison(problem.direction)
+    probe_word = problem.probe_word
     best = None
     count = 0
     for word in range((1 << problem.n) - 1, -1, -1):
-        fitness, _cell, feasible = reference_probe(Solution(problem.n, word), problem.instance)
+        result = reference_probe(Solution(problem.n, word), problem.instance)
+        if probe_word(word) != result:
+            return None, 0
+        fitness, _cell, feasible = result
         if not feasible:
             continue
         if best is None or better(fitness, best):

@@ -60,28 +60,86 @@ class OracleResult:
     optima_count: int
 
 
-def brute_force_opt(problem: Problem) -> OracleResult:
-    """Enumerate all 2^n solutions and return the best feasible one.
+def _subset_tables(masks, weights, start: int, bits: int) -> tuple[list[int], list[int]]:
+    """The union mask and the weight sum of every subset of the ``bits``
+    variables from ``start`` on, indexed by the subset's word: each extends a
+    smaller subset by its lowest variable."""
+    unions = [0] * (1 << bits)
+    sums = [0] * (1 << bits)
+    for word in range(1, 1 << bits):
+        low = word & -word
+        i = start + low.bit_length() - 1
+        unions[word] = unions[word ^ low] | masks[i]
+        sums[word] = sums[word ^ low] + weights[i]
+    return unions, sums
 
-    Ties are counted; the reported solution is the one with the numerically
-    smallest bit word.  Guarded to n <= 24.
+
+def brute_force_opt(problem: Problem) -> OracleResult:
+    """Enumerate all 2^n solutions of ``problem.instance`` and return the best feasible one.
+
+    Meet in the middle: the n variables split into a low half of
+    L = ⌈n/2⌉ bits and a high half of n - L, and each half tabulates the
+    union mask and weight sum of every subset of its sets (weight 1 per set
+    for coverage).  Each high subset, in ascending order, is then scored
+    against the low subsets, in ascending order, that complete a feasible
+    word: for coverage those with at most k - ones(high) ones, scored by the
+    size of the joint union; for set cover those that cover what the high
+    subset leaves uncovered, scored by the summed weight (a full cover pays
+    no penalty), skipping a high subset that alone outweighs the best cover
+    so far.  That visits the feasible words in ascending order, so ties are
+    counted and the reported solution is the one with the numerically
+    smallest bit word.  It never calls ``probe_word``, so it checks the
+    evaluator instead of repeating it.  Guarded to n <= 24.
     """
     n = problem.n
     if n > _BRUTE_FORCE_LIMIT:
         raise ParameterError(f"brute force is limited to n <= {_BRUTE_FORCE_LIMIT}, got n={n}")
-    probe_word = problem.probe_word
+    inst = problem.instance
+    if inst is None:
+        raise ParameterError(f"brute force enumerates an instance, and problem {problem.name!r} has none")
+    coverage = isinstance(inst, MaxCoverageInstance)
+    masks = make_element_masks(inst.sets)
+    weights = (1,) * n if coverage else inst.weights
+    low_bits = (n + 1) // 2
+    low_unions, low_sums = _subset_tables(masks, weights, 0, low_bits)
+    high_unions, high_sums = _subset_tables(masks, weights, low_bits, n - low_bits)
+    if coverage:
+        # The low words with at most ``cap`` ones, and their unions, per cap.
+        words_by_cap = [
+            [low for low, ones in enumerate(low_sums) if ones <= cap] for cap in range(low_bits + 1)
+        ]
+        unions_by_cap = [[low_unions[low] for low in words] for words in words_by_cap]
+    full = (1 << inst.m_elements) - 1
     better = comparison(problem.direction)
+    pick = max if coverage else min
     best_word: Optional[int] = None
     best_fitness: Optional[Fitness] = None
     count = 0
-    for word in range(1 << n):
-        fitness, _cell, feasible = probe_word(word)
-        if not feasible:
-            continue
+    for high, (union, weight) in enumerate(zip(high_unions, high_sums)):
+        if coverage:
+            cap = inst.k - weight
+            if cap < 0:
+                continue
+            cap = min(cap, low_bits)
+            words = words_by_cap[cap]
+            fitnesses = list(map(int.bit_count, map(union.__or__, unions_by_cap[cap])))
+            base = 0
+        else:
+            if best_fitness is not None and weight > best_fitness:
+                continue  # no low subset can bring the weight back down to a tie
+            need = full & ~union
+            words = [low for low, low_union in enumerate(low_unions) if low_union & need == need]
+            if not words:
+                continue
+            fitnesses = list(map(low_sums.__getitem__, words))
+            base = weight
+        top = pick(fitnesses)
+        fitness = base + top
         if best_fitness is None or better(fitness, best_fitness):
-            best_word, best_fitness, count = word, fitness, 1
+            best_word = (high << low_bits) | words[fitnesses.index(top)]
+            best_fitness, count = fitness, fitnesses.count(top)
         elif fitness == best_fitness:
-            count += 1
+            count += fitnesses.count(top)
     if best_word is None:
         raise StateError("no feasible solution exists")
     return OracleResult(Solution(n, best_word), best_fitness, count)
@@ -207,15 +265,8 @@ class SetFunctionTable:
         """Tabulate raw coverage (the size cap is not part of the set function)."""
         if inst.n > _TABLE_LIMIT:
             raise ParameterError(f"tables are limited to n <= {_TABLE_LIMIT}, got n={inst.n}")
-        masks = make_element_masks(inst.sets)
-        # Build unions incrementally: union(word) = union(word - lowbit) | mask(lowbit).
-        unions = [0] * (1 << inst.n)
-        values = [0] * (1 << inst.n)
-        for word in range(1, 1 << inst.n):
-            low = word & -word
-            unions[word] = unions[word ^ low] | masks[low.bit_length() - 1]
-            values[word] = unions[word].bit_count()
-        return cls(inst.n, tuple(values))
+        unions, _sizes = _subset_tables(make_element_masks(inst.sets), (1,) * inst.n, 0, inst.n)
+        return cls(inst.n, tuple(union.bit_count() for union in unions))
 
     @cached_property
     def is_monotone(self) -> bool:

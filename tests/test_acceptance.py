@@ -59,9 +59,9 @@ def test_c1_exact_oracles_and_greedy_baselines_agree():
 
 def test_c1_catches_a_planted_evaluator_fault(monkeypatch):
     # A probe_word fault on the first instance only: the empty selection
-    # (word 0) scores as an optimum, so the optimum count grows by one.  The
-    # oracle enumerates probe_word, so only a second enumeration that scores
-    # words another way can disagree with it.
+    # (word 0) scores as an optimum.  The oracle enumerates the instance and
+    # never probes, so c1 sees the fault by checking every word's probe_word
+    # triple against reference_probe.
     make_problem = acceptance.make_problem
     planted = False
 

@@ -1,11 +1,12 @@
 """Oracle tests: every derived constant here was computed by an independent route."""
 
+import dataclasses
 import math
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qdpb.algorithms import Archive
@@ -39,7 +40,13 @@ from qdpb.instances import (
     random_max_coverage,
     random_set_cover,
 )
-from qdpb.problems import Direction, make_problem
+from qdpb.problems import (
+    Direction,
+    MaxCoverageInstance,
+    SetCoverInstance,
+    default_penalty,
+    make_problem,
+)
 
 S = Solution.from_string
 
@@ -106,6 +113,78 @@ def test_brute_force_agrees_with_reverse_enumeration(seed, cover):
     assert result.fitness == fitness
     assert result.optima_count == count
     assert reference_probe(result.solution, problem.instance)[0::2] == (result.fitness, True)
+
+
+def probe_enumeration(problem):
+    """Every word scored by ``probe_word``, one at a time: the best feasible
+    fitness, how many words reach it, and the smallest of them."""
+    feasible = []
+    for word in range(1 << problem.n):
+        fitness, _cell, ok = problem.probe_word(word)
+        if ok:
+            feasible.append((fitness, word))
+    fitnesses = [fitness for fitness, _word in feasible]
+    best = max(fitnesses) if problem.direction is Direction.MAXIMIZE else min(fitnesses)
+    return best, fitnesses.count(best), min(word for fitness, word in feasible if fitness == best)
+
+
+@st.composite
+def oracle_instances(draw):
+    """Either kind at n = 1..14, its sets drawn from a pool of at most four,
+    so equal sets (and tied optima) fall on both sides of the half split.
+    Coverage caps at k = 1, k = n or between; a cover may hold one set of
+    every element."""
+    n = draw(st.integers(1, 14))
+    m = draw(st.integers(1, 6))
+    pool = draw(st.lists(st.sets(st.integers(0, m - 1)), min_size=1, max_size=4))
+    raw = [set(draw(st.sampled_from(pool))) for _ in range(n)]
+    if draw(st.booleans()):
+        k = draw(st.one_of(st.just(1), st.just(n), st.integers(1, n)))
+        return MaxCoverageInstance(n=n, m_elements=m, k=k, sets=tuple(tuple(sorted(s)) for s in raw))
+    if draw(st.booleans()):
+        raw[draw(st.integers(0, n - 1))] = set(range(m))
+    else:
+        raw[0] |= set(range(m)) - set().union(*raw)  # coverable
+    weights = tuple(draw(st.integers(1, 3)) for _ in range(n))
+    return SetCoverInstance(
+        n=n, m_elements=m, weights=weights, penalty=default_penalty(n, weights),
+        sets=tuple(tuple(sorted(s)) for s in raw),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(oracle_instances())
+@example(MaxCoverageInstance(n=1, m_elements=1, k=1, sets=((0,),)))
+@example(MaxCoverageInstance(n=1, m_elements=2, k=1, sets=((),)))
+@example(MaxCoverageInstance(n=6, m_elements=2, k=1, sets=((0,), (1,)) * 3))
+@example(MaxCoverageInstance(n=7, m_elements=3, k=7, sets=((0, 1), (2,), (), (0, 1), (2,), (1,), (0, 1))))
+@example(MaxCoverageInstance(n=8, m_elements=4, k=3, sets=((0, 1), (2, 3)) * 4))
+@example(SetCoverInstance(n=1, m_elements=1, weights=(1,), penalty=2, sets=((0,),)))
+@example(SetCoverInstance(n=5, m_elements=3, weights=(2, 1, 1, 2, 1), penalty=11,
+                          sets=((0, 1, 2), (0,), (1, 2), (0, 1, 2), (0,))))
+@example(SetCoverInstance(n=8, m_elements=2, weights=(1,) * 8, penalty=9, sets=((0,), (1,)) * 4))
+def test_brute_force_equals_a_probe_word_enumeration(inst):
+    problem = make_problem(inst)
+    result = brute_force_opt(problem)
+    assert (result.fitness, result.optima_count, result.solution.word) == probe_enumeration(problem)
+
+
+def test_brute_force_never_probes():
+    def refuse(word):
+        raise AssertionError(f"probe_word({word}) called")
+
+    for inst in (
+        random_max_coverage(11, 12, 0.3, 4, RandomSource(5)),
+        random_set_cover(11, 10, 0.3, 6, RandomSource(6)),
+    ):
+        problem = make_problem(inst)
+        assert brute_force_opt(dataclasses.replace(problem, probe_word=refuse)) == brute_force_opt(problem)
+
+
+def test_brute_force_refuses_a_problem_without_an_instance():
+    problem = dataclasses.replace(make_problem(example2_set_cover(Example2Params(5))), instance=None)
+    with pytest.raises(ParameterError, match="has none"):
+        brute_force_opt(problem)
 
 
 def test_brute_force_guard():

@@ -434,6 +434,17 @@ def test_output_paths_are_checked_before_the_first_trial(star5, tmp_path, capsys
         assert not fresh.exists()
 
 
+def test_output_check_leaves_no_target_behind_a_dangling_link(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "link").symlink_to("target")
+    missing = str(tmp_path / "missing.json")
+    assert main(["run", "--algo", "ea", "--instance", missing, "--budget", "10", "--rows", "link"]) == 1
+    _out, err = capsys.readouterr()
+    assert missing in err, err
+    assert not (tmp_path / "target").exists()
+    assert (tmp_path / "link").is_symlink() and os.readlink(tmp_path / "link") == "target"
+
+
 def test_rows_and_document_must_name_different_files(star5, tmp_path, capsys, monkeypatch):
     def no_trials(*args):
         raise AssertionError("a trial ran")
