@@ -1,6 +1,7 @@
 """Oracle tests: every derived constant here was computed by an independent route."""
 
 import dataclasses
+import hashlib
 import math
 from fractions import Fraction
 from itertools import combinations
@@ -349,6 +350,35 @@ def test_greedy_gain_inequality_on_random_states(seed):
     gamma = submodularity_ratio(table, x, inst.k)
     _idx, gain = best_greedy_gain(x, inst)
     assert gain >= gamma / inst.k * (opt - table.values[word]) - 1e-9
+
+
+def random_monotone_table(n, seed):
+    """Each value is the largest value one item smaller plus a seeded float
+    increment in [0, 1): monotone, and far from submodular."""
+    rng = RandomSource(seed)
+    values = [0.0] * (1 << n)
+    for mask in range(1, 1 << n):
+        below = max(values[mask & ~(1 << i)] for i in range(n) if mask >> i & 1)
+        values[mask] = below + rng.random()
+    return SetFunctionTable(n, tuple(values))
+
+
+# sha256 of the repr of every ratio below, pinned from a known-good build: a
+# change to the scan that reorders the float arithmetic or drops a pair shows.
+FROZEN_RATIOS = "689efb2c0f3ca1d7fb6ac0a09228027bae092a651a7e8d243a087bd099ef8c6c"
+
+
+def test_ratio_values_are_frozen():
+    values = []
+    for seed in range(20):
+        n = 4 + seed % 4
+        table = random_monotone_table(n, 8000 + seed)
+        gammas = [gamma_min(table, k) for k in range(1, n + 1)]
+        assert min(gammas) < 1.0
+        rng = RandomSource(8100 + seed)
+        ratios = [submodularity_ratio(table, rng.getrandbits(n), c) for c in (1, 2, n)]
+        values.append((gammas, ratios))
+    assert hashlib.sha256(repr(values).encode()).hexdigest() == FROZEN_RATIOS
 
 
 # ---------------------------------------------------------------------------
