@@ -94,19 +94,21 @@ class CriterionResult:
 
 
 def _independent_enumeration(problem):
-    """Deliberately different loop shape and evaluator from the oracle: a
-    descending scan scored by the set-based ``reference_probe``.  Every word's
-    ``probe_word`` triple is checked against it too, since the oracle never
-    probes: on the first difference ``(None, 0)`` is returned, which no
-    oracle result matches."""
+    """``(best, count, None)`` over every word, descending, scored by the set-based
+    ``reference_probe`` (unlike the oracle), or ``(None, 0, fault)`` naming the
+    first word whose ``probe_word`` triple differs or whose cell is off the grid."""
     better = comparison(problem.direction)
     probe_word = problem.probe_word
     best = None
     count = 0
     for word in range((1 << problem.n) - 1, -1, -1):
-        result = reference_probe(Solution(problem.n, word), problem.instance)
-        if probe_word(word) != result:
-            return None, 0
+        x = Solution(problem.n, word)
+        result = reference_probe(x, problem.instance)
+        probed = probe_word(word)
+        if probed != result:
+            return None, 0, f"{problem.name}: probe {probed} != reference {result} on {x.to_string()}"
+        if not 0 <= probed[1] < problem.num_cells:
+            return None, 0, f"{problem.name}: descriptor {probed[1]} outside the cell range"
         fitness, _cell, feasible = result
         if not feasible:
             continue
@@ -114,7 +116,7 @@ def _independent_enumeration(problem):
             best, count = fitness, 1
         elif fitness == best:
             count += 1
-    return best, count
+    return best, count, None
 
 
 def _c1_oracle_agreement() -> tuple[bool, str]:
@@ -123,8 +125,8 @@ def _c1_oracle_agreement() -> tuple[bool, str]:
         inst = random_max_coverage(12, 14, 0.35, 4, RandomSource(1000 + seed))
         problem = make_problem(inst)
         result = brute_force_opt(problem)
-        best, count = _independent_enumeration(problem)
-        if (result.fitness, result.optima_count) != (best, count):
+        best, count, fault = _independent_enumeration(problem)
+        if fault is not None or (result.fitness, result.optima_count) != (best, count):
             return False, f"coverage instance seed={1000 + seed}: oracle disagreement"
         greedy_value = problem.probe(greedy_max_coverage(inst))[0]
         if greedy_value < (1 - 1 / math.e) * result.fitness - 1e-9:
@@ -134,8 +136,8 @@ def _c1_oracle_agreement() -> tuple[bool, str]:
         inst = random_set_cover(12, 10, 0.3, 8, RandomSource(2000 + seed))
         problem = make_problem(inst)
         result = brute_force_opt(problem)
-        best, count = _independent_enumeration(problem)
-        if (result.fitness, result.optima_count) != (best, count):
+        best, count, fault = _independent_enumeration(problem)
+        if fault is not None or (result.fitness, result.optima_count) != (best, count):
             return False, f"cover instance seed={2000 + seed}: oracle disagreement"
         greedy_value, _cell, feasible = problem.probe(greedy_set_cover(inst))
         if not feasible:
@@ -441,19 +443,13 @@ def _check_population_worst_monotonicity() -> Optional[str]:
 def _check_probe_oracle() -> Optional[str]:
     # Every word, not a sample: a wrong entry in one of the probe's 8-bit
     # chunk tables shows only on the 1 in 256 words whose byte selects it.
-    problems = (
-        make_problem(example1_max_coverage(Example1Params(9, Fraction(1, 3)))),
-        make_problem(example2_set_cover(Example2Params(8))),
-    )
-    for problem in problems:
-        for word in range(1 << problem.n):
-            x = Solution(problem.n, word)
-            probed = problem.probe_word(word)
-            expected = reference_probe(x, problem.instance)
-            if probed != expected:
-                return f"{problem.name}: probe {probed} != reference {expected} on {x.to_string()}"
-            if not 0 <= probed[1] < problem.num_cells:
-                return f"{problem.name}: descriptor {probed[1]} outside the cell range"
+    for inst in (
+        example1_max_coverage(Example1Params(9, Fraction(1, 3))),
+        example2_set_cover(Example2Params(8)),
+    ):
+        _best, _count, fault = _independent_enumeration(make_problem(inst))
+        if fault is not None:
+            return fault
     return None
 
 

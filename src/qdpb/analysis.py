@@ -85,11 +85,12 @@ def brute_force_opt(problem: Problem) -> OracleResult:
     word: for coverage those with at most k - ones(high) ones, scored by the
     size of the joint union; for set cover those that cover what the high
     subset leaves uncovered, scored by the summed weight (a full cover pays
-    no penalty), skipping a high subset that alone outweighs the best cover
-    so far.  That visits the feasible words in ascending order, so ties are
-    counted and the reported solution is the one with the numerically
-    smallest bit word.  It never calls ``probe_word``, so it checks the
-    evaluator instead of repeating it.  Guarded to n <= 24.
+    no penalty).  A high subset is skipped when not even all low sets can
+    bring it up to the best coverage so far, or when it alone outweighs the
+    best cover so far.  That visits the feasible words in ascending order,
+    so ties are counted and the reported solution is the one with the
+    numerically smallest bit word.  It never calls ``probe_word``, so it
+    checks the evaluator instead of repeating it.  Guarded to n <= 24.
     """
     n = problem.n
     if n > _BRUTE_FORCE_LIMIT:
@@ -120,6 +121,8 @@ def brute_force_opt(problem: Problem) -> OracleResult:
             cap = inst.k - weight
             if cap < 0:
                 continue
+            if best_fitness is not None and (union | low_unions[-1]).bit_count() < best_fitness:
+                continue  # even with every low set it falls short of a tie
             cap = min(cap, low_bits)
             words = words_by_cap[cap]
             fitnesses = list(map(int.bit_count, map(union.__or__, unions_by_cap[cap])))
@@ -277,10 +280,6 @@ class SetFunctionTable:
                     return False
         return True
 
-    def ensure_monotone(self) -> None:
-        if not self.is_monotone:
-            raise ValidationError("set function is not monotone")
-
 
 def _as_item_mask(subset, n: int) -> int:
     if isinstance(subset, Solution):
@@ -299,6 +298,29 @@ def _as_item_mask(subset, n: int) -> int:
     return mask
 
 
+def _least_ratio(table: SetFunctionTable, bases: Iterable[int], cardinality: int) -> float:
+    """``submodularity_ratio``'s minimum, over each base L in ``bases`` once
+    instead of over the submasks of one subset."""
+    if not table.is_monotone:
+        raise ValidationError("set function is not monotone")
+    n = table.n
+    values = table.values
+    minimum: Optional[float] = None
+    for L in bases:
+        f_L = values[L]
+        outside = [i for i in range(n) if not (L >> i) & 1]
+        for size in range(1, min(cardinality, len(outside)) + 1):
+            for combo in combinations(outside, size):
+                joint = values[L | sum(1 << i for i in combo)] - f_L
+                if joint <= 0:
+                    continue
+                singles = sum(values[L | (1 << i)] - f_L for i in combo)
+                ratio = singles / joint
+                if minimum is None or ratio < minimum:
+                    minimum = ratio
+    return 1.0 if minimum is None else minimum
+
+
 def submodularity_ratio(
     table: SetFunctionTable,
     subset: Union[Solution, int, Iterable[int]],
@@ -313,44 +335,18 @@ def submodularity_ratio(
     """
     if cardinality < 1:
         raise ParameterError(f"cardinality must be positive, got {cardinality}")
-    table.ensure_monotone()
-    n = table.n
-    values = table.values
-    X = _as_item_mask(subset, n)
-    minimum: Optional[float] = None
-    L = X
-    while True:  # all submasks of X, including empty and X itself
-        f_L = values[L]
-        outside = [i for i in range(n) if not (L >> i) & 1]
-        max_size = min(cardinality, len(outside))
-        for size in range(1, max_size + 1):
-            for combo in combinations(outside, size):
-                S = 0
-                for i in combo:
-                    S |= 1 << i
-                joint = values[L | S] - f_L
-                if joint <= 0:
-                    continue
-                singles = sum(values[L | (1 << i)] - f_L for i in combo)
-                ratio = singles / joint
-                if minimum is None or ratio < minimum:
-                    minimum = ratio
-        if L == 0:
-            break
-        L = (L - 1) & X
-    return 1.0 if minimum is None else minimum
+    X = _as_item_mask(subset, table.n)
+    return _least_ratio(table, (L for L in range(X, -1, -1) if L & X == L), cardinality)
 
 
 def gamma_min(table: SetFunctionTable, k: int) -> float:
-    """Worst submodularity ratio over all bases of size k-1 with additions up to size k."""
+    """Worst submodularity ratio over all bases of size k-1 with additions up to
+    size k, capped at 1: one scan of the masks with fewer than k ones, each the
+    base of some (k-1)-subset, so each is visited once."""
     if not 1 <= k <= table.n:
         raise ParameterError(f"k must lie in 1..{table.n}, got {k}")
-    worst = 1.0
-    for base in combinations(range(table.n), k - 1):
-        ratio = submodularity_ratio(table, base, k)
-        if ratio < worst:
-            worst = ratio
-    return worst
+    bases = (L for L in range(1 << table.n) if L.bit_count() < k)
+    return min(1.0, _least_ratio(table, bases, k))
 
 
 # ---------------------------------------------------------------------------

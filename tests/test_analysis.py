@@ -256,6 +256,12 @@ def three_item_table():
     return SetFunctionTable(3, (0, 1, 1, 1.5, 0.1, 1.1, 1.1, 2.5))
 
 
+def three_item_exact_table():
+    # The same function with exact rationals.
+    F = Fraction
+    return SetFunctionTable(3, (0, 1, 1, F(3, 2), F(1, 10), F(11, 10), F(11, 10), F(5, 2)))
+
+
 def exhaustive_ratio(table, X, l):
     """Independent recomputation with exact rationals."""
     best = None
@@ -284,11 +290,36 @@ def test_submodularity_ratio_worked_example():
     assert abs(gamma - 0.4) < 1e-9
     assert abs(gamma - float(exhaustive_ratio(table, {0, 1}, 2))) < 1e-12
     # Same function with exact rationals: the minimum is exactly 2/5.
-    F = Fraction
-    exact = SetFunctionTable(
-        3, (0, 1, 1, F(3, 2), F(1, 10), F(11, 10), F(11, 10), F(5, 2))
-    )
-    assert exhaustive_ratio(exact, {0, 1}, 2) == F(2, 5)
+    assert exhaustive_ratio(three_item_exact_table(), {0, 1}, 2) == Fraction(2, 5)
+
+
+def table_of(n, f):
+    """The table of ``f`` on every subset of n items, as exact rationals."""
+    chosen = ({i for i in range(n) if mask >> i & 1} for mask in range(1 << n))
+    return SetFunctionTable(n, tuple(Fraction(f(items)) for items in chosen))
+
+
+@pytest.mark.parametrize(
+    "table",
+    [
+        three_item_exact_table(),
+        # Items 2 and 3 complement each other; item 0 adds nothing, so its
+        # pairs have zero joint gain.  The worst bases hold neither 2 nor 3.
+        table_of(4, lambda chosen: len(chosen & {1, 2, 3}) + 3 * ({2, 3} <= chosen)),
+        # Items 1 and 2 complement each other only once item 0 is in the base.
+        table_of(4, lambda chosen: len(chosen) + 3 * ({0, 1, 2} <= chosen)),
+    ],
+)
+def test_gamma_min_is_the_least_ratio_over_every_base(table):
+    # Rational tables, so both sides are exact.  Each (k-1)-subset B is
+    # scanned on its own, with every base inside it.
+    gammas = []
+    for k in range(1, table.n + 1):
+        ratios = [exhaustive_ratio(table, B, k) for B in combinations(range(table.n), k - 1)]
+        expected = min([Fraction(1)] + [r for r in ratios if r is not None])
+        assert gamma_min(table, k) == expected, k
+        gammas.append(expected)
+    assert min(gammas) < 1
 
 
 def test_submodularity_ratio_accepts_mask_and_solution_forms():

@@ -1,9 +1,13 @@
 """Every module's public export list names things that exist, every import and
-private name is used, and only ``harness`` reads or writes JSON."""
+private name is used, only ``harness`` reads or writes JSON, and starting the
+CLI loads no scipy."""
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import qdpb
@@ -88,3 +92,15 @@ def test_every_private_name_is_used():
         )
     ]
     assert not unused, f"private names nothing uses: {unused}"
+
+
+def test_cli_start_up_loads_no_scipy():
+    # scipy.stats costs about a second to import; only ``qdpb verify`` needs it.
+    code = (
+        "import sys\n"
+        "import qdpb.analysis, qdpb.cli, qdpb.harness, qdpb.instances\n"
+        "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(qdpb.__file__).parent.parent)}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]", done.stdout
