@@ -86,6 +86,33 @@ class QualityTarget:
         return comparison(direction, self.strict)(fitness, self.threshold)
 
 
+# Milestone rows one run, or all trials of an experiment, may log.  A row
+# held ~290 bytes of memory (and wrote ~200 bytes of document), so the limit
+# is about 300 MB.  Improvement rows, bounded by the distinct fitness values,
+# are not counted.
+_MILESTONE_ROW_LIMIT = 2**20
+
+
+def _milestone_interval(budget: int, milestone_every: Optional[int]) -> int:
+    """Evaluations between milestone rows: ``milestone_every``, else budget/1000 rounded up."""
+    return milestone_every or max(1, ceil(budget / 1000))
+
+
+def check_milestone_log(budget: int, milestone_every: Optional[int], trials: int = 1) -> None:
+    """Refuse a non-positive ``milestone_every``, or ``trials`` runs of
+    ``budget`` evaluations that would log more than ``_MILESTONE_ROW_LIMIT``
+    milestone rows in all."""
+    if milestone_every is not None and milestone_every < 1:
+        raise ParameterError(f"milestone_every must be positive, got {milestone_every}")
+    interval = _milestone_interval(budget, milestone_every)
+    rows = trials * -(-budget // interval)
+    if rows > _MILESTONE_ROW_LIMIT:
+        raise ParameterError(
+            f"{trials} trial(s) of budget {budget} with a milestone every {interval} evaluations "
+            f"would log about {rows:,} rows, over the {_MILESTONE_ROW_LIMIT:,} row limit"
+        )
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Everything a single run needs besides the problem itself.
@@ -121,12 +148,11 @@ class RunConfig:
                 f"initial_population has {len(self.initial_population)} members, "
                 f"expected init_count={self.init_count}"
             )
-        if self.milestone_every is not None and self.milestone_every < 1:
-            raise ParameterError(f"milestone_every must be positive, got {self.milestone_every}")
+        check_milestone_log(self.budget, self.milestone_every)
 
     @property
     def milestone_interval(self) -> int:
-        return self.milestone_every or max(1, ceil(self.budget / 1000))
+        return _milestone_interval(self.budget, self.milestone_every)
 
 
 @dataclass(frozen=True, slots=True)

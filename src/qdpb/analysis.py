@@ -10,6 +10,7 @@ them share code with the engines' hot paths.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -74,6 +75,110 @@ def _subset_tables(masks, weights, start: int, bits: int) -> tuple[list[int], li
     return unions, sums
 
 
+def _minimal_element_masks(inst: SetCoverInstance) -> list[int]:
+    """Each set's mask over the instance's minimal elements only.
+
+    An element's signature is the word of the sets that contain it.  A word
+    that covers an element covers every element whose signature holds that
+    one's, so covering the elements with minimal signatures (one per
+    distinct signature) is covering them all.  Signatures are visited by
+    ascending popcount, and one is kept unless it holds a kept one.
+    """
+    signatures = [0] * inst.m_elements
+    for i, elements in enumerate(inst.sets):
+        for e in elements:
+            signatures[e] |= 1 << i
+    kept: list[int] = []
+    for signature in sorted(set(signatures), key=int.bit_count):
+        if all(k & signature != k for k in kept):
+            kept.append(signature)
+    return [
+        sum(1 << j for j, signature in enumerate(kept) if signature >> i & 1) for i in range(inst.n)
+    ]
+
+
+def _best_coverage(inst: MaxCoverageInstance, low_bits: int) -> tuple[Optional[int], Fitness, int]:
+    """``(word, fitness, count)`` of the best words of at most k sets."""
+    masks = make_element_masks(inst.sets)
+    unit = (1,) * inst.n
+    low_unions, low_sums = _subset_tables(masks, unit, 0, low_bits)
+    high_unions, high_sums = _subset_tables(masks, unit, low_bits, inst.n - low_bits)
+    # The low words with at most ``cap`` ones, their unions, and the largest
+    # of those unions, per cap.
+    words_by_cap = [
+        [low for low, ones in enumerate(low_sums) if ones <= cap] for cap in range(low_bits + 1)
+    ]
+    unions_by_cap = [[low_unions[low] for low in words] for words in words_by_cap]
+    top_by_cap = [max(map(int.bit_count, unions)) for unions in unions_by_cap]
+    every = low_unions[-1]
+    best_word, best_fitness, count = None, -1, 0
+    for high, (union, weight) in enumerate(zip(high_unions, high_sums)):
+        cap = inst.k - weight
+        if cap < 0:
+            continue
+        cap = min(cap, low_bits)
+        # Neither its own union plus the largest allowed low union, nor its
+        # union with every low set, would reach a tie.
+        size = union.bit_count()
+        if size + top_by_cap[cap] < best_fitness or (union | every).bit_count() < best_fitness:
+            continue
+        fitnesses = list(map(int.bit_count, map(union.__or__, unions_by_cap[cap])))
+        top = max(fitnesses)
+        if top > best_fitness:
+            best_word = (high << low_bits) | words_by_cap[cap][fitnesses.index(top)]
+            best_fitness, count = top, fitnesses.count(top)
+        elif top == best_fitness:
+            count += fitnesses.count(top)
+    return best_word, best_fitness, count
+
+
+def _best_cover(inst: SetCoverInstance, low_bits: int) -> tuple[Optional[int], Fitness, int]:
+    """``(word, fitness, count)`` of the lightest full covers."""
+    masks = _minimal_element_masks(inst)
+    low_unions, low_sums = _subset_tables(masks, inst.weights, 0, low_bits)
+    high_unions, high_sums = _subset_tables(masks, inst.weights, low_bits, inst.n - low_bits)
+    full = low_unions[-1] | high_unions[-1]
+    # Positions: the low words by weight sum, ties in word order.  holding[i]
+    # has one bit per position whose word holds low set i, and covers[j], the
+    # OR of holding[i] over the low sets holding element j, one per position
+    # whose word covers j; ends[p] is the position after p's weight group.
+    order = sorted(range(1 << low_bits), key=low_sums.__getitem__)
+    sums = [low_sums[low] for low in order]
+    ends = [bisect_right(sums, s) for s in sums]
+    holding = [sum(1 << p for p, low in enumerate(order) if low >> i & 1) for i in range(low_bits)]
+    covers = [0] * full.bit_length()
+    for i in range(low_bits):
+        elements = masks[i]
+        while elements:
+            bit = elements & -elements
+            covers[bit.bit_length() - 1] |= holding[i]
+            elements ^= bit
+    every = (1 << len(order)) - 1
+    best_word, best_fitness, count = None, math.inf, 0
+    for high, (union, weight) in enumerate(zip(high_unions, high_sums)):
+        if weight > best_fitness:
+            continue  # no low subset can bring the weight back down to a tie
+        fits = every
+        need = full & ~union
+        while need and fits:
+            bit = need & -need
+            fits &= covers[bit.bit_length() - 1]
+            need ^= bit
+        if not fits:
+            continue
+        # The lowest position is the lightest cover, and the smallest word of
+        # its weight; the others of that weight tie with it.
+        first = (fits & -fits).bit_length() - 1
+        fitness = weight + sums[first]
+        ties = (fits & ((1 << ends[first]) - 1)).bit_count()
+        if fitness < best_fitness:
+            best_word = (high << low_bits) | order[first]
+            best_fitness, count = fitness, ties
+        elif fitness == best_fitness:
+            count += ties
+    return best_word, best_fitness, count
+
+
 def brute_force_opt(problem: Problem) -> OracleResult:
     """Enumerate all 2^n solutions of ``problem.instance`` and return the best feasible one.
 
@@ -81,16 +186,27 @@ def brute_force_opt(problem: Problem) -> OracleResult:
     L = ⌈n/2⌉ bits and a high half of n - L, and each half tabulates the
     union mask and weight sum of every subset of its sets (weight 1 per set
     for coverage).  Each high subset, in ascending order, is then scored
-    against the low subsets, in ascending order, that complete a feasible
-    word: for coverage those with at most k - ones(high) ones, scored by the
-    size of the joint union; for set cover those that cover what the high
-    subset leaves uncovered, scored by the summed weight (a full cover pays
-    no penalty).  A high subset is skipped when not even all low sets can
-    bring it up to the best coverage so far, or when it alone outweighs the
-    best cover so far.  That visits the feasible words in ascending order,
-    so ties are counted and the reported solution is the one with the
-    numerically smallest bit word.  It never calls ``probe_word``, so it
-    checks the evaluator instead of repeating it.  Guarded to n <= 24.
+    against the low subsets that complete a feasible word.
+
+    For coverage those are the low subsets with at most k - ones(high) ones,
+    scored by the size of the joint union.  A high subset is skipped when its
+    own union plus the largest allowed low union, or its union with every
+    low set, falls short of the best coverage so far.
+
+    For set cover the masks hold only the minimal elements, those whose
+    signature (the word of the sets that contain them) holds no other's: a
+    word covers every element exactly when it covers these.  Each such
+    element has a bitset over the low subsets sorted by weight sum, with a
+    bit for each one that covers it.  A high subset ANDs the bitsets of the
+    elements it leaves uncovered; the lowest set bit is its lightest
+    completion, and the bits of that weight count the ties.  A high subset
+    that alone outweighs the best cover so far is skipped.
+
+    The high subsets go in ascending order and the low completions of one
+    weight in ascending order, so ties are counted and the reported solution
+    is the one with the numerically smallest bit word.  It never calls
+    ``probe_word``, so it checks the evaluator instead of repeating it.
+    Guarded to n <= 24.
     """
     n = problem.n
     if n > _BRUTE_FORCE_LIMIT:
@@ -98,51 +214,8 @@ def brute_force_opt(problem: Problem) -> OracleResult:
     inst = problem.instance
     if inst is None:
         raise ParameterError(f"brute force enumerates an instance, and problem {problem.name!r} has none")
-    coverage = isinstance(inst, MaxCoverageInstance)
-    masks = make_element_masks(inst.sets)
-    weights = (1,) * n if coverage else inst.weights
-    low_bits = (n + 1) // 2
-    low_unions, low_sums = _subset_tables(masks, weights, 0, low_bits)
-    high_unions, high_sums = _subset_tables(masks, weights, low_bits, n - low_bits)
-    if coverage:
-        # The low words with at most ``cap`` ones, and their unions, per cap.
-        words_by_cap = [
-            [low for low, ones in enumerate(low_sums) if ones <= cap] for cap in range(low_bits + 1)
-        ]
-        unions_by_cap = [[low_unions[low] for low in words] for words in words_by_cap]
-    full = (1 << inst.m_elements) - 1
-    better = comparison(problem.direction)
-    pick = max if coverage else min
-    best_word: Optional[int] = None
-    best_fitness: Optional[Fitness] = None
-    count = 0
-    for high, (union, weight) in enumerate(zip(high_unions, high_sums)):
-        if coverage:
-            cap = inst.k - weight
-            if cap < 0:
-                continue
-            if best_fitness is not None and (union | low_unions[-1]).bit_count() < best_fitness:
-                continue  # even with every low set it falls short of a tie
-            cap = min(cap, low_bits)
-            words = words_by_cap[cap]
-            fitnesses = list(map(int.bit_count, map(union.__or__, unions_by_cap[cap])))
-            base = 0
-        else:
-            if best_fitness is not None and weight > best_fitness:
-                continue  # no low subset can bring the weight back down to a tie
-            need = full & ~union
-            words = [low for low, low_union in enumerate(low_unions) if low_union & need == need]
-            if not words:
-                continue
-            fitnesses = list(map(low_sums.__getitem__, words))
-            base = weight
-        top = pick(fitnesses)
-        fitness = base + top
-        if best_fitness is None or better(fitness, best_fitness):
-            best_word = (high << low_bits) | words[fitnesses.index(top)]
-            best_fitness, count = fitness, fitnesses.count(top)
-        elif fitness == best_fitness:
-            count += fitnesses.count(top)
+    search = _best_coverage if isinstance(inst, MaxCoverageInstance) else _best_cover
+    best_word, best_fitness, count = search(inst, (n + 1) // 2)
     if best_word is None:
         raise StateError("no feasible solution exists")
     return OracleResult(Solution(n, best_word), best_fitness, count)

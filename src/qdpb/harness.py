@@ -26,6 +26,7 @@ from .algorithms import (
     QualityTarget,
     RunConfig,
     RunTrace,
+    check_milestone_log,
     check_run,
     run_ea,
     run_map_elites,
@@ -117,8 +118,9 @@ _KIND_TABLE = {
 PROBLEM_KINDS = tuple(_KIND_TABLE)
 
 # resolve_problem enumerates unrecognized instances up to this size before a
-# run (6-7 ms for coverage and 0.06-0.09 s for set cover at n=20, k=5, on a
-# 2-vCPU guest, CPython 3.11); larger ones report no ratio column.  Use
+# run (2-5 ms for coverage at n=20, k=5, m=40 and 2-3 ms for set cover at
+# n=20, m=30, density 0.15, on a 2-vCPU guest, CPython 3.11); larger ones
+# report no ratio column.  Use
 # `qdpb oracle` to enumerate up to brute_force_opt's own guard.
 _AUTO_OPT_LIMIT = 20
 # A constructed family's canonical local optimum, for seed_population="local".
@@ -231,6 +233,7 @@ class ExperimentConfig:
             raise ParameterError("seed_population only applies to the ea algorithm")
         if self.workers is not None and self.workers < 1:
             raise ParameterError(f"workers must be positive, got {self.workers}")
+        check_milestone_log(self.budget, self.milestone_every, self.trials)
 
 
 @dataclass(frozen=True)

@@ -53,23 +53,24 @@ S = Solution.from_string
 
 
 def reverse_enumeration(problem):
-    """Independent oracle: scan words downward, track best feasible and tie count.
+    """Independent oracle: scan words downward, track best feasible, tie count
+    and the smallest optimal word (the last one the scan reaches).
 
     Words are scored by the set-based ``reference_probe`` and compared with
     plain ``>``/``<``, sharing no code with ``brute_force_opt``'s evaluator."""
     maximize = problem.direction is Direction.MAXIMIZE
     best_fitness = None
     count = 0
-    witness = None
+    smallest = None
     for word in range((1 << problem.n) - 1, -1, -1):
         fitness, _cell, feasible = reference_probe(Solution(problem.n, word), problem.instance)
         if not feasible:
             continue
         if best_fitness is None or ((fitness > best_fitness) if maximize else (fitness < best_fitness)):
-            best_fitness, count, witness = fitness, 1, word
+            best_fitness, count, smallest = fitness, 1, word
         elif fitness == best_fitness:
-            count += 1
-    return best_fitness, count, witness
+            count, smallest = count + 1, word
+    return best_fitness, count, smallest
 
 
 # ---------------------------------------------------------------------------
@@ -110,10 +111,7 @@ def test_brute_force_agrees_with_reverse_enumeration(seed, cover):
     else:
         problem = make_problem(random_max_coverage(7, 9, 0.35, 3, rng))
     result = brute_force_opt(problem)
-    fitness, count, _witness = reverse_enumeration(problem)
-    assert result.fitness == fitness
-    assert result.optima_count == count
-    assert reference_probe(result.solution, problem.instance)[0::2] == (result.fitness, True)
+    assert (result.fitness, result.optima_count, result.solution.word) == reverse_enumeration(problem)
 
 
 def probe_enumeration(problem):
@@ -168,6 +166,43 @@ def test_brute_force_equals_a_probe_word_enumeration(inst):
     problem = make_problem(inst)
     result = brute_force_opt(problem)
     assert (result.fitness, result.optima_count, result.solution.word) == probe_enumeration(problem)
+
+
+@st.composite
+def dominated_covers(draw):
+    """Set covers at n = 1..10 over up to 40 elements, each set the union of
+    a few blocks from a pool of at most five, so sets nest and repeat and
+    many elements' signatures (the sets that hold them) hold another's."""
+    n = draw(st.integers(1, 10))
+    m = draw(st.integers(1, 40))
+    blocks = draw(st.lists(st.sets(st.integers(0, m - 1)), min_size=1, max_size=5))
+    raw = [set().union(*draw(st.lists(st.sampled_from(blocks), max_size=3))) for _ in range(n)]
+    raw[draw(st.integers(0, n - 1))] |= set(range(m)) - set().union(*raw)  # coverable
+    weights = tuple(draw(st.integers(1, 3)) for _ in range(n))
+    return SetCoverInstance(
+        n=n, m_elements=m, weights=weights, penalty=default_penalty(n, weights),
+        sets=tuple(tuple(sorted(s)) for s in raw),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(dominated_covers())
+# Two signatures for four elements; three covers of weight 2, one per half or across.
+@example(SetCoverInstance(n=4, m_elements=4, weights=(1, 2, 1, 1), penalty=9,
+                          sets=((0, 1), (0, 1, 2, 3), (2, 3), (0, 1))))
+def test_brute_force_cover_with_dominated_elements(inst):
+    problem = make_problem(inst)
+    result = brute_force_opt(problem)
+    assert (result.fitness, result.optima_count, result.solution.word) == reverse_enumeration(problem)
+
+
+@pytest.mark.parametrize("density", [0.15, 0.7])
+def test_brute_force_cover_with_many_elements(density):
+    # 2,000 elements, of which 12 (at density 0.15, where only the full word
+    # covers) or 90 (at 0.7, optimum 0b10001011110) are minimal.
+    problem = make_problem(random_set_cover(12, 2000, density, 8, RandomSource(1)))
+    result = brute_force_opt(problem)
+    assert (result.fitness, result.optima_count, result.solution.word) == reverse_enumeration(problem)
 
 
 def test_brute_force_never_probes():

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -463,6 +464,18 @@ def test_rows_and_document_must_name_different_files(star5, tmp_path, capsys, mo
         out, err = capsys.readouterr()
         assert out == "" and "--rows and --document name the same file" in err, err
         assert not report.exists()
+
+
+def test_run_refuses_a_milestone_log_over_the_row_limit(star5, tmp_path, capsys):
+    rows, document = tmp_path / "rows.csv", tmp_path / "report.json"
+    start = time.perf_counter()
+    code = main([
+        "run", "--algo", "map-elites", "--instance", star5, "--milestone-every", "1",
+        "--budget", "1000000000", "--rows", str(rows), "--document", str(document),
+    ])
+    assert code == 1 and time.perf_counter() - start < 5
+    assert "would log about 1,000,000,000 rows" in capsys.readouterr().err
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["star5.json"]
 
 
 def test_run_refuses_a_target_cell_that_does_not_exist(tmp_path, capsys):

@@ -339,6 +339,19 @@ def test_bad_run_settings_are_refused_before_any_worker_starts(setting, message,
         run_experiment(small_me_config(workers=2, trials=2, **setting))
 
 
+def test_milestone_rows_are_bounded_over_all_trials():
+    # One trial logging exactly the limit runs; two of them are refused.
+    limit = algorithms._MILESTONE_ROW_LIMIT
+    assert RunConfig(budget=limit, init_count=5, seed=0, milestone_every=1).milestone_interval == 1
+    small_me_config(budget=limit, milestone_every=1, trials=1)
+    with pytest.raises(ParameterError, match=f"2 trial.s. of budget {limit} .* about {2 * limit:,} rows"):
+        small_me_config(budget=limit, milestone_every=1, trials=2)
+    with pytest.raises(ParameterError, match="over the"):
+        RunConfig(budget=limit + 1, init_count=5, seed=0, milestone_every=1)
+    # c6's settings: 50 trials of 26 rows.
+    small_me_config(budget=260_000, milestone_every=10_000, trials=50)
+
+
 def test_effective_workers_env_fallback(monkeypatch):
     config = small_me_config()
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 8)
