@@ -22,9 +22,9 @@ The seven checks:
   c6  head-to-head at equal budget on the bipartite n=30 instance: the
       archive search reliably hits the optimum region, the population search
       does not
-  c7  distributional and structural invariants (mutation law, submodularity
-      ratio of coverage, greedy gain inequality, monotone archives,
-      evaluation conservation, determinism)
+  c7  distributional and structural invariants (mutation law, greedy gain
+      inequality, monotone archives, the probe against its set-based
+      reference, evaluation conservation, determinism)
 """
 
 from __future__ import annotations
@@ -40,16 +40,13 @@ from scipy import stats as scipy_stats
 
 from .algorithms import QualityTarget, RunConfig, run_ea, run_map_elites
 from .analysis import (
-    SetFunctionTable,
     approximation_ratio,
     best_greedy_gain,
     brute_force_opt,
     escape_radius,
-    gamma_min,
     greedy_max_coverage,
     greedy_set_cover,
     reference_probe,
-    submodularity_ratio,
     trap_escape_probability_bound,
 )
 from .core import RandomSource, Solution, flip_sampler
@@ -373,34 +370,20 @@ def _check_mutation_law() -> Optional[str]:
     return None
 
 
-def _check_coverage_ratio_is_one() -> Optional[str]:
-    for seed in range(5):
-        inst = random_max_coverage(8, 10, 0.4, 3, RandomSource(7100 + seed))
-        table = SetFunctionTable.from_coverage(inst)
-        rng = RandomSource(7200 + seed)
-        subset = rng.getrandbits(8)
-        if submodularity_ratio(table, subset, inst.k) != 1.0:
-            return f"coverage submodularity ratio != 1 (seed {7100 + seed})"
-        if gamma_min(table, inst.k) != 1.0:
-            return f"worst-case coverage ratio != 1 (seed {7100 + seed})"
-    return None
-
-
 def _check_greedy_gain_inequality() -> Optional[str]:
+    # Coverage is submodular, so its submodularity ratio is 1 and the greedy
+    # lemma reads k * gain(x) >= OPT - f(x), checked in exact integers.
     checked = 0
     rng = RandomSource(7300)
     while checked < 100:
         inst = random_max_coverage(10, 12, 0.35, 4, rng)
-        problem = make_problem(inst)
-        opt = brute_force_opt(problem).fitness
-        table = SetFunctionTable.from_coverage(inst)
-        word = rng.getrandbits(10)
-        if Solution(10, word).ones() >= inst.k:
+        x = Solution(10, rng.getrandbits(10))
+        if x.ones() >= inst.k:
             continue
-        gamma = submodularity_ratio(table, Solution(10, word), inst.k)
-        _idx, gain = best_greedy_gain(Solution(10, word), inst)
-        if gain < gamma / inst.k * (opt - table.values[word]) - 1e-9:
-            return f"greedy gain inequality violated (state {word:#x})"
+        opt = brute_force_opt(make_problem(inst)).fitness
+        _idx, gain = best_greedy_gain(x, inst)
+        if inst.k * gain < opt - reference_probe(x, inst)[0]:
+            return f"greedy gain inequality violated (state {x.word:#x})"
         checked += 1
     return None
 
@@ -477,7 +460,6 @@ def _check_determinism() -> Optional[str]:
 
 _INVARIANT_CHECKS: tuple[tuple[str, Callable[[], Optional[str]]], ...] = (
     ("mutation-law", _check_mutation_law),
-    ("coverage-ratio", _check_coverage_ratio_is_one),
     ("greedy-gain", _check_greedy_gain_inequality),
     ("archive-cells", _check_archive_cell_monotonicity),
     ("population-worst", _check_population_worst_monotonicity),

@@ -13,12 +13,11 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Optional, Union
+from typing import Optional, Union
 
 from .core import Solution
-from .errors import ParameterError, StateError, ValidationError
+from .errors import ParameterError, StateError
 from .instances import Example1Params, Example2Params
 from .problems import (
     Fitness,
@@ -34,13 +33,10 @@ __all__ = [
     "OracleResult",
     "reference_probe",
     "QdMetrics",
-    "SetFunctionTable",
     "brute_force_opt",
     "best_greedy_gain",
     "greedy_max_coverage",
     "greedy_set_cover",
-    "submodularity_ratio",
-    "gamma_min",
     "escape_radius",
     "trap_escape_probability_bound",
     "qd_metrics",
@@ -48,7 +44,6 @@ __all__ = [
 ]
 
 _BRUTE_FORCE_LIMIT = 24
-_TABLE_LIMIT = 16
 _ESCAPE_LIMIT = 20
 
 
@@ -312,114 +307,6 @@ def greedy_set_cover(inst: SetCoverInstance) -> Solution:
         word |= 1 << best_index
         covered |= masks[best_index]
     return Solution(inst.n, word)
-
-
-# ---------------------------------------------------------------------------
-# Submodularity ratio
-
-
-@dataclass(frozen=True)
-class SetFunctionTable:
-    """Explicit value table of a set function on at most 16 items.
-
-    ``values[mask]`` is the function value on the subset encoded by ``mask``.
-    """
-
-    n: int
-    values: tuple[Fitness, ...]
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.n <= _TABLE_LIMIT:
-            raise ParameterError(f"tables are limited to 1 <= n <= {_TABLE_LIMIT}, got n={self.n}")
-        if len(self.values) != 1 << self.n:
-            raise ValidationError(
-                f"expected {1 << self.n} values for n={self.n}, got {len(self.values)}"
-            )
-
-    @classmethod
-    def from_coverage(cls, inst: MaxCoverageInstance) -> "SetFunctionTable":
-        """Tabulate raw coverage (the size cap is not part of the set function)."""
-        if inst.n > _TABLE_LIMIT:
-            raise ParameterError(f"tables are limited to n <= {_TABLE_LIMIT}, got n={inst.n}")
-        unions, _sizes = _subset_tables(make_element_masks(inst.sets), (1,) * inst.n, 0, inst.n)
-        return cls(inst.n, tuple(union.bit_count() for union in unions))
-
-    @cached_property
-    def is_monotone(self) -> bool:
-        values = self.values
-        for word in range(1 << self.n):
-            for i in range(self.n):
-                if not (word >> i) & 1 and values[word | (1 << i)] < values[word]:
-                    return False
-        return True
-
-
-def _as_item_mask(subset, n: int) -> int:
-    if isinstance(subset, Solution):
-        if subset.n != n:
-            raise ParameterError(f"solution has {subset.n} variables, table has {n}")
-        return subset.word
-    if isinstance(subset, int):
-        if not 0 <= subset < (1 << n):
-            raise ParameterError(f"subset mask {subset:#x} does not fit in {n} bits")
-        return subset
-    mask = 0
-    for item in subset:
-        if not 0 <= item < n:
-            raise ParameterError(f"item {item} outside 0..{n - 1}")
-        mask |= 1 << item
-    return mask
-
-
-def _least_ratio(table: SetFunctionTable, bases: Iterable[int], cardinality: int) -> float:
-    """``submodularity_ratio``'s minimum, over each base L in ``bases`` once
-    instead of over the submasks of one subset."""
-    if not table.is_monotone:
-        raise ValidationError("set function is not monotone")
-    n = table.n
-    values = table.values
-    minimum: Optional[float] = None
-    for L in bases:
-        f_L = values[L]
-        outside = [i for i in range(n) if not (L >> i) & 1]
-        for size in range(1, min(cardinality, len(outside)) + 1):
-            for combo in combinations(outside, size):
-                joint = values[L | sum(1 << i for i in combo)] - f_L
-                if joint <= 0:
-                    continue
-                singles = sum(values[L | (1 << i)] - f_L for i in combo)
-                ratio = singles / joint
-                if minimum is None or ratio < minimum:
-                    minimum = ratio
-    return 1.0 if minimum is None else minimum
-
-
-def submodularity_ratio(
-    table: SetFunctionTable,
-    subset: Union[Solution, int, Iterable[int]],
-    cardinality: int,
-) -> float:
-    """Exact worst-case ratio of summed singleton gains to the joint gain.
-
-    Minimizes over every base set L inside ``subset`` and every disjoint
-    addition S with ``1 <= |S| <= cardinality`` whose joint gain is positive;
-    pairs with zero joint gain carry no constraint and are skipped.  Returns 1
-    when no pair constrains the function.  Requires a monotone table.
-    """
-    if cardinality < 1:
-        raise ParameterError(f"cardinality must be positive, got {cardinality}")
-    X = _as_item_mask(subset, table.n)
-    return _least_ratio(table, (L for L in range(X, -1, -1) if L & X == L), cardinality)
-
-
-def gamma_min(table: SetFunctionTable, k: int) -> float:
-    """Worst submodularity ratio over all bases of size k-1 with additions up to
-    size k, capped at 1: one scan of the masks with fewer than k ones, each the
-    base of some (k-1)-subset, so each is visited once."""
-    if not 1 <= k <= table.n:
-        raise ParameterError(f"k must lie in 1..{table.n}, got {k}")
-    bases = (L for L in range(1 << table.n) if L.bit_count() < k)
-    return min(1.0, _least_ratio(table, bases, k))
 
 
 # ---------------------------------------------------------------------------

@@ -13,11 +13,9 @@ import sys
 
 from .analysis import (
     _BRUTE_FORCE_LIMIT,
-    SetFunctionTable,
     approximation_ratio,
     brute_force_opt,
     escape_radius,
-    gamma_min,
 )
 from . import harness
 from .core import Solution
@@ -203,9 +201,6 @@ def _cmd_oracle(args) -> int:
         )
     if params is not None:
         print(f"recognized family: {type(params).__name__} (local optimum value {params.local_fitness})")
-    if problem.name == "max-coverage" and problem.n <= 10:
-        table = SetFunctionTable.from_coverage(problem.instance)
-        print(f"gamma_min at k={problem.instance.k}: {gamma_min(table, problem.instance.k):g}")
     return 0
 
 
@@ -221,7 +216,7 @@ def _cmd_analyze(args) -> int:
     print(f"fitness: {fitness:g}")
     print(f"cell: {cell}")
     print(f"feasible: {'yes' if feasible else 'no'}")
-    if problem.known_opt is not None:
+    if feasible and problem.known_opt is not None:
         ratio = approximation_ratio(fitness, problem.known_opt)
         print(f"ratio: {ratio:g} (OPT={problem.known_opt})")
     if args.escape_radius:

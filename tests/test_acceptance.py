@@ -42,7 +42,7 @@ DETAILS = {
         "0/50 had a column-only best at some point, 0 of those later beat its value, "
         "0 reached ratio >= 0.95 after entering"
     ),
-    "c7": "8/8 invariant groups hold",
+    "c7": "7/7 invariant groups hold",
 }
 
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -510,15 +511,32 @@ def test_solutions_are_built_only_at_the_boundaries(monkeypatch):
 # The run loop against a reference that notes every evaluation
 
 
+def plain_beats(maximize, strict):
+    """The operator for "``a`` beats ``b``", spelled out here rather than
+    read from ``problems``."""
+    if maximize:
+        return operator.gt if strict else operator.ge
+    return operator.lt if strict else operator.le
+
+
 def reference_run(engine, problem, config):
     """The run loop written plainly: every offspring is probed (copies too)
     and every evaluation is noted, with no event filter.  Parents are drawn
     with ``rng.randrange`` and flip words with the test's plain spelling of
-    the mutation law, not ``flip_sampler``.  A hit stops the run only once
-    init is complete.  Returns ``(evaluations, first_hit,
-    best_fitness, best_string, milestones, container)``.
+    the mutation law, not ``flip_sampler``.  The members are kept in plain
+    lists with their own keep rules, not the library's containers: a word
+    and result per cell with a fill-order list for the archive, and for the
+    population a scan for the worst fitness on every offspring, with a
+    ``rng.randrange`` draw only when several members tie for it.  Every
+    comparison is a plain ``operator``.  A hit stops the run only once init
+    is complete.  Returns ``(evaluations, first_hit, best_fitness,
+    best_string, milestones, words, results, filled)``; ``filled`` is the
+    archive's fill order, None for the population.
     """
-    n, direction, target = problem.n, problem.direction, config.target
+    n, target = problem.n, config.target
+    maximize = problem.direction is Direction.MAXIMIZE
+    beats = plain_beats(maximize, config.strict)
+    improves = plain_beats(maximize, True)
     rng = RandomSource(config.seed)
     if config.initial_population is not None:
         init_words = [x.word for x in config.initial_population]
@@ -526,17 +544,49 @@ def reference_run(engine, problem, config):
         init_words = [rng.getrandbits(n) for _ in range(config.init_count)]
     flip = plain_flip_sampler(n, rng)
     if engine == "map-elites":
-        container = Archive(problem.num_cells, n, direction, config.strict)
-        admit = keep = container.consider
-        slots = container.occupied
-        occupancy = container.__len__
-    else:
-        container = Population(n, direction, rng, config.strict)
-        admit, keep = container.add, container.replace_worst_if_better
-        slots = range(config.init_count)
+        words, results, filled = [None] * problem.num_cells, [None] * problem.num_cells, []
+        slots = filled
+
+        def keep(word, result):
+            fitness, cell, _feasible = result
+            if results[cell] is None:
+                filled.append(cell)
+            elif not beats(fitness, results[cell][0]):
+                return
+            words[cell], results[cell] = word, result
+
+        admit = keep
 
         def occupancy():
-            return len({result[1] for result in container.results})
+            return len(filled)
+
+    else:
+        words, results, filled = [], [], None
+        slots = range(config.init_count)
+
+        def admit(word, result):
+            words.append(word)
+            results.append(result)
+
+        def keep(word, result):
+            fitnesses = [member[0] for member in results]
+            worst = min(fitnesses) if maximize else max(fitnesses)
+            if not beats(result[0], worst):
+                return
+            ties = [i for i, fitness in enumerate(fitnesses) if fitness == worst]
+            victim = ties[rng.randrange(len(ties))] if len(ties) > 1 else ties[0]
+            words[victim], results[victim] = word, result
+
+        def occupancy():
+            return len({result[1] for result in results})
+
+    def hit(fitness, cell, feasible):
+        return (
+            target is not None
+            and (feasible or not target.require_feasible)
+            and target.required_cell in (None, cell)
+            and plain_beats(maximize, target.strict)(fitness, target.threshold)
+        )
 
     evals = 0
     first_hit = best = best_string = None
@@ -545,10 +595,10 @@ def reference_run(engine, problem, config):
     def note(word, result):
         nonlocal best, best_string, first_hit
         fitness, cell, feasible = result
-        improved = feasible and (best is None or comparison(direction)(fitness, best))
+        improved = feasible and (best is None or improves(fitness, best))
         if improved:
             best, best_string = fitness, Solution(n, word).to_string()
-        if target is not None and first_hit is None and target.met(fitness, cell, feasible, direction):
+        if first_hit is None and hit(fitness, cell, feasible):
             first_hit = evals
         if improved or evals % config.milestone_interval == 0:
             milestones.append((evals, best, occupancy(), best_string))
@@ -560,14 +610,14 @@ def reference_run(engine, problem, config):
         note(word, result)
     while evals < config.budget and not (config.stop_on_target and first_hit is not None):
         index = slots[rng.randrange(len(slots))]
-        word = container.words[index] ^ flip()
+        word = words[index] ^ flip()
         result = problem.probe_word(word)
         keep(word, result)
         evals += 1
         note(word, result)
     if not milestones or milestones[-1][0] != evals:
         milestones.append((evals, best, occupancy(), best_string))
-    return evals, first_hit, best, best_string, milestones, container
+    return evals, first_hit, best, best_string, milestones, words, results, filled
 
 
 def _fitness_values(problem):
@@ -621,12 +671,14 @@ def test_run_matches_the_reference_loop(data):
     )
     run = run_map_elites if engine == "map-elites" else run_ea
     trace = run(problem, config)
-    evals, first_hit, best, best_string, milestones, container = reference_run(engine, problem, config)
+    evals, first_hit, best, best_string, milestones, words, results, filled = reference_run(
+        engine, problem, config
+    )
     assert (trace.evaluations_used, trace.first_hit) == (evals, first_hit)
     assert trace.best_fitness == best
     assert (None if trace.best_solution is None else trace.best_solution.to_string()) == best_string
     assert [(m.evaluations, m.best_fitness, m.occupied, m.best_solution) for m in trace.milestones] == milestones
     kept = trace.archive if engine == "map-elites" else trace.population
-    assert kept == container
+    assert (kept.words, kept.results) == (words, results)
     if engine == "map-elites":
-        assert kept.occupied == container.occupied
+        assert kept.occupied == filled

@@ -1,10 +1,8 @@
 """Oracle tests: every derived constant here was computed by an independent route."""
 
 import dataclasses
-import hashlib
 import math
 from fractions import Fraction
-from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings
@@ -12,23 +10,18 @@ from hypothesis import strategies as st
 
 from qdpb.algorithms import Archive
 from qdpb.analysis import (
-    OracleResult,
-    QdMetrics,
-    SetFunctionTable,
     approximation_ratio,
     best_greedy_gain,
     brute_force_opt,
     escape_radius,
-    gamma_min,
     greedy_max_coverage,
     greedy_set_cover,
     qd_metrics,
     reference_probe,
-    submodularity_ratio,
     trap_escape_probability_bound,
 )
 from qdpb.core import RandomSource, Solution
-from qdpb.errors import ParameterError, ValidationError
+from qdpb.errors import ParameterError
 from qdpb.instances import (
     Example1Params,
     Example2Params,
@@ -282,169 +275,19 @@ def test_greedy_set_cover_meets_harmonic_bound(seed):
     assert value <= (math.log(inst.m_elements) + 1) * opt + 1e-9
 
 
-# ---------------------------------------------------------------------------
-# Submodularity ratio
-
-
-def three_item_table():
-    # Non-submodular set function on items {0, 1, 2}; index is the selection mask.
-    return SetFunctionTable(3, (0, 1, 1, 1.5, 0.1, 1.1, 1.1, 2.5))
-
-
-def three_item_exact_table():
-    # The same function with exact rationals.
-    F = Fraction
-    return SetFunctionTable(3, (0, 1, 1, F(3, 2), F(1, 10), F(11, 10), F(11, 10), F(5, 2)))
-
-
-def exhaustive_ratio(table, X, l):
-    """Independent recomputation with exact rationals."""
-    best = None
-    n = table.n
-    values = [Fraction(v) for v in table.values]
-    for r in range(len(X) + 1):
-        for L in combinations(sorted(X), r):
-            mask_L = sum(1 << i for i in L)
-            rest = [i for i in range(n) if i not in L]
-            for size in range(1, l + 1):
-                for Scombo in combinations(rest, size):
-                    mask_S = sum(1 << i for i in Scombo)
-                    joint = values[mask_L | mask_S] - values[mask_L]
-                    if joint <= 0:
-                        continue
-                    singles = sum(values[mask_L | (1 << i)] - values[mask_L] for i in Scombo)
-                    ratio = singles / joint
-                    if best is None or ratio < best:
-                        best = ratio
-    return best
-
-
-def test_submodularity_ratio_worked_example():
-    table = three_item_table()
-    gamma = submodularity_ratio(table, {0, 1}, 2)
-    assert abs(gamma - 0.4) < 1e-9
-    assert abs(gamma - float(exhaustive_ratio(table, {0, 1}, 2))) < 1e-12
-    # Same function with exact rationals: the minimum is exactly 2/5.
-    assert exhaustive_ratio(three_item_exact_table(), {0, 1}, 2) == Fraction(2, 5)
-
-
-def table_of(n, f):
-    """The table of ``f`` on every subset of n items, as exact rationals."""
-    chosen = ({i for i in range(n) if mask >> i & 1} for mask in range(1 << n))
-    return SetFunctionTable(n, tuple(Fraction(f(items)) for items in chosen))
-
-
-@pytest.mark.parametrize(
-    "table",
-    [
-        three_item_exact_table(),
-        # Items 2 and 3 complement each other; item 0 adds nothing, so its
-        # pairs have zero joint gain.  The worst bases hold neither 2 nor 3.
-        table_of(4, lambda chosen: len(chosen & {1, 2, 3}) + 3 * ({2, 3} <= chosen)),
-        # Items 1 and 2 complement each other only once item 0 is in the base.
-        table_of(4, lambda chosen: len(chosen) + 3 * ({0, 1, 2} <= chosen)),
-    ],
-)
-def test_gamma_min_is_the_least_ratio_over_every_base(table):
-    # Rational tables, so both sides are exact.  Each (k-1)-subset B is
-    # scanned on its own, with every base inside it.
-    gammas = []
-    for k in range(1, table.n + 1):
-        ratios = [exhaustive_ratio(table, B, k) for B in combinations(range(table.n), k - 1)]
-        expected = min([Fraction(1)] + [r for r in ratios if r is not None])
-        assert gamma_min(table, k) == expected, k
-        gammas.append(expected)
-    assert min(gammas) < 1
-
-
-def test_submodularity_ratio_accepts_mask_and_solution_forms():
-    table = three_item_table()
-    expected = submodularity_ratio(table, {0, 1}, 2)
-    assert submodularity_ratio(table, 0b011, 2) == expected
-    assert submodularity_ratio(table, S("110"), 2) == expected
-
-
-def test_submodularity_ratio_requires_monotone():
-    bad = SetFunctionTable(2, (0, 1, 1, 0.5))
-    assert not bad.is_monotone
-    with pytest.raises(ValidationError):
-        submodularity_ratio(bad, {0}, 1)
-
-
-def test_submodularity_ratio_parameter_guards():
-    table = three_item_table()
-    with pytest.raises(ParameterError):
-        submodularity_ratio(table, {0}, 0)
-    with pytest.raises(ParameterError):
-        submodularity_ratio(table, {5}, 1)
-    with pytest.raises(ParameterError):
-        SetFunctionTable(17, tuple(range(2**17)))
-
-
-@settings(max_examples=15, deadline=None)
-@given(st.integers(0, 10_000))
-def test_coverage_functions_have_ratio_exactly_one(seed):
-    inst = random_max_coverage(6, 8, 0.4, 3, RandomSource(seed))
-    table = SetFunctionTable.from_coverage(inst)
-    assert table.is_monotone
-    rng = RandomSource(seed + 1)
-    subset = rng.getrandbits(6)
-    assert submodularity_ratio(table, subset, inst.k) == 1.0
-    assert gamma_min(table, inst.k) == 1.0
-
-
-def test_table_from_coverage_matches_direct_counts():
-    inst = random_max_coverage(6, 8, 0.4, 3, RandomSource(77))
-    table = SetFunctionTable.from_coverage(inst)
-    for word in range(2**6):
-        assert table.values[word] == len(set().union(*(inst.sets[i] for i in range(6) if word >> i & 1)))
-
-
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10_000))
 def test_greedy_gain_inequality_on_random_states(seed):
-    # gain(x) >= (gamma / k) * (OPT - f(x)) for the raw coverage objective.
+    # Coverage is submodular, so k * gain(x) >= OPT - f(x) for the raw
+    # coverage objective, in exact integers.
     rng = RandomSource(seed)
     inst = random_max_coverage(7, 9, 0.35, 4, rng)
-    problem = make_problem(inst)
-    opt = brute_force_opt(problem).fitness
-    table = SetFunctionTable.from_coverage(inst)
-    word = rng.getrandbits(7)
-    while Solution(7, word).ones() >= inst.k:
-        word = rng.getrandbits(7)
-    x = Solution(7, word)
-    gamma = submodularity_ratio(table, x, inst.k)
+    opt = brute_force_opt(make_problem(inst)).fitness
+    x = Solution(7, rng.getrandbits(7))
+    while x.ones() >= inst.k:
+        x = Solution(7, rng.getrandbits(7))
     _idx, gain = best_greedy_gain(x, inst)
-    assert gain >= gamma / inst.k * (opt - table.values[word]) - 1e-9
-
-
-def random_monotone_table(n, seed):
-    """Each value is the largest value one item smaller plus a seeded float
-    increment in [0, 1): monotone, and far from submodular."""
-    rng = RandomSource(seed)
-    values = [0.0] * (1 << n)
-    for mask in range(1, 1 << n):
-        below = max(values[mask & ~(1 << i)] for i in range(n) if mask >> i & 1)
-        values[mask] = below + rng.random()
-    return SetFunctionTable(n, tuple(values))
-
-
-# sha256 of the repr of every ratio below, pinned from a known-good build: a
-# change to the scan that reorders the float arithmetic or drops a pair shows.
-FROZEN_RATIOS = "689efb2c0f3ca1d7fb6ac0a09228027bae092a651a7e8d243a087bd099ef8c6c"
-
-
-def test_ratio_values_are_frozen():
-    values = []
-    for seed in range(20):
-        n = 4 + seed % 4
-        table = random_monotone_table(n, 8000 + seed)
-        gammas = [gamma_min(table, k) for k in range(1, n + 1)]
-        assert min(gammas) < 1.0
-        rng = RandomSource(8100 + seed)
-        ratios = [submodularity_ratio(table, rng.getrandbits(n), c) for c in (1, 2, n)]
-        values.append((gammas, ratios))
-    assert hashlib.sha256(repr(values).encode()).hexdigest() == FROZEN_RATIOS
+    assert inst.k * gain >= opt - reference_probe(x, inst)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -116,13 +116,21 @@ def test_oracle_reports_optimum(star5, capsys):
     assert "optima count: 1" in out
 
 
-def test_oracle_gamma_for_small_coverage(tmp_path, capsys):
+@pytest.fixture
+def bip9(tmp_path):
     path = tmp_path / "bip9.json"
-    main(["gen-instance", "example1", "--n", "9", "--delta", "1/3", "--out", str(path)])
-    assert main(["oracle", str(path)]) == 0
+    assert main(["gen-instance", "example1", "--n", "9", "--delta", "1/3", "--out", str(path)]) == 0
+    return str(path)
+
+
+def test_oracle_reports_coverage_optimum_and_no_gamma(bip9, capsys):
+    # Coverage is submodular: its submodularity ratio is always 1, so the
+    # oracle prints no such constant.
+    capsys.readouterr()
+    assert main(["oracle", bip9]) == 0
     out = capsys.readouterr().out
     assert "OPT=20" in out
-    assert "gamma_min at k=4: 1" in out
+    assert "gamma" not in out
 
 
 def test_oracle_enumerates_once(tmp_path, monkeypatch, capsys):
@@ -199,6 +207,20 @@ def test_analyze_umbrella_solution(star5, capsys):
     assert "ratio: 8" in out
     assert "feasible: yes" in out
     assert "escape radius: 5" in out
+
+
+@pytest.mark.parametrize(
+    "instance, word, fitness",
+    [("bip9", "111111111", "-1"), ("star5", "00011", "324")],  # over the size cap; uncovered elements
+)
+def test_analyze_prints_no_ratio_for_an_infeasible_solution(instance, word, fitness, request, capsys):
+    path = request.getfixturevalue(instance)
+    capsys.readouterr()  # the fixture's gen-instance line names a tmp path holding the test name
+    assert main(["analyze", path, "--solution", word]) == 0
+    out = capsys.readouterr().out
+    assert f"fitness: {fitness}" in out
+    assert "feasible: no" in out
+    assert "ratio" not in out
 
 
 def test_analyze_rejects_wrong_length(star5, capsys):

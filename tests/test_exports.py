@@ -12,6 +12,8 @@ from pathlib import Path
 
 import qdpb
 
+ROOT = Path(__file__).resolve().parent.parent
+
 
 def test_every_exported_name_resolves():
     modules = [importlib.import_module(f"qdpb.{info.name}") for info in pkgutil.iter_modules(qdpb.__path__)]
@@ -23,22 +25,32 @@ def test_every_exported_name_resolves():
         assert not missing, f"{module.__name__}.__all__ names {missing}, which do not exist"
 
 
+def unused_imports(path: Path, exported=()) -> list:
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - used - set(exported))
+
+
 def test_every_imported_name_is_used():
-    # The package has no linter configuration; this is its unused-import check.
+    # The repository has no linter configuration; this is its unused-import
+    # check, over the package, the tests and the scripts.
     paths = sorted(Path(qdpb.__file__).parent.glob("*.py"))
     assert len(paths) >= 10
     for path in paths:
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        imported = set()
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
-                continue
-            if isinstance(node, (ast.Import, ast.ImportFrom)):
-                imported.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
-        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         module = importlib.import_module("qdpb" if path.stem == "__init__" else f"qdpb.{path.stem}")
-        unused = sorted(imported - used - set(getattr(module, "__all__", ())))
+        unused = unused_imports(path, getattr(module, "__all__", ()))
         assert not unused, f"{path.name} imports {unused} and never uses them"
+    others = sorted(ROOT.glob("tests/*.py")) + sorted(ROOT.glob("scripts/*.py"))
+    assert len(others) >= 12
+    unused = {str(path.relative_to(ROOT)): unused_imports(path) for path in others}
+    unused = {name: names for name, names in unused.items() if names}
+    assert not unused, f"imported and never used: {unused}"
 
 
 def test_only_harness_reads_and_writes_json():

@@ -6,10 +6,8 @@ import pytest
 from qdpb import algorithms, harness, problems
 from qdpb.algorithms import QualityTarget, RunConfig
 from qdpb.analysis import brute_force_opt
-from qdpb.core import RandomSource
 from qdpb.errors import ParameterError, ValidationError
 from qdpb.harness import (
-    Aggregate,
     ExperimentConfig,
     ProblemSpec,
     config_from_dict,
