@@ -36,8 +36,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
-from scipy import stats as scipy_stats
-
 from .algorithms import QualityTarget, RunConfig, run_ea, run_map_elites
 from .analysis import (
     approximation_ratio,
@@ -349,6 +347,8 @@ def _exact_flip_pmf(n: int) -> list[float]:
 
 
 def _check_mutation_law() -> Optional[str]:
+    from scipy import stats as scipy_stats  # about a second to import; only this check needs it
+
     for n in (5, 30):
         samples = 50_000
         flip = flip_sampler(n, RandomSource(7000 + n))

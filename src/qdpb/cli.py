@@ -17,7 +17,7 @@ from .analysis import (
     brute_force_opt,
     escape_radius,
 )
-from . import harness
+from . import acceptance, harness
 from .core import Solution
 from .errors import ParameterError, QdpbError, ValidationError
 from .harness import (
@@ -150,7 +150,7 @@ def _cmd_run(args) -> int:
         if args.algo is None:
             raise ParameterError("run needs --algo map-elites|ea (or --config FILE)")
         config, problem = _build_config_from_flags(args)
-    report = run_experiment(config) if problem is None else harness._run_experiment(config, problem)
+    report = run_experiment(config, problem)
     agg = report.aggregate
     print(
         f"problem: {report.problem_name} n={report.n} cells={report.num_cells}"
@@ -216,7 +216,7 @@ def _cmd_analyze(args) -> int:
     print(f"fitness: {fitness:g}")
     print(f"cell: {cell}")
     print(f"feasible: {'yes' if feasible else 'no'}")
-    if feasible and problem.known_opt is not None:
+    if feasible and problem.known_opt is not None and problem.known_opt > 0:
         ratio = approximation_ratio(fitness, problem.known_opt)
         print(f"ratio: {ratio:g} (OPT={problem.known_opt})")
     if args.escape_radius:
@@ -233,8 +233,6 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from . import acceptance
-
     if args.list:
         for cid, name in acceptance.criterion_summary():
             print(f"{cid}  {name}")

@@ -1,10 +1,10 @@
 """Multi-trial experiment driver: one config in, one serializable report out.
 
 A report is deterministic given the config: trial ``i`` always runs with seed
-``master_seed + i``, and parallel execution (``workers`` or the
-``QDPB_WORKERS`` environment variable) only changes wall-clock time, not a
-single recorded number.  Reports round-trip through JSON exactly, and a
-compact CSV form carries one row per trial for spreadsheet work.
+``master_seed + i``, and parallel execution (``workers``) only changes
+wall-clock time, not a single recorded number.  Reports round-trip through
+JSON exactly, and a compact CSV form carries one row per trial for
+spreadsheet work.
 """
 
 from __future__ import annotations
@@ -334,8 +334,8 @@ def _trial(algorithm: str, run: RunConfig, problem: Problem, t: int) -> TrialRec
     trace = runner(problem, replace(run, seed=seed))
     archive = trace.archive if trace.archive is not None else _population_archive(trace, problem)
     metrics = qd_metrics(archive)
-    ratio = None
-    if problem.known_opt is not None and trace.best_fitness is not None:
+    ratio = None  # undefined without a positive optimum
+    if problem.known_opt is not None and problem.known_opt > 0 and trace.best_fitness is not None:
         ratio = approximation_ratio(trace.best_fitness, problem.known_opt)
     best = trace.best_solution
     return TrialRecord(
@@ -391,31 +391,22 @@ def _aggregate(records: tuple[TrialRecord, ...], direction: Direction) -> Aggreg
 
 
 def effective_workers(config: ExperimentConfig) -> int:
-    """Worker processes for ``config``: the requested count (``workers``, else
-    ``QDPB_WORKERS``, else 1), capped by the trial count and the CPU count.
+    """Worker processes for ``config``: ``workers`` (default 1), capped by the
+    trial count and the CPU count.
 
     The cap matters because a process pool starts all its workers at once.
     """
-    requested = config.workers
-    if requested is None:
-        env = os.environ.get("QDPB_WORKERS", "")
-        try:
-            requested = int(env) if env else 1
-        except ValueError as exc:
-            raise ParameterError(f"QDPB_WORKERS must be an integer, got {env!r}") from exc
-        if requested < 1:
-            raise ParameterError(f"QDPB_WORKERS must be positive, got {env!r}")
-    return min(requested, config.trials, os.cpu_count() or 1)
+    return min(config.workers or 1, config.trials, os.cpu_count() or 1)
 
 
-def run_experiment(config: ExperimentConfig) -> ExperimentReport:
-    """Run all trials and aggregate.  Deterministic in everything but wall time."""
-    return _run_experiment(config, resolve_problem(config.problem))
+def run_experiment(config: ExperimentConfig, problem: Optional[Problem] = None) -> ExperimentReport:
+    """Run all trials and aggregate.  Deterministic in everything but wall time.
 
-
-def _run_experiment(config: ExperimentConfig, problem: Problem) -> ExperimentReport:
-    # run_experiment with config.problem already resolved, so a caller that
-    # needed the problem first does not resolve (and maybe enumerate) it twice.
+    ``problem`` is ``config.problem`` already resolved, for a caller that
+    needed it first; without it the spec is resolved here.
+    """
+    if problem is None:
+        problem = resolve_problem(config.problem)
     init_count = config.init_count if config.init_count is not None else problem.num_cells
     if init_count != problem.num_cells and not config.allow_unfair:
         raise ParameterError(

@@ -276,6 +276,8 @@ def identify_instance(inst) -> Example1Params | Example2Params | None:
 
     Recovers candidate parameters from the shape and accepts only if
     regeneration reproduces the instance exactly; anything else returns None.
+    The universe sizes are compared first: regenerating a large family could
+    trip its chunk-table size guard on an instance that is not that family.
     """
     if isinstance(inst, MaxCoverageInstance):
         delta = Fraction(3 * inst.k - inst.n, inst.n)
@@ -283,7 +285,7 @@ def identify_instance(inst) -> Example1Params | Example2Params | None:
             params = Example1Params(inst.n, delta)
         except ValidationError:
             return None
-        if example1_max_coverage(params) == inst:
+        if params.m_edges == inst.m_elements and example1_max_coverage(params) == inst:
             return params
         return None
     if isinstance(inst, SetCoverInstance):
@@ -291,7 +293,7 @@ def identify_instance(inst) -> Example1Params | Example2Params | None:
             params = Example2Params(inst.n)
         except ValidationError:
             return None
-        if example2_set_cover(params) == inst:
+        if params.m_elements == inst.m_elements and example2_set_cover(params) == inst:
             return params
         return None
     return None

@@ -57,20 +57,25 @@ def test_c1_exact_oracles_and_greedy_baselines_agree():
     _check("c1")
 
 
-def test_c1_catches_a_planted_evaluator_fault(monkeypatch):
-    # A probe_word fault on the first instance only: the empty selection
-    # (word 0) scores as an optimum.  The oracle enumerates the instance and
-    # never probes, so c1 sees the fault by checking every word's probe_word
-    # triple against reference_probe.
+@pytest.mark.parametrize(
+    "calls_before, details",
+    [(0, "coverage instance seed=1000: oracle disagreement"), (20, "cover instance seed=2000: oracle disagreement")],
+    ids=["coverage", "set-cover"],
+)
+def test_c1_catches_a_planted_evaluator_fault(calls_before, details, monkeypatch):
+    # A probe_word fault on one instance only, the first of its kind: the
+    # empty selection (word 0) scores as an optimum.  The oracle enumerates
+    # the instance and never probes, so c1 sees the fault by checking every
+    # word's probe_word triple against reference_probe.
     make_problem = acceptance.make_problem
-    planted = False
+    calls = 0
 
     def faulty_make_problem(inst, **kwargs):
-        nonlocal planted
+        nonlocal calls
+        calls += 1
         problem = make_problem(inst, **kwargs)
-        if planted:
+        if calls != calls_before + 1:
             return problem
-        planted = True
         opt = brute_force_opt(problem).fitness
         probe_word = problem.probe_word
 
@@ -80,9 +85,9 @@ def test_c1_catches_a_planted_evaluator_fault(monkeypatch):
         return dataclasses.replace(problem, probe_word=faulty)
 
     monkeypatch.setattr(acceptance, "make_problem", faulty_make_problem)
-    passed, details = acceptance._c1_oracle_agreement()
-    assert planted and not passed
-    assert details == "coverage instance seed=1000: oracle disagreement"
+    passed, found = acceptance._c1_oracle_agreement()
+    assert calls == calls_before + 1 and not passed
+    assert found == details
 
 
 def test_c2_archive_search_reaches_near_optimal_coverage():

@@ -223,6 +223,21 @@ def test_analyze_prints_no_ratio_for_an_infeasible_solution(instance, word, fitn
     assert "ratio" not in out
 
 
+def test_an_instance_with_optimum_zero_runs_and_is_analysed_without_a_ratio(tmp_path, capsys):
+    # No set covers anything, so OPT = 0 and the approximation ratio is undefined.
+    path = tmp_path / "empty.json"
+    doc = {"format": "qdpb-instance-v1", "kind": "max-coverage", "n": 3, "m_elements": 2, "k": 1}
+    path.write_text(json.dumps({**doc, "sets": [[], [], []]}))
+    rows = tmp_path / "rows.csv"
+    assert main(["run", "--algo", "ea", "--instance", str(path), "--budget", "50", "--rows", str(rows)]) == 0
+    assert main(["analyze", str(path), "--solution", "100"]) == 0
+    out = capsys.readouterr().out
+    assert "OPT=0" in out and "fitness: 0" in out
+    assert "ratio" not in out
+    header, row = (line.split(",") for line in rows.read_text().splitlines())
+    assert dict(zip(header, row))["ratio"] == "nan"
+
+
 def test_analyze_rejects_wrong_length(star5, capsys):
     assert main(["analyze", star5, "--solution", "101"]) == 1
     assert "5" in capsys.readouterr().err

@@ -1,6 +1,6 @@
 """Every module's public export list names things that exist, every import and
-private name is used, only ``harness`` reads or writes JSON, and starting the
-CLI loads no scipy."""
+private name is used, only ``harness`` reads or writes JSON, no module reads
+the environment, and starting the CLI loads no scipy."""
 
 import ast
 import importlib
@@ -70,6 +70,19 @@ def test_only_harness_reads_and_writes_json():
                 assert not called, f"{path.name}:{node.lineno} calls json.{node.func.attr}"
 
 
+def test_no_module_reads_the_environment():
+    # Every run setting lives in the config, so a run is described by its inputs.
+    banned = {"environ", "environb", "getenv", "getenvb"}
+    for path in sorted(Path(qdpb.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "os":
+                names = {alias.name for alias in node.names}
+                assert not names & banned, f"{path.name} imports {sorted(names & banned)} from os"
+            if isinstance(node, ast.Attribute) and node.attr in banned:
+                raise AssertionError(f"{path.name}:{node.lineno} reads the environment ({node.attr})")
+
+
 def test_every_private_name_is_used():
     # A private helper a refactor left behind: an underscore-named function,
     # method, class or module constant that nothing in the package reads
@@ -107,10 +120,10 @@ def test_every_private_name_is_used():
 
 
 def test_cli_start_up_loads_no_scipy():
-    # scipy.stats costs about a second to import; only ``qdpb verify`` needs it.
+    # scipy.stats costs about a second to import; only c7's mutation-law check needs it.
     code = (
         "import sys\n"
-        "import qdpb.analysis, qdpb.cli, qdpb.harness, qdpb.instances\n"
+        "import qdpb.acceptance, qdpb.analysis, qdpb.cli, qdpb.harness, qdpb.instances\n"
         "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(qdpb.__file__).parent.parent)}

@@ -313,7 +313,7 @@ def test_each_worker_builds_the_problem_once(monkeypatch):
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
     monkeypatch.setattr(harness, "make_problem", counted_make_problem)
     monkeypatch.setattr(harness, "_worker_problem", None)
-    report = harness._run_experiment(config, problem)
+    report = run_experiment(config, problem)
     assert builds == 2  # one per worker, not one per trial
     assert report.records == run_experiment(dataclasses.replace(config, workers=1)).records
 
@@ -350,32 +350,13 @@ def test_milestone_rows_are_bounded_over_all_trials():
     small_me_config(budget=260_000, milestone_every=10_000, trials=50)
 
 
-def test_effective_workers_env_fallback(monkeypatch):
-    config = small_me_config()
-    monkeypatch.setattr(harness.os, "cpu_count", lambda: 8)
-    monkeypatch.delenv("QDPB_WORKERS", raising=False)
-    assert effective_workers(config) == 1
-    monkeypatch.setenv("QDPB_WORKERS", "3")
-    assert effective_workers(config) == 3
-    assert effective_workers(small_me_config(workers=2)) == 2
-    monkeypatch.setenv("QDPB_WORKERS", "lots")
-    with pytest.raises(ParameterError, match="QDPB_WORKERS"):
-        effective_workers(config)
-    for value in ("0", "-4"):
-        monkeypatch.setenv("QDPB_WORKERS", value)
-        with pytest.raises(ParameterError, match=f"QDPB_WORKERS must be positive, got '{value}'"):
-            effective_workers(config)
-
-
 def test_effective_workers_is_bounded_by_trials_and_cpus(monkeypatch):
     # Computed only: no pool is started.
-    monkeypatch.delenv("QDPB_WORKERS", raising=False)
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
+    assert effective_workers(small_me_config(trials=10)) == 1
     assert effective_workers(small_me_config(workers=5000, trials=2)) == 2
     assert effective_workers(small_me_config(workers=5000, trials=10)) == 4
     assert effective_workers(small_me_config(workers=3, trials=10)) == 3
-    monkeypatch.setenv("QDPB_WORKERS", "5000")
-    assert effective_workers(small_me_config(trials=10)) == 4
     monkeypatch.setattr(harness.os, "cpu_count", lambda: None)
     assert effective_workers(small_me_config(workers=5000, trials=10)) == 1
 
@@ -434,7 +415,7 @@ def test_nothing_is_probed_again_after_a_run(algorithm, monkeypatch):
     config = ExperimentConfig(
         problem=spec, algorithm=algorithm, budget=500, trials=3, master_seed=6, workers=1
     )
-    report = harness._run_experiment(config, dataclasses.replace(base, probe_word=probe_word))
+    report = run_experiment(config, dataclasses.replace(base, probe_word=probe_word))
     assert [r.evaluations_used for r in report.records] == [500] * 3
     assert copies > 0
     assert probes == config.budget * config.trials - copies

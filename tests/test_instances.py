@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from qdpb import instances
 from qdpb.core import RandomSource, Solution
 from qdpb.errors import ParameterError, ValidationError
-from qdpb.harness import read_instance, write_instance
+from qdpb.harness import ProblemSpec, read_instance, resolve_problem, write_instance
+from qdpb.problems import MaxCoverageInstance
 from qdpb.instances import (
     Example1Params,
     Example2Params,
@@ -235,6 +236,18 @@ def test_identify_round_trip():
 def test_identify_rejects_random_instances():
     assert identify_instance(random_max_coverage(9, 12, 0.3, 4, RandomSource(3))) is None
     assert identify_instance(random_set_cover(9, 8, 0.3, 5, RandomSource(3))) is None
+
+
+@pytest.mark.parametrize("n, k", [(840, 308), (1500, 550)])
+def test_identify_compares_the_universe_before_regenerating(n, k, tmp_path):
+    # The shape reads as a bipartite family far too large for its chunk
+    # tables, but the universe has 10 elements, not the family's edge count.
+    inst = MaxCoverageInstance(n=n, m_elements=10, k=k, sets=tuple((i % 10,) for i in range(n)))
+    assert identify_instance(inst) is None
+    path = tmp_path / "wide.json"
+    write_instance(inst, path)
+    problem = resolve_problem(ProblemSpec(kind="file", path=str(path)))
+    assert (problem.n, problem.known_opt) == (n, None)
 
 
 # ---------------------------------------------------------------------------
