@@ -350,6 +350,19 @@ def test_milestone_rows_are_bounded_over_all_trials():
     small_me_config(budget=260_000, milestone_every=10_000, trials=50)
 
 
+def test_effective_workers_env_fallback(monkeypatch):
+    # There is no environment fallback: QDPB_WORKERS, whatever it holds, is
+    # neither read nor validated; only the config's workers count.
+    config = small_me_config()
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 8)
+    monkeypatch.delenv("QDPB_WORKERS", raising=False)
+    assert effective_workers(config) == 1
+    for value in ("3", "lots", "0", "-4"):
+        monkeypatch.setenv("QDPB_WORKERS", value)
+        assert effective_workers(config) == 1
+        assert effective_workers(small_me_config(workers=2)) == 2
+
+
 def test_effective_workers_is_bounded_by_trials_and_cpus(monkeypatch):
     # Computed only: no pool is started.
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
