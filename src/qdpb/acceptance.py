@@ -519,8 +519,10 @@ def run_criterion(cid: str) -> CriterionResult:
 
 def run_all(only=None, report: Optional[Callable[[str], None]] = None) -> list[CriterionResult]:
     ids = CRITERION_IDS if only is None else tuple(only)
-    for cid in ids:  # every id is checked before any criterion runs
+    for i, cid in enumerate(ids):  # every id is checked before any criterion runs
         _criterion(cid)
+        if cid in ids[:i]:
+            raise ParameterError(f"criterion {cid!r} is named twice")
     results = []
     for cid in ids:
         result = run_criterion(cid)

@@ -113,6 +113,22 @@ def check_milestone_log(budget: int, milestone_every: Optional[int], trials: int
         )
 
 
+# Members an EA population may hold.  A member took 46 B of memory on
+# umbrella12 (tabulated results), 66 B on bipartite60 and 160 B on a random
+# set cover at n = 60 (a fresh result tuple each; CPython 3.11, mu = 400k),
+# so a full population takes at most ~340 MB.  The archive keeps one member
+# per cell and needs no limit.
+_POPULATION_LIMIT = 2**21
+
+
+def check_population(algorithm: str, init_count: int) -> None:
+    """Refuse an EA population of more than ``_POPULATION_LIMIT`` members."""
+    if algorithm == "ea" and init_count > _POPULATION_LIMIT:
+        raise ParameterError(
+            f"an EA population of {init_count:,} members is over the {_POPULATION_LIMIT:,} member limit"
+        )
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Everything a single run needs besides the problem itself.
@@ -327,8 +343,10 @@ def run_ea(problem: Problem, config: RunConfig) -> RunTrace:
 
 def check_run(algorithm: str, problem: Problem, config: RunConfig) -> None:
     """Refuse a ``config`` that does not fit ``problem`` or ``algorithm``:
-    a target cell outside the problem's cells, or seed members given to the
-    archive or of another length than the problem's."""
+    a target cell outside the problem's cells, an EA population over the
+    member limit, or seed members given to the archive or of another length
+    than the problem's."""
+    check_population(algorithm, config.init_count)
     target = config.target
     required_cell = None if target is None else target.required_cell
     if required_cell is not None and not 0 <= required_cell < problem.num_cells:

@@ -27,7 +27,6 @@ from .problems import (
     comparison,
     make_element_masks,
 )
-from .algorithms import Archive
 
 __all__ = [
     "OracleResult",
@@ -385,26 +384,29 @@ def trap_escape_probability_bound(params: Union[Example1Params, Example2Params])
 
 @dataclass(frozen=True)
 class QdMetrics:
-    """Archive summary: best feasible fitness (None if none), cells filled, fitness sum."""
+    """What a run kept, per cell: best feasible fitness (None if none), cells held, sum of cell bests."""
 
     optimization: Optional[Fitness]
     coverage: int
     qd_score: Fitness
 
 
-def qd_metrics(archive: Archive) -> QdMetrics:
-    """Read from the ``probe_word`` results the archive kept; probes nothing."""
-    better = comparison(archive.direction)
+def qd_metrics(kept) -> QdMetrics:
+    """Fold the ``probe_word`` results an ``Archive`` or a ``Population`` kept
+    into the best fitness per cell, so a cell held by several members counts
+    once, with its best; probes nothing."""
+    better = comparison(kept.direction)
+    cells: dict[int, Fitness] = {}
     best: Optional[Fitness] = None
-    total: Fitness = 0
-    for result in archive.results:
+    for result in kept.results:
         if result is None:
             continue
-        fitness, _cell, feasible = result
-        total += fitness
+        fitness, cell, feasible = result
+        if cell not in cells or better(fitness, cells[cell]):
+            cells[cell] = fitness
         if feasible and (best is None or better(fitness, best)):
             best = fitness
-    return QdMetrics(optimization=best, coverage=len(archive), qd_score=total)
+    return QdMetrics(optimization=best, coverage=len(cells), qd_score=sum(cells.values()))
 
 
 def approximation_ratio(fitness: Fitness, opt: Fitness) -> float:

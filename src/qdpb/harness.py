@@ -21,12 +21,11 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .algorithms import (
-    Archive,
     Milestone,
     QualityTarget,
     RunConfig,
-    RunTrace,
     check_milestone_log,
+    check_population,
     check_run,
     run_ea,
     run_map_elites,
@@ -233,6 +232,8 @@ class ExperimentConfig:
             raise ParameterError("seed_population only applies to the ea algorithm")
         if self.workers is not None and self.workers < 1:
             raise ParameterError(f"workers must be positive, got {self.workers}")
+        if self.init_count is not None:
+            check_population(self.algorithm, self.init_count)
         check_milestone_log(self.budget, self.milestone_every, self.trials)
 
 
@@ -317,23 +318,12 @@ def resolve_seed_members(
     return members
 
 
-def _population_archive(trace: RunTrace, problem: Problem) -> Archive:
-    """View the final EA population through the archive's insert rule so the
-    diversity metrics mean the same thing for both algorithms."""
-    archive = Archive(problem.num_cells, problem.n, problem.direction)
-    population = trace.population
-    for word, result in zip(population.words, population.results):
-        archive.consider(word, result)
-    return archive
-
-
 def _trial(algorithm: str, run: RunConfig, problem: Problem, t: int) -> TrialRecord:
     """Trial ``t`` of an experiment: ``run`` with seed ``run.seed + t``."""
     seed = run.seed + t
     runner = run_map_elites if algorithm == "map-elites" else run_ea
     trace = runner(problem, replace(run, seed=seed))
-    archive = trace.archive if trace.archive is not None else _population_archive(trace, problem)
-    metrics = qd_metrics(archive)
+    metrics = qd_metrics(trace.archive if trace.archive is not None else trace.population)
     ratio = None  # undefined without a positive optimum
     if problem.known_opt is not None and problem.known_opt > 0 and trace.best_fitness is not None:
         ratio = approximation_ratio(trace.best_fitness, problem.known_opt)

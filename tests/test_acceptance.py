@@ -13,6 +13,7 @@ import pytest
 from qdpb import acceptance
 from qdpb.acceptance import CRITERION_IDS, run_criterion
 from qdpb.analysis import brute_force_opt
+from qdpb.errors import ParameterError
 
 
 # The verdict text of every criterion, frozen: a refactor of the experiments
@@ -118,6 +119,14 @@ def test_registry_is_complete():
     assert CRITERION_IDS == ("c1", "c2", "c3", "c4", "c5", "c6", "c7") == tuple(DETAILS)
     with pytest.raises(Exception, match="unknown criterion"):
         run_criterion("c8")
+
+
+def test_a_criterion_named_twice_is_refused_before_any_runs(monkeypatch):
+    ran = []
+    monkeypatch.setattr(acceptance, "run_criterion", ran.append)
+    with pytest.raises(ParameterError, match="'c1' is named twice"):
+        acceptance.run_all(only=("c1", "c7", "c1"))
+    assert ran == []
 
 
 @pytest.mark.parametrize("cpus", [None, 1, 5])

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qdpb.algorithms import Archive
+from qdpb.algorithms import Archive, Population, RunConfig, run_ea
 from qdpb.analysis import (
     approximation_ratio,
     best_greedy_gain,
@@ -405,6 +405,45 @@ def test_qd_metrics_all_infeasible_archive():
     assert metrics.optimization is None
     assert metrics.coverage == 3
     assert metrics.qd_score == -3  # infeasible occupants score -1 each
+
+
+def test_qd_metrics_counts_a_shared_cell_once_with_its_best():
+    inst = random_max_coverage(5, 6, 0.5, 2, RandomSource(1))
+    problem = make_problem(inst)
+    population = Population(problem.n, problem.direction, RandomSource(0))
+    words = ("01000", "10000", "00100", "00000", "11100")
+    for x in map(S, words):
+        population.add(x.word, problem.probe(x))
+    singles = [problem.probe(S(w))[0] for w in words[:3]]
+    assert singles[1] > singles[0] >= singles[2]  # cell 1's best arrives second
+    metrics = qd_metrics(population)
+    assert metrics.coverage == 3  # cells 1, 0 and the infeasible 3
+    assert metrics.qd_score == singles[1] + 0 - 1
+    assert metrics.optimization == singles[1]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    n=st.integers(2, 12),
+    mu=st.integers(1, 30),
+    cover=st.booleans(),
+    strict=st.booleans(),
+)
+def test_qd_metrics_of_a_population_equals_its_archive_view(seed, n, mu, cover, strict):
+    # The reference is the view the harness once built for every EA trial:
+    # the population offered member by member to an archive's keep rule.
+    rng = RandomSource(seed)
+    if cover:
+        problem = make_problem(random_set_cover(n, 8, 0.35, 6, rng))
+    else:
+        problem = make_problem(random_max_coverage(n, 9, 0.35, max(1, n // 3), rng))
+    trace = run_ea(problem, RunConfig(budget=mu + 200, init_count=mu, seed=seed, strict=strict))
+    population = trace.population
+    archive = Archive(problem.num_cells, problem.n, problem.direction)
+    for word, result in zip(population.words, population.results):
+        archive.consider(word, result)
+    assert qd_metrics(population) == qd_metrics(archive)
 
 
 def test_approximation_ratio_reference_values():

@@ -596,6 +596,20 @@ def test_instance_with_far_elements_exits_1_naming_the_file(tmp_path):
         assert proc.stderr.startswith(f"error: {path}: ") and "999999999 element(s)" in proc.stderr, proc.stderr
 
 
+@needs_rlimit
+def test_an_oversized_population_exits_1_and_writes_nothing(tmp_path):
+    star = str(tmp_path / "star12.json")
+    write_instance(example2_set_cover(Example2Params(12)), star)
+    out = tmp_path / "out.json"
+    proc = _capped_main([
+        "run", "--algo", "ea", "--instance", star, "--budget", "200000000", "--init-count", "200000000",
+        "--allow-unfair", "--seed-population", "local", "--document", str(out),
+    ])
+    assert proc.returncode == 1, proc.stderr
+    assert "200,000,000 members" in proc.stderr and "2,097,152 member limit" in proc.stderr, proc.stderr
+    assert not out.exists()
+
+
 _HOSTILE = st.one_of(
     st.none(),
     st.booleans(),
@@ -709,6 +723,7 @@ _CONFIGS = (
 @settings(max_examples=30, deadline=None)
 @given(config=st.one_of([_mutated(config, fixed=tuple(_RUN)) for config in _CONFIGS]))
 @example(config={**_CONFIGS[1], "problem": {**_CONFIGS[1]["problem"], "n": -1}})  # no set to patch into
+@example(config={**_CONFIGS[2], "budget": 2 * 10**8, "init_count": 2 * 10**8, "allow_unfair": True})
 def test_hostile_configs_exit_0_or_1(config):
     # budget and trials stay as they are: a huge budget is a long run the user asked for.
     with tempfile.TemporaryDirectory() as folder:
@@ -784,6 +799,13 @@ def test_verify_list_and_unknown_criterion(capsys):
         assert cid in out
     assert main(["verify", "--only", "c99"]) == 1
     assert "c99" in capsys.readouterr().err
+
+
+def test_verify_refuses_a_criterion_named_twice(capsys):
+    assert main(["verify", "--only", "c7,c7"]) == 1
+    captured = capsys.readouterr()
+    assert "'c7' is named twice" in captured.err
+    assert "c7 PASS" not in captured.out
 
 
 def test_verify_runs_a_fast_criterion(capsys):

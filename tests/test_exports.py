@@ -1,6 +1,7 @@
 """Every module's public export list names things that exist, every import and
-private name is used, only ``harness`` reads or writes JSON, no module reads
-the environment, and starting the CLI loads no scipy."""
+private name is used, each module imports only the layers below it, only
+``harness`` reads or writes JSON, no module reads the environment, and
+starting the CLI loads no scipy."""
 
 import ast
 import importlib
@@ -51,6 +52,47 @@ def test_every_imported_name_is_used():
     unused = {str(path.relative_to(ROOT)): unused_imports(path) for path in others}
     unused = {name: names for name, names in unused.items() if names}
     assert not unused, f"imported and never used: {unused}"
+
+
+# The package modules each module may import.  analysis and algorithms are
+# siblings: the exact oracles judge the engines and may not import them.
+_BASE = {"core", "errors", "instances", "problems"}
+LAYERS = {
+    "__init__": set(),
+    "errors": set(),
+    "core": {"errors"},
+    "problems": {"core", "errors"},
+    "instances": {"core", "errors", "problems"},
+    "algorithms": {"core", "errors", "problems"},
+    "analysis": _BASE,
+    "harness": _BASE | {"algorithms", "analysis"},
+    "acceptance": _BASE | {"algorithms", "analysis", "harness"},
+    "cli": _BASE | {"algorithms", "analysis", "harness", "acceptance"},
+}
+
+
+def package_imports(tree) -> set:
+    """The package modules a module's AST imports, at any depth."""
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module if not node.level else "qdpb" + (f".{node.module}" if node.module else "")
+            if module == "qdpb":  # from . import harness
+                imported.update(alias.name for alias in node.names)
+            elif module.startswith("qdpb."):
+                imported.add(module.split(".")[1])
+        elif isinstance(node, ast.Import):
+            imported.update(a.name.split(".")[1] for a in node.names if a.name.startswith("qdpb."))
+    return imported
+
+
+def test_each_module_imports_only_the_layers_below_it():
+    paths = sorted(Path(qdpb.__file__).parent.glob("*.py"))
+    assert {path.stem for path in paths} == set(LAYERS), "place a new module in LAYERS"
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        stray = package_imports(tree) - LAYERS[path.stem]
+        assert not stray, f"{path.name} imports {sorted(stray)}, outside its layer"
 
 
 def test_only_harness_reads_and_writes_json():

@@ -350,6 +350,35 @@ def test_milestone_rows_are_bounded_over_all_trials():
     small_me_config(budget=260_000, milestone_every=10_000, trials=50)
 
 
+def test_ea_populations_are_bounded_before_any_run_or_worker_starts(monkeypatch):
+    limit = algorithms._POPULATION_LIMIT
+    message = f"population of {limit + 1:,} members is over the {limit:,} member limit"
+    unfair = dict(algorithm="ea", allow_unfair=True, budget=limit + 1)
+    small_me_config(**unfair, init_count=limit)
+    with pytest.raises(ParameterError, match=message):
+        small_me_config(**unfair, init_count=limit + 1)
+    # The archive keeps one member per cell, however many it draws first.
+    small_me_config(**{**unfair, "algorithm": "map-elites"}, init_count=limit + 1)
+    problem = resolve_problem(ProblemSpec(kind="example2", n=5))
+
+    def no_probe(word):
+        raise AssertionError("a member was probed")
+
+    unprobed = dataclasses.replace(problem, probe_word=no_probe)
+    with pytest.raises(ParameterError, match=message):
+        algorithms.run_ea(unprobed, RunConfig(budget=limit + 1, init_count=limit + 1, seed=0))
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    # The default count, one member per cell, on a problem with more cells than the limit.
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    wide = dataclasses.replace(problem, num_cells=limit + 1)
+    with pytest.raises(ParameterError, match=message):
+        run_experiment(small_me_config(**unfair, workers=2, trials=2), wide)
+
+
 def test_effective_workers_env_fallback(monkeypatch):
     # There is no environment fallback: QDPB_WORKERS, whatever it holds, is
     # neither read nor validated; only the config's workers count.
