@@ -288,15 +288,18 @@ class Population(_Members):
     worst are broken with draws from ``rng``, the run's stream.  The
     population starts empty and ``add`` admits the initial members.  The
     worst-member scan is cached between evictions, which makes stagnating
-    runs (the interesting ones) cheap.
+    runs (the interesting ones) cheap.  ``cell_counts`` maps each cell the
+    members' results name to how many members name it, so its length is the
+    population's occupancy.
     """
 
-    __slots__ = ("rng", "_worst_cache")
+    __slots__ = ("rng", "_worst_cache", "cell_counts")
 
     def __init__(self, n: int, direction: Direction, rng: RandomSource, strict: bool = True):
         super().__init__(n, direction, strict)
         self.rng = rng
         self._worst_cache: Optional[tuple[Fitness, list[int]]] = None
+        self.cell_counts: dict[int, int] = {}
 
     def __len__(self) -> int:
         return len(self.words)
@@ -305,6 +308,8 @@ class Population(_Members):
         self.words.append(word)
         self.results.append(result)
         self._worst_cache = None
+        counts = self.cell_counts
+        counts[result[1]] = counts.get(result[1], 0) + 1
 
     def worst(self) -> tuple[Fitness, list[int]]:
         """Worst fitness value and the indices holding it (i.e. eviction candidates)."""
@@ -321,6 +326,13 @@ class Population(_Members):
         if not self.beats(result[0], worst_value):
             return None
         victim = candidates[self.rng.randrange(len(candidates))] if len(candidates) > 1 else candidates[0]
+        counts = self.cell_counts
+        evicted = self.results[victim][1]
+        if counts[evicted] == 1:
+            del counts[evicted]
+        else:
+            counts[evicted] -= 1
+        counts[result[1]] = counts.get(result[1], 0) + 1
         self.words[victim] = word
         self.results[victim] = result
         self._worst_cache = None
@@ -394,10 +406,7 @@ def _run(algorithm: str, problem: Problem, config: RunConfig) -> RunTrace:
     else:
         population = Population(n, direction, rng, config.strict)
         words, results, slots = population.words, population.results, range(config.init_count)
-
-        def occupancy() -> int:
-            return len({r[1] for r in results})
-
+        occupancy = population.cell_counts.__len__
         admit, keep = population.add, population.replace_worst_if_better
     better = comparison(direction)
     interval = config.milestone_interval

@@ -47,6 +47,7 @@ Result = tuple[Fitness, int, bool]  # what a probe returns: (fitness, cell, feas
 _FLOAT_EXACT_LIMIT = 2**53
 _CHUNK_TABLE_LIMIT = 512 * 2**20  # bytes of union masks a problem's probe may build
 _TABLE_LIMIT = 12  # up to this n, probe_word looks its word up in a table of all 2^n results
+_MEMO_LIMIT = 2**_TABLE_LIMIT  # above it, the chunk walk's memo is cleared when it holds this many results
 
 
 class Direction(Enum):
@@ -189,9 +190,12 @@ class Problem:
     ``probe_word(word)`` returns ``(fitness, cell, feasible)`` of the solution
     whose bit word is ``word``, in one pass: the one evaluator, unchecked.
     The factories make it a lookup in a table of all 2^n results when
-    n ≤ 12 (``_TABLE_LIMIT``), and a walk over the word's bytes by shift
-    and mask above it.  Neither checks the word: a negative one, or one of
-    2^n or more, gives an unspecified triple or raises ``IndexError``.
+    n ≤ 12 (``_TABLE_LIMIT``), and above it a walk over the word's bytes by
+    shift and mask that remembers its last in-size results in a memo,
+    cleared when it holds 4,096 (``_MEMO_LIMIT``), so a word probed again
+    soon costs one dict lookup.  Neither checks the word: a negative one,
+    or one of 2^n or more, gives an unspecified triple or raises
+    ``IndexError``.
     ``probe(x)`` is the same on a ``Solution`` after checking its length.
     Unless one is given, it is derived from ``probe_word``, and again by
     ``dataclasses.replace`` with a new ``probe_word``.
@@ -258,6 +262,14 @@ def _tabulated(probe_word: Callable[[int], Result], n: int) -> Callable[[int], R
     return tuple(interned.setdefault(r, r) for r in map(probe_word, range(1 << n))).__getitem__
 
 
+def _memo_limit(n: int) -> int:
+    """The count of results at which a chunk walk clears its memo:
+    ``_MEMO_LIMIT`` above ``_TABLE_LIMIT``, and 1 at or below it.  There the
+    walk only builds the table, probing each word once, so an entry kept past
+    its call would only raise the build's peak memory."""
+    return _MEMO_LIMIT if n > _TABLE_LIMIT else 1
+
+
 def _check_chunk_tables(n: int, m_elements: int) -> None:
     """Refuse a size whose ⌈n/8⌉·256 table masks of ``m_elements`` bits would
     exceed ``_CHUNK_TABLE_LIMIT`` (they grow as n³ on the bipartite family),
@@ -277,22 +289,33 @@ def make_max_coverage_problem(
 
     The tables hold at most 256 union masks per 8-bit chunk, ⌈n/8⌉·256 masks
     of ``m_elements`` bits in all.  A word with more than ``k`` ones gets one
-    of n + 1 shared ``(-1, ones, False)`` results, so no triple is built.
+    of n + 1 shared ``(-1, ones, False)`` results, so no triple is built and
+    none is remembered; any other result is remembered in a memo cleared at
+    ``_memo_limit(n)`` entries.
     """
     _check_chunk_tables(inst.n, inst.m_elements)
     tables = _chunk_tables(make_element_masks(inst.sets), operator.or_)
     k = inst.k
     over_size = tuple((-1, ones, False) for ones in range(inst.n + 1))
+    memo: dict[int, Result] = {}
+    recall = memo.get
+    memo_limit = _memo_limit(inst.n)
 
     def probe_word(word: int) -> tuple[int, int, bool]:
         ones = word.bit_count()
         if ones > k:
             return over_size[ones]
-        union = 0
-        for table in tables:
-            union |= table[word & 255]
-            word >>= 8
-        return union.bit_count(), ones, True
+        result = recall(word)
+        if result is None:
+            union = 0
+            rest = word
+            for table in tables:
+                union |= table[rest & 255]
+                rest >>= 8
+            result = memo[word] = union.bit_count(), ones, True
+            if len(memo) >= memo_limit:
+                memo.clear()
+        return result
 
     return Problem(
         name="max-coverage",
@@ -310,6 +333,7 @@ def make_set_cover_problem(inst: SetCoverInstance, known_opt: Fitness | None = N
 
     Each entry is the (union mask, weight sum) pair of a subset of one 8-bit
     chunk: ⌈n/8⌉·256 masks of ``m_elements`` bits and as many ints in all.
+    Each result is remembered in a memo cleared at ``_memo_limit(n)`` entries.
     """
     _check_chunk_tables(inst.n, inst.m_elements)
     tables = tuple(
@@ -321,16 +345,25 @@ def make_set_cover_problem(inst: SetCoverInstance, known_opt: Fitness | None = N
     )
     m = inst.m_elements
     penalty = inst.penalty
+    memo: dict[int, Result] = {}
+    recall = memo.get
+    memo_limit = _memo_limit(inst.n)
 
     def probe_word(word: int) -> tuple[int, int, bool]:
-        weight = union = 0
-        for table in tables:
-            mask, chunk_weight = table[word & 255]
-            union |= mask
-            weight += chunk_weight
-            word >>= 8
-        covered = union.bit_count()
-        return weight + penalty * (m - covered), covered, covered == m
+        result = recall(word)
+        if result is None:
+            weight = union = 0
+            rest = word
+            for table in tables:
+                mask, chunk_weight = table[rest & 255]
+                union |= mask
+                weight += chunk_weight
+                rest >>= 8
+            covered = union.bit_count()
+            result = memo[word] = weight + penalty * (m - covered), covered, covered == m
+            if len(memo) >= memo_limit:
+                memo.clear()
+        return result
 
     return Problem(
         name="set-cover",

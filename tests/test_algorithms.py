@@ -3,6 +3,8 @@
 import dataclasses
 import math
 import operator
+import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -185,6 +187,46 @@ def test_mu_plus_one_keeps_size_and_never_worsens():
     better = comparison(problem.direction)
     for before, after in zip(worst_values, worst_values[1:]):
         assert not better(before, after)
+
+
+def test_population_cell_counts_follow_every_eviction(monkeypatch):
+    # Random-start EA runs evict often, ties included with strict=False;
+    # after every eviction the count per cell equals a count over the members.
+    replace = Population.replace_worst_if_better
+    evictions = 0
+
+    def checked(population, word, result):
+        nonlocal evictions
+        victim = replace(population, word, result)
+        if victim is not None:
+            evictions += 1
+            assert population.cell_counts == Counter(r[1] for r in population.results)
+        return victim
+
+    monkeypatch.setattr(Population, "replace_worst_if_better", checked)
+    draws = RandomSource(77)
+    for seed in range(40):
+        make = random_set_cover if seed % 2 else random_max_coverage
+        problem = make_problem(make(8, 10, 0.3, 3 + 3 * (seed % 2), RandomSource(seed)))
+        init_count = draws.randint(1, problem.num_cells + 2)
+        config = RunConfig(budget=600, init_count=init_count, seed=seed, strict=seed % 4 < 2)
+        trace = run_ea(problem, config)
+        population = trace.population
+        assert population.cell_counts == Counter(r[1] for r in population.results)
+        assert len(population.cell_counts) == len({r[1] for r in population.results}) == trace.milestones[-1].occupied
+    assert evictions >= 1_000, evictions
+
+
+def test_milestone_occupancy_does_not_scan_the_population():
+    # An init-only run logs about 1,000 milestone rows over 2^17 members: a
+    # scan of every member's cell per row took over 1 s, the count ~0.15 s.
+    problem = make_problem(example2_set_cover(Example2Params(12)))
+    mu = 2**17
+    start = time.perf_counter()
+    trace = run_ea(problem, RunConfig(budget=mu, init_count=mu, seed=1))
+    assert time.perf_counter() - start < 0.5
+    assert len(trace.milestones) > 990
+    assert trace.milestones[-1].occupied == len({r[1] for r in trace.population.results})
 
 
 def test_seed_population_validation():

@@ -1,7 +1,7 @@
 """Every module's public export list names things that exist, every import and
 private name is used, each module imports only the layers below it, only
 ``harness`` reads or writes JSON, no module reads the environment, and
-starting the CLI loads no scipy."""
+starting the CLI loads neither scipy nor the process pool's modules."""
 
 import ast
 import importlib
@@ -161,13 +161,25 @@ def test_every_private_name_is_used():
     assert not unused, f"private names nothing uses: {unused}"
 
 
-def test_cli_start_up_loads_no_scipy():
-    # scipy.stats costs about a second to import; only c7's mutation-law check needs it.
+def modules_loaded_at_start_up(*packages) -> str:
+    """The sorted names of the loaded modules of ``packages`` after a fresh
+    interpreter imports the CLI and the modules it uses."""
     code = (
         "import sys\n"
         "import qdpb.acceptance, qdpb.analysis, qdpb.cli, qdpb.harness, qdpb.instances\n"
-        "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))\n"
+        f"print(sorted(name for name in sys.modules if name.split('.')[0] in {packages!r}))\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(qdpb.__file__).parent.parent)}
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert done.stdout.strip() == "[]", done.stdout
+    return done.stdout.strip()
+
+
+def test_cli_start_up_loads_no_scipy():
+    # scipy.stats costs about a second to import; only c7's mutation-law check needs it.
+    assert modules_loaded_at_start_up("scipy") == "[]"
+
+
+def test_cli_start_up_loads_no_process_pool():
+    # The pool starts only for workers > 1; multiprocessing and what it loads
+    # (socket, logging, pickle) would cost every serial run about 2 MB.
+    assert modules_loaded_at_start_up("multiprocessing", "concurrent") == "[]"

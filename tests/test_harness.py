@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import json
 
@@ -309,7 +310,7 @@ def test_each_worker_builds_the_problem_once(monkeypatch):
 
     config = small_me_config(trials=4, workers=2)
     problem = resolve_problem(config.problem)
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
     monkeypatch.setattr(harness, "make_problem", counted_make_problem)
     monkeypatch.setattr(harness, "_worker_problem", None)
@@ -331,7 +332,7 @@ def test_bad_run_settings_are_refused_before_any_worker_starts(setting, message,
     def no_pool(*args, **kwargs):
         raise AssertionError("a process pool was started")
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
     with pytest.raises(ParameterError, match=message):
         run_experiment(small_me_config(workers=2, trials=2, **setting))
@@ -372,7 +373,7 @@ def test_ea_populations_are_bounded_before_any_run_or_worker_starts(monkeypatch)
         raise AssertionError("a process pool was started")
 
     # The default count, one member per cell, on a problem with more cells than the limit.
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
     wide = dataclasses.replace(problem, num_cells=limit + 1)
     with pytest.raises(ParameterError, match=message):

@@ -1,12 +1,16 @@
 """Tests for the two problem reformulations, frozen against hand-checked values."""
 
+import collections
 import dataclasses
 import functools
+import itertools
+import math
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdpb import problems
@@ -430,3 +434,91 @@ def test_over_size_results_are_shared_per_count_of_ones(inst):
         low, high = probe_word(block), probe_word(block << (inst.n - ones))
         assert low == (-1, ones, False) == reference_probe(Solution(inst.n, block), inst)
         assert high is low, ones
+
+
+# ---------------------------------------------------------------------------
+# The chunk walk's memo: exact across clears, bounded, and empty at n ≤ 12
+
+
+@st.composite
+def memo_instances(draw):
+    """A coverage or set-cover instance with 13 ≤ n ≤ 40 whose in-size words
+    number at least twice ``_MEMO_LIMIT``, so a block of more than the limit
+    can be drawn from them."""
+    n = draw(st.integers(13, 40))
+    m = draw(st.integers(1, 12))
+    raw = [draw(st.sets(st.integers(0, m - 1))) for _ in range(n)]
+    if draw(st.booleans()):
+        in_size = itertools.accumulate(math.comb(n, ones) for ones in range(n + 1))
+        k_min = next(ones for ones, count in enumerate(in_size) if count >= 2 * problems._MEMO_LIMIT)
+        k = draw(st.integers(k_min, n))
+        return MaxCoverageInstance(n=n, m_elements=m, sets=tuple(tuple(sorted(s)) for s in raw), k=k)
+    raw[0] |= set(range(m)) - set().union(*raw)
+    weights = tuple(draw(st.integers(1, 9)) for _ in range(n))
+    return SetCoverInstance(
+        n=n, m_elements=m, sets=tuple(tuple(sorted(s)) for s in raw), weights=weights,
+        penalty=default_penalty(n, weights),
+    )
+
+
+def in_size_words(inst, count, seed):
+    """``count`` distinct words, uniform among those with at most ``k`` ones
+    (any word for set cover), word 0 first."""
+    n, k = inst.n, getattr(inst, "k", inst.n)
+    rng = RandomSource(seed)
+    ones_weights = [math.comb(n, ones) for ones in range(k + 1)]
+    words = {0: None}
+    while len(words) < count:
+        ones = rng.choices(range(k + 1), ones_weights)[0]
+        words[sum(1 << i for i in rng.sample(range(n), ones))] = None
+    return list(words)
+
+
+@settings(max_examples=8, deadline=None)
+@given(memo_instances(), st.integers(0, 2**32 - 1))
+def test_memo_results_stay_exact_across_clears(inst, seed):
+    # Each word comes back after more than _MEMO_LIMIT other in-size words,
+    # then at once in reverse.  Between every two comes the all-ones word:
+    # over-size for coverage when k < n, which the memo never holds, and
+    # otherwise a word it keeps hitting.
+    block = in_size_words(inst, problems._MEMO_LIMIT + 2 + seed % 200, seed)
+    expected = {word: reference_probe(Solution(inst.n, word), inst) for word in block}
+    probe_word = make_problem(inst).probe_word
+    all_ones = 2**inst.n - 1
+    all_ones_result = reference_probe(Solution(inst.n, all_ones), inst)
+    for word in [*block, *block, *reversed(block)]:
+        assert probe_word(word) == expected[word], word
+        assert probe_word(all_ones) == all_ones_result
+
+
+def traced_peak(action):
+    """Peak bytes that ``tracemalloc`` traces while ``action()`` runs."""
+    tracemalloc.start()
+    try:
+        action()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize(
+    "inst", [BIPARTITE60, example2_set_cover(Example2Params(40))], ids=["bipartite60", "umbrella40"]
+)
+def test_memo_is_bounded(inst):
+    # 50,000 distinct in-size words: a memo that kept them all would hold
+    # about 5 MB; cleared at _MEMO_LIMIT entries it peaks near 0.4 MB.
+    words = [
+        sum(1 << i for i in chosen)
+        for chosen in itertools.islice(itertools.combinations(range(inst.n), 4), 50_000)
+    ]
+    probe_word = make_problem(inst).probe_word
+    assert traced_peak(lambda: collections.deque(map(probe_word, words), maxlen=0)) < 2**20
+
+
+@pytest.mark.parametrize("inst", [BIPARTITE12, UMBRELLA12], ids=["bipartite12", "umbrella12"])
+def test_tabulation_keeps_no_memo(inst):
+    # At n ≤ 12 the walk probes each word once to build the table, so no
+    # result may outlive its call: the umbrella12 build peaked at 56 kB
+    # without a memo and at 723 kB with one filled while it ran.
+    assert inst.n == problems._TABLE_LIMIT
+    assert traced_peak(lambda: make_problem(inst)) < 200_000
