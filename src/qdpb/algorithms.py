@@ -4,8 +4,9 @@ Both engines share the same primitive moves (uniform parent choice, standard
 bit-flip mutation, one evaluation per offspring) and differ only in what they
 keep: the archive retains the best solution seen per behaviour cell, the EA a
 fixed-size population whose worst member is evicted by strictly better
-offspring.  So both run through one loop, ``_run``, which hands every
-offspring as ``(word, result)`` to its container's keep policy,
+offspring.  So both run through one loop, ``_run``, which hands each
+offspring that could be kept (see the fitness gate below) as ``(word,
+result)`` to its container's keep policy,
 ``Archive.consider`` or ``Population.replace_worst_if_better``.  Each
 container is built with the problem's direction and the run's ``strict``
 flag, so the keep rule is fixed for the whole run.  Every generated solution
@@ -26,20 +27,30 @@ the run (fitnesses, QD metrics) comes from those results.  A ``Solution`` is
 built only for what leaves the run: milestone strings, the best solution of
 the trace, and members read from a container.  An offspring
 whose flip word is 0 is a copy of its parent and reuses the parent's result
-instead of being probed again; it still counts as one evaluation and still
-goes through the keep step.
+instead of being probed again; it still counts as one evaluation and is
+judged like any other offspring.
 
 ``_run`` keeps the run's trace itself: the best feasible solution, the
-first hit and the milestone log.  Every offspring goes through the keep step,
-but only an evaluation that can change the trace is noted; the loop counts
-the others.
+first hit and the milestone log.  Only an evaluation that can change the
+trace is noted; the loop counts the others.
+
+One fitness gate decides which offspring reach the keep step at all.  It is
+the weakest of three values: the container's floor (the population's worst
+fitness, or the archive's weakest incumbent once every cell is held), the
+best feasible fitness and, while the run watches for a hit, the target's
+threshold.  An offspring that does not pass it can be neither kept nor
+noted, so unless its evaluation ends a milestone interval the loop only
+counts it: in a run parked at a local optimum that is nearly every
+offspring.  The gate compares strictly only when the keep rule and the
+target both do, and it is recomputed after every accept and every note.
+It draws nothing from the stream and changes no trace.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import ceil, isfinite
-from typing import Optional
+from typing import Callable, Optional
 
 from .core import RandomSource, Solution, flip_sampler
 from .errors import ParameterError, require_bools, require_ints, require_numbers
@@ -205,17 +216,21 @@ class _Members:
     """The member store both keep policies share: bit words of ``n``
     variables, each kept with its ``probe_word`` result ``(fitness, cell,
     feasible)``, and the keep rule's comparison ``beats``, bound at
-    construction from ``direction`` and ``strict``.  ``solutions`` builds
+    construction from ``direction`` and ``strict``, and ``weakest``, the
+    ``min`` or ``max`` that picks the worst of fitness values.  ``floor()``
+    is a fitness an offspring must beat to be kept, or None while any
+    offspring might be.  ``solutions`` builds
     ``Solution``s when read.  Two stores are equal when they are of the same
     kind and hold the same words and results.
     """
 
-    __slots__ = ("n", "direction", "beats", "words", "results")
+    __slots__ = ("n", "direction", "beats", "weakest", "words", "results")
 
     def __init__(self, n: int, direction: Direction, strict: bool, size: int = 0):
         self.n = n
         self.direction = direction
         self.beats = comparison(direction, strict)
+        self.weakest = min if direction is Direction.MAXIMIZE else max
         self.words: list[Optional[int]] = [None] * size
         self.results: list[Optional[Result]] = [None] * size
 
@@ -245,10 +260,11 @@ class Archive(_Members):
     An occupant is replaced only by strictly better fitness under
     ``direction`` (or at-least-as-good with ``strict=False``), so cells never
     empty once filled and per-cell fitness can only move in the improving
-    direction.  An empty cell's word and result are None.
+    direction.  An empty cell's word and result are None.  The floor is the
+    weakest incumbent once every cell is held, cached until the next accept.
     """
 
-    __slots__ = ("num_cells", "occupied")
+    __slots__ = ("num_cells", "occupied", "_floor")
 
     def __init__(self, num_cells: int, n: int, direction: Direction, strict: bool = True):
         if num_cells < 1:
@@ -256,6 +272,7 @@ class Archive(_Members):
         super().__init__(n, direction, strict, num_cells)
         self.num_cells = num_cells
         self.occupied: list[int] = []  # fill order; supports O(1) uniform parent choice
+        self._floor: Optional[Fitness] = None
 
     def __len__(self) -> int:
         return len(self.occupied)
@@ -263,6 +280,11 @@ class Archive(_Members):
     def occupants(self) -> list[tuple[int, Solution, Fitness]]:
         n, words, results = self.n, self.words, self.results
         return [(c, Solution(n, words[c]), results[c][0]) for c in sorted(self.occupied)]
+
+    def floor(self) -> Optional[Fitness]:
+        if self._floor is None and len(self.occupied) == self.num_cells:
+            self._floor = self.weakest([result[0] for result in self.results])
+        return self._floor
 
     def consider(self, word: int, result: Result) -> bool:
         """Keep ``word`` in the cell its ``result`` names if that cell is
@@ -277,6 +299,7 @@ class Archive(_Members):
             return False
         self.words[cell] = word
         self.results[cell] = result
+        self._floor = None
         return True
 
 
@@ -315,9 +338,12 @@ class Population(_Members):
         """Worst fitness value and the indices holding it (i.e. eviction candidates)."""
         if self._worst_cache is None:
             fits = self.fitnesses
-            value = min(fits) if self.direction is Direction.MAXIMIZE else max(fits)
+            value = self.weakest(fits)
             self._worst_cache = (value, [i for i, f in enumerate(fits) if f == value])
         return self._worst_cache
+
+    def floor(self) -> Fitness:
+        return self.worst()[0]
 
     def replace_worst_if_better(self, word: int, result: Result) -> Optional[int]:
         """Evict one worst member if ``word`` beats it; ties for worst are
@@ -384,6 +410,13 @@ def _run(algorithm: str, problem: Problem, config: RunConfig) -> RunTrace:
     only if it can change the trace: it ends a milestone interval, it is
     feasible and beats the best so far, or it reaches the target's threshold
     while no hit is recorded.
+
+    Before either, the fitness gate of the module docstring turns away an
+    offspring that could change neither: ``gate`` is None while the floor
+    or the best is, and ``passes`` is the comparison an offspring's fitness
+    must pass it by.  An offspring that ties the gate may still be kept by
+    a relaxed keep rule or meet a non-strict target, so ``passes`` admits
+    ties unless both are strict (the best only improves strictly).
     """
     n = problem.n
     direction = problem.direction
@@ -399,15 +432,17 @@ def _run(algorithm: str, problem: Problem, config: RunConfig) -> RunTrace:
     flip = flip_sampler(n, rng)  # the module global at run time, so a rebinding takes effect
     archive = population = None
     if algorithm == "map-elites":
-        archive = Archive(problem.num_cells, n, direction, config.strict)
+        container = archive = Archive(problem.num_cells, n, direction, config.strict)
         words, results, slots = archive.words, archive.results, archive.occupied
         occupancy = slots.__len__
         admit = keep = archive.consider
+        rejected = False  # what keep returns for an offspring it does not keep
     else:
-        population = Population(n, direction, rng, config.strict)
+        container = population = Population(n, direction, rng, config.strict)
         words, results, slots = population.words, population.results, range(config.init_count)
         occupancy = population.cell_counts.__len__
         admit, keep = population.add, population.replace_worst_if_better
+        rejected = None
     better = comparison(direction)
     interval = config.milestone_interval
     milestones: list[Milestone] = []
@@ -441,11 +476,24 @@ def _run(algorithm: str, problem: Problem, config: RunConfig) -> RunTrace:
     reaches = None if target is None else comparison(direction, target.strict)
     threshold = None if target is None else target.threshold
     watching = target is not None and first_hit is None
+    floor, weakest = container.floor, container.weakest
+    passes_kept = comparison(direction, config.strict)
+    passes_watched = None if target is None else comparison(direction, config.strict and target.strict)
+
+    def regate() -> tuple[Optional[Fitness], Optional[Callable[[Fitness, Fitness], bool]]]:
+        """The gate and the comparison an offspring's fitness must pass it by."""
+        low = floor()
+        if low is None or best is None:
+            return None, None
+        if watching:
+            return weakest(low, best, threshold), passes_watched
+        return weakest(low, best), passes_kept
+
+    gate, passes = regate()
     next_milestone = evals - evals % interval + interval
     # rng.randrange(len(slots)), inlined as in flip_sampler.  len(slots)
     # changes only when the archive fills a new cell, which only a kept
-    # offspring (consider returns True) can do; the population never grows,
-    # so a falsy victim index 0 from its keep skips nothing.
+    # offspring can do; the population never grows.
     size = len(slots)
     k = size.bit_length()
     while evals < budget:
@@ -460,10 +508,13 @@ def _run(algorithm: str, problem: Problem, config: RunConfig) -> RunTrace:
         else:
             word = words[index]
             result = results[index]
-        if keep(word, result) and len(slots) != size:
+        evals += 1
+        if gate is not None and evals != next_milestone and not passes(result[0], gate):
+            continue
+        changed = keep(word, result) is not rejected
+        if changed and len(slots) != size:
             size = len(slots)
             k = size.bit_length()
-        evals += 1
         fitness, _cell, feasible = result
         if (
             evals == next_milestone
@@ -471,12 +522,15 @@ def _run(algorithm: str, problem: Problem, config: RunConfig) -> RunTrace:
             or (watching and reaches(fitness, threshold))
         ):
             note(word, result)
+            changed = True
             if evals == next_milestone:
                 next_milestone += interval
             if first_hit is not None:
                 if config.stop_on_target:
                     break
                 watching = False
+        if changed:
+            gate, passes = regate()
     if not milestones or milestones[-1].evaluations != evals:
         milestones.append(Milestone(evals, best, occupancy(), best_string))
     return RunTrace(

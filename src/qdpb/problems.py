@@ -262,12 +262,11 @@ def _tabulated(probe_word: Callable[[int], Result], n: int) -> Callable[[int], R
     return tuple(interned.setdefault(r, r) for r in map(probe_word, range(1 << n))).__getitem__
 
 
-def _memo_limit(n: int) -> int:
-    """The count of results at which a chunk walk clears its memo:
-    ``_MEMO_LIMIT`` above ``_TABLE_LIMIT``, and 1 at or below it.  There the
-    walk only builds the table, probing each word once, so an entry kept past
-    its call would only raise the build's peak memory."""
-    return _MEMO_LIMIT if n > _TABLE_LIMIT else 1
+def _memo(n: int) -> Optional[dict[int, Result]]:
+    """A chunk walk's memo: empty above ``_TABLE_LIMIT``, and None at or
+    below it.  There the walk only builds the table, probing each word once,
+    so a result kept past its call would only raise the build's peak memory."""
+    return {} if n > _TABLE_LIMIT else None
 
 
 def _check_chunk_tables(n: int, m_elements: int) -> None:
@@ -290,16 +289,15 @@ def make_max_coverage_problem(
     The tables hold at most 256 union masks per 8-bit chunk, ⌈n/8⌉·256 masks
     of ``m_elements`` bits in all.  A word with more than ``k`` ones gets one
     of n + 1 shared ``(-1, ones, False)`` results, so no triple is built and
-    none is remembered; any other result is remembered in a memo cleared at
-    ``_memo_limit(n)`` entries.
+    none is remembered; above ``_TABLE_LIMIT`` any other result is
+    remembered in a memo cleared at ``_MEMO_LIMIT`` entries.
     """
     _check_chunk_tables(inst.n, inst.m_elements)
     tables = _chunk_tables(make_element_masks(inst.sets), operator.or_)
     k = inst.k
     over_size = tuple((-1, ones, False) for ones in range(inst.n + 1))
-    memo: dict[int, Result] = {}
-    recall = memo.get
-    memo_limit = _memo_limit(inst.n)
+    memo = _memo(inst.n)
+    recall = {}.get if memo is None else memo.get
 
     def probe_word(word: int) -> tuple[int, int, bool]:
         ones = word.bit_count()
@@ -312,9 +310,11 @@ def make_max_coverage_problem(
             for table in tables:
                 union |= table[rest & 255]
                 rest >>= 8
-            result = memo[word] = union.bit_count(), ones, True
-            if len(memo) >= memo_limit:
-                memo.clear()
+            result = union.bit_count(), ones, True
+            if memo is not None:
+                memo[word] = result
+                if len(memo) >= _MEMO_LIMIT:
+                    memo.clear()
         return result
 
     return Problem(
@@ -333,7 +333,8 @@ def make_set_cover_problem(inst: SetCoverInstance, known_opt: Fitness | None = N
 
     Each entry is the (union mask, weight sum) pair of a subset of one 8-bit
     chunk: ⌈n/8⌉·256 masks of ``m_elements`` bits and as many ints in all.
-    Each result is remembered in a memo cleared at ``_memo_limit(n)`` entries.
+    Above ``_TABLE_LIMIT`` each result is remembered in a memo cleared at
+    ``_MEMO_LIMIT`` entries.
     """
     _check_chunk_tables(inst.n, inst.m_elements)
     tables = tuple(
@@ -345,9 +346,8 @@ def make_set_cover_problem(inst: SetCoverInstance, known_opt: Fitness | None = N
     )
     m = inst.m_elements
     penalty = inst.penalty
-    memo: dict[int, Result] = {}
-    recall = memo.get
-    memo_limit = _memo_limit(inst.n)
+    memo = _memo(inst.n)
+    recall = {}.get if memo is None else memo.get
 
     def probe_word(word: int) -> tuple[int, int, bool]:
         result = recall(word)
@@ -360,9 +360,11 @@ def make_set_cover_problem(inst: SetCoverInstance, known_opt: Fitness | None = N
                 weight += chunk_weight
                 rest >>= 8
             covered = union.bit_count()
-            result = memo[word] = weight + penalty * (m - covered), covered, covered == m
-            if len(memo) >= memo_limit:
-                memo.clear()
+            result = weight + penalty * (m - covered), covered, covered == m
+            if memo is not None:
+                memo[word] = result
+                if len(memo) >= _MEMO_LIMIT:
+                    memo.clear()
         return result
 
     return Problem(

@@ -8,7 +8,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qdpb import algorithms
@@ -107,6 +107,25 @@ def test_archive_bounds():
         Archive(0, 3, Direction.MAXIMIZE)
 
 
+def test_archive_floor_waits_for_every_cell_and_follows_each_accept():
+    a = Archive(3, 3, Direction.MAXIMIZE)
+    for cell, fitness in ((0, 4), (1, 2)):
+        a.consider(W("100"), R(fitness, cell))
+        assert a.floor() is None                 # a cell is still empty
+    a.consider(W("010"), R(7, 2))
+    assert a.floor() == 2
+    assert not a.consider(W("001"), R(2, 1))
+    assert a.floor() == 2
+    assert a.consider(W("001"), R(5, 1))         # the weakest incumbent improves
+    assert a.floor() == 4
+    cover = Archive(2, 3, Direction.MINIMIZE)
+    cover.consider(W("100"), R(3, 0))
+    cover.consider(W("010"), R(8, 1))
+    assert cover.floor() == 8
+    assert cover.consider(W("011"), R(6, 1))
+    assert cover.floor() == 6
+
+
 def test_map_elites_init_deterministic():
     problem = small_problem()
     a = run_map_elites(problem, RunConfig(budget=7, init_count=7, seed=3)).archive
@@ -127,6 +146,13 @@ def test_population_worst_by_direction():
     assert pop.worst() == (1, [1])
     pop2 = filled(Population(3, Direction.MINIMIZE, RandomSource(0)), ["100", "010", "001"], [3, 1, 2])
     assert pop2.worst() == (3, [0])
+
+
+def test_population_floor_is_the_worst_fitness():
+    pop = filled(Population(2, Direction.MAXIMIZE, RandomSource(0)), ["00", "01", "10"], [3, 1, 2])
+    assert pop.floor() == 1
+    pop.replace_worst_if_better(W("11"), R(5))
+    assert pop.floor() == 2
 
 
 def test_population_eviction_requires_strict_improvement():
@@ -684,33 +710,55 @@ def _reference_problems():
 REFERENCE_PROBLEMS = _reference_problems()
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.data())
-def test_run_matches_the_reference_loop(data):
-    problem, trap, values = data.draw(st.sampled_from(REFERENCE_PROBLEMS), label="problem")
-    engine = data.draw(st.sampled_from(["map-elites", "ea"]), label="engine")
-    init_count = data.draw(st.integers(1, problem.num_cells + 2), label="init_count")
-    seeded = engine == "ea" and trap is not None and data.draw(st.booleans(), label="seeded")
+@st.composite
+def reference_cases(draw):
+    """``(index, engine, config)``: a problem of ``REFERENCE_PROBLEMS`` by
+    index, an engine and a run config for them."""
+    index = draw(st.integers(0, len(REFERENCE_PROBLEMS) - 1))
+    problem, trap, values = REFERENCE_PROBLEMS[index]
+    engine = draw(st.sampled_from(["map-elites", "ea"]))
+    init_count = draw(st.integers(1, problem.num_cells + 2))
+    seeded = engine == "ea" and trap is not None and draw(st.booleans())
     target = None
-    if data.draw(st.booleans(), label="has_target"):
+    if draw(st.booleans()):
         target = QualityTarget(
-            threshold=data.draw(st.sampled_from(values), label="threshold"),
-            strict=data.draw(st.booleans(), label="target_strict"),
-            require_feasible=data.draw(st.booleans(), label="require_feasible"),
-            required_cell=data.draw(
-                st.none() | st.integers(0, problem.num_cells - 1), label="required_cell"
-            ),
+            threshold=draw(st.sampled_from(values)),
+            strict=draw(st.booleans()),
+            require_feasible=draw(st.booleans()),
+            required_cell=draw(st.none() | st.integers(0, problem.num_cells - 1)),
         )
     config = RunConfig(
-        budget=data.draw(st.integers(init_count, 2_000), label="budget"),
+        budget=draw(st.integers(init_count, 2_000)),
         init_count=init_count,
-        seed=data.draw(st.integers(0, 2**32 - 1), label="seed"),
+        seed=draw(st.integers(0, 2**32 - 1)),
         target=target,
-        strict=data.draw(st.booleans(), label="strict"),
-        stop_on_target=data.draw(st.booleans(), label="stop_on_target"),
+        strict=draw(st.booleans()),
+        stop_on_target=draw(st.booleans()),
         initial_population=(trap,) * init_count if seeded else None,
-        milestone_every=data.draw(st.none() | st.integers(1, 500), label="milestone_every"),
+        milestone_every=draw(st.none() | st.integers(1, 500)),
     )
+    return index, engine, config
+
+
+@settings(max_examples=150, deadline=None)
+@given(reference_cases())
+# The gate's edges.  A relaxed EA seeded at the bipartite trap keeps the
+# offspring that tie its floor, so its gate must admit ties.
+@example((0, "ea", RunConfig(budget=2000, init_count=3, seed=0, strict=False, initial_population=(REFERENCE_PROBLEMS[0][1],) * 3)))
+# The random set cover's archive holds every cell after 43 evaluations and
+# then accepts six offspring, each of which resets its floor.
+@example((3, "map-elites", RunConfig(budget=2000, init_count=10, seed=1)))
+# A minimizing EA whose non-strict threshold is the weakest of the three:
+# its first hit ties the gate, so the gate must admit ties while watching.
+@example(
+    (1, "ea", RunConfig(
+        budget=2000, init_count=4, seed=0,
+        target=QualityTarget(4103, required_cell=5, require_feasible=False),
+    ))
+)
+def test_run_matches_the_reference_loop(case):
+    index, engine, config = case
+    problem = REFERENCE_PROBLEMS[index][0]
     run = run_map_elites if engine == "map-elites" else run_ea
     trace = run(problem, config)
     evals, first_hit, best, best_string, milestones, words, results, filled = reference_run(
@@ -724,3 +772,81 @@ def test_run_matches_the_reference_loop(data):
     assert (kept.words, kept.results) == (words, results)
     if engine == "map-elites":
         assert kept.occupied == filled
+
+
+# ---------------------------------------------------------------------------
+# The fitness gate: which offspring still reach the keep step
+
+
+def counted_keeps(monkeypatch):
+    """Patch the population's keep policy to log, per call, whether it kept the offspring."""
+    keep = Population.replace_worst_if_better
+    outcomes = []
+
+    def logged(self, word, result):
+        victim = keep(self, word, result)
+        outcomes.append(victim is not None)
+        return victim
+
+    monkeypatch.setattr(Population, "replace_worst_if_better", logged)
+    return outcomes
+
+
+@pytest.mark.parametrize("strict", [True, False])
+def test_a_seeded_umbrella_trap_hands_keep_only_its_milestones(strict, monkeypatch):
+    # Every offspring of the umbrella cover is worse or a tie.  Under the
+    # strict keep rule and a strict target the gate turns them all away but
+    # the one that ends each milestone interval; a relaxed rule keeps ties,
+    # so they all reach keep.
+    params = Example2Params(12)
+    problem = make_problem(example2_set_cover(params))
+    trap = example2_local_optimum(params)
+    outcomes = counted_keeps(monkeypatch)
+    config = RunConfig(
+        budget=20_000, init_count=4, seed=11, strict=strict, milestone_every=5_000,
+        initial_population=(trap,) * 4, target=QualityTarget(2**12, strict=True, require_feasible=False),
+    )
+    trace = run_ea(problem, config)
+    assert trace.first_hit is None and trace.best_fitness == 2**12
+    if strict:
+        assert outcomes == [False] * 4
+    else:
+        assert outcomes.count(True) > 5_000 and outcomes.count(False) <= 4
+
+
+@pytest.mark.parametrize("use_cover", [False, True])
+def test_without_a_target_the_ea_hands_keep_only_what_it_keeps(use_cover, monkeypatch):
+    # On both families every infeasible fitness is worse than every
+    # feasible one, so the population's floor is never stronger than the
+    # best feasible fitness: without a target the gate is the floor, and an
+    # offspring that passes it is kept.  Once a member is feasible, only the
+    # offspring that end the five milestone intervals can reach keep and be
+    # turned away there.  A gate left stale after an accept lets more through.
+    make = random_set_cover if use_cover else random_max_coverage
+    problem = make_problem(make(10, 12, 0.3, 6 if use_cover else 4, RandomSource(2)))
+    outcomes = counted_keeps(monkeypatch)
+    trace = run_ea(problem, RunConfig(budget=5_000, init_count=problem.num_cells, seed=8, milestone_every=1_000))
+    assert trace.milestones[0].best_fitness is not None  # a feasible init member
+    assert outcomes.count(False) <= 5
+    assert outcomes.count(True) > 20
+
+
+def test_a_malformed_cell_still_raises_where_the_archive_sees_it():
+    # The archive checks the cell of each result it is handed.  A gated
+    # offspring is not handed to it, but every init member is, and so is
+    # every offspring while a cell is empty.  Here the word of all ones
+    # names a cell past the grid, so the last cell stays empty and the run
+    # raises when that word is first drawn, at init or later.
+    base = small_problem()
+    n = base.n
+
+    def cell_past_the_grid(word):
+        fitness, cell, feasible = base.probe_word(word)
+        return fitness, n + 1 if cell == n else cell, feasible
+
+    problem = dataclasses.replace(base, probe_word=cell_past_the_grid)
+    for init_count in (1, 200):
+        with pytest.raises(ParameterError, match=f"cell {n + 1} outside 0..{n}"):
+            run_map_elites(problem, RunConfig(budget=20_000, init_count=init_count, seed=0))
+    # The EA keeps no grid and checks no cell.
+    assert run_ea(problem, RunConfig(budget=2_000, init_count=n + 1, seed=0)).evaluations_used == 2_000

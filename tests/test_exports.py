@@ -1,7 +1,8 @@
 """Every module's public export list names things that exist, every import and
 private name is used, each module imports only the layers below it, only
-``harness`` reads or writes JSON, no module reads the environment, and
-starting the CLI loads neither scipy nor the process pool's modules."""
+``harness`` reads or writes JSON, no module reads the environment,
+starting the CLI loads neither scipy nor the process pool's modules, and a
+serial experiment loads neither numpy nor scipy."""
 
 import ast
 import importlib
@@ -161,12 +162,13 @@ def test_every_private_name_is_used():
     assert not unused, f"private names nothing uses: {unused}"
 
 
-def modules_loaded_at_start_up(*packages) -> str:
+def modules_loaded_at_start_up(*packages, then: str = "") -> str:
     """The sorted names of the loaded modules of ``packages`` after a fresh
-    interpreter imports the CLI and the modules it uses."""
+    interpreter imports the CLI and the modules it uses, and runs ``then``."""
     code = (
         "import sys\n"
         "import qdpb.acceptance, qdpb.analysis, qdpb.cli, qdpb.harness, qdpb.instances\n"
+        f"{then}\n"
         f"print(sorted(name for name in sys.modules if name.split('.')[0] in {packages!r}))\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(qdpb.__file__).parent.parent)}
@@ -177,6 +179,19 @@ def modules_loaded_at_start_up(*packages) -> str:
 def test_cli_start_up_loads_no_scipy():
     # scipy.stats costs about a second to import; only c7's mutation-law check needs it.
     assert modules_loaded_at_start_up("scipy") == "[]"
+
+
+def test_a_serial_experiment_loads_no_numpy_or_scipy():
+    # A serial run of either engine, scored and reported, stays in pure
+    # Python: importing numpy adds about 12 MB of RSS, half again the
+    # 22-25 MB peak of a benchmark engine workload.
+    run = (
+        "from qdpb.harness import ExperimentConfig, ProblemSpec, run_experiment\n"
+        "for algorithm in ('map-elites', 'ea'):\n"
+        "    run_experiment(ExperimentConfig(problem=ProblemSpec(kind='example1', n=9, delta='1/3'),"
+        " algorithm=algorithm, budget=2000, trials=2, master_seed=1))\n"
+    )
+    assert modules_loaded_at_start_up("numpy", "scipy", then=run) == "[]"
 
 
 def test_cli_start_up_loads_no_process_pool():
