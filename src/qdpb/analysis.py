@@ -384,9 +384,8 @@ def trap_escape_probability_bound(params: Union[Example1Params, Example2Params])
 
 @dataclass(frozen=True)
 class QdMetrics:
-    """What a run kept, per cell: best feasible fitness (None if none), cells held, sum of cell bests."""
+    """What a run kept, per cell: cells held, sum of cell bests."""
 
-    optimization: Optional[Fitness]
     coverage: int
     qd_score: Fitness
 
@@ -397,16 +396,13 @@ def qd_metrics(kept) -> QdMetrics:
     once, with its best; probes nothing."""
     better = comparison(kept.direction)
     cells: dict[int, Fitness] = {}
-    best: Optional[Fitness] = None
     for result in kept.results:
         if result is None:
             continue
-        fitness, cell, feasible = result
+        fitness, cell, _feasible = result
         if cell not in cells or better(fitness, cells[cell]):
             cells[cell] = fitness
-        if feasible and (best is None or better(fitness, best)):
-            best = fitness
-    return QdMetrics(optimization=best, coverage=len(cells), qd_score=sum(cells.values()))
+    return QdMetrics(coverage=len(cells), qd_score=sum(cells.values()))
 
 
 def approximation_ratio(fitness: Fitness, opt: Fitness) -> float:

@@ -20,6 +20,7 @@ from qdpb.algorithms import (
     run_ea,
     run_map_elites,
 )
+from qdpb.acceptance import _prefix_states as prefix_states
 from qdpb.analysis import brute_force_opt
 from qdpb.core import RandomSource, Solution
 from qdpb.errors import ParameterError
@@ -57,17 +58,6 @@ def filled(population, texts, fitnesses):
 
 def small_problem(seed=5):
     return make_problem(random_max_coverage(6, 8, 0.4, 3, RandomSource(seed)))
-
-
-def prefix_states(engine, problem, init_count, seed, steps):
-    """The container after init and after each of ``steps`` steps, one run per prefix.
-
-    A run's draws do not depend on its budget, so the run with budget
-    ``init_count + s`` ends in the state after step ``s`` of a longer run.
-    """
-    for budget in range(init_count, init_count + steps + 1):
-        trace = engine(problem, RunConfig(budget=budget, init_count=init_count, seed=seed))
-        yield trace.archive if trace.archive is not None else trace.population
 
 
 # ---------------------------------------------------------------------------

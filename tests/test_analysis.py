@@ -391,7 +391,6 @@ def test_qd_metrics_counts_and_sums():
     archive.consider(b.word, problem.probe(b))
     metrics = qd_metrics(archive)
     assert metrics.coverage == 2
-    assert metrics.optimization == max(problem.probe(a)[0], problem.probe(b)[0])
     assert metrics.qd_score == problem.probe(a)[0] + problem.probe(b)[0]
 
 
@@ -402,7 +401,6 @@ def test_qd_metrics_all_infeasible_archive():
     for x in (S("11100"), S("11110"), S("11111")):
         archive.consider(x.word, problem.probe(x))
     metrics = qd_metrics(archive)
-    assert metrics.optimization is None
     assert metrics.coverage == 3
     assert metrics.qd_score == -3  # infeasible occupants score -1 each
 
@@ -419,7 +417,6 @@ def test_qd_metrics_counts_a_shared_cell_once_with_its_best():
     metrics = qd_metrics(population)
     assert metrics.coverage == 3  # cells 1, 0 and the infeasible 3
     assert metrics.qd_score == singles[1] + 0 - 1
-    assert metrics.optimization == singles[1]
 
 
 @settings(max_examples=100, deadline=None)

@@ -734,37 +734,6 @@ def test_hostile_configs_exit_0_or_1(config):
     assert proc.returncode in (0, 1), (config, proc.stderr[-2000:])
 
 
-def test_archive_profile_script_reports_bad_parameters():
-    # n=12 with the default delta 1/10 is not an admissible bipartite instance.
-    proc = subprocess.run(
-        [sys.executable, "scripts/archive_profile.py", "--n", "12"],
-        cwd=ROOT,
-        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert proc.returncode == 1
-    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
-
-
-def test_archive_profile_script_prints_the_archive():
-    proc = subprocess.run(
-        [sys.executable, "scripts/archive_profile.py", "--n", "12", "--delta", "1/4", "--budget", "500"],
-        cwd=ROOT,
-        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
-    occupied = lines[0].split(": ")[1].split("/")[0]
-    assert lines[0].endswith("cells occupied after 500 evaluations")
-    assert len(lines) == int(occupied) + 2  # header, one line per cell, summary
-    assert lines[-1].startswith(f"coverage {occupied}, best feasible ")
-
-
 def test_run_requires_enough_flags(capsys):
     assert main(["run", "--algo", "ea"]) == 1
     assert "instance" in capsys.readouterr().err

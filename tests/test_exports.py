@@ -41,14 +41,14 @@ def unused_imports(path: Path, exported=()) -> list:
 
 def test_every_imported_name_is_used():
     # The repository has no linter configuration; this is its unused-import
-    # check, over the package, the tests and the scripts.
+    # check, over the package and the tests.
     paths = sorted(Path(qdpb.__file__).parent.glob("*.py"))
     assert len(paths) >= 10
     for path in paths:
         module = importlib.import_module("qdpb" if path.stem == "__init__" else f"qdpb.{path.stem}")
         unused = unused_imports(path, getattr(module, "__all__", ()))
         assert not unused, f"{path.name} imports {unused} and never uses them"
-    others = sorted(ROOT.glob("tests/*.py")) + sorted(ROOT.glob("scripts/*.py"))
+    others = sorted(ROOT.glob("tests/*.py"))
     assert len(others) >= 12
     unused = {str(path.relative_to(ROOT)): unused_imports(path) for path in others}
     unused = {name: names for name, names in unused.items() if names}
