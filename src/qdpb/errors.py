@@ -31,6 +31,11 @@ def require_numbers(obj, names, optional=()) -> None:
     _require(obj, names, optional, (int, float), "a number")
 
 
+def require_strs(obj, names, optional=()) -> None:
+    """Like ``require_ints``, but for strings."""
+    _require(obj, names, optional, str, "a string")
+
+
 def require_bools(obj, names) -> None:
     """Raise ParameterError unless each named attribute of ``obj`` is a bool."""
     for name in names:

@@ -15,8 +15,10 @@ import functools
 import json
 import os
 import statistics
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 from fractions import Fraction
+from itertools import chain
+from operator import attrgetter
 from typing import Optional, Union
 
 from .algorithms import (
@@ -31,7 +33,7 @@ from .algorithms import (
 )
 from .analysis import approximation_ratio, brute_force_opt, qd_metrics
 from .core import RandomSource, Solution
-from .errors import ParameterError, ValidationError, require_bools, require_ints, require_numbers
+from .errors import ParameterError, ValidationError, require_bools, require_ints, require_numbers, require_strs
 from .instances import (
     Example1Params,
     Example2Params,
@@ -146,8 +148,7 @@ class ProblemSpec:
             )
         require_ints(self, (), optional=("n", "m_elements", "k", "max_weight", "instance_seed"))
         require_numbers(self, (), optional=("density",))
-        if self.path is not None and not isinstance(self.path, str):
-            raise ParameterError(f"path must be a string, got {self.path!r}")
+        require_strs(self, (), optional=("path",))
         if self.delta is not None:
             try:
                 if not isinstance(self.delta, str):
@@ -251,6 +252,11 @@ class TrialRecord:
     qd_score: Fitness
     snapshots: tuple[Milestone, ...]
 
+    def __post_init__(self) -> None:
+        require_ints(self, ("trial", "seed", "evaluations_used", "coverage"), optional=("first_hit",))
+        require_numbers(self, ("qd_score",), optional=("best_fitness", "ratio"))
+        require_strs(self, (), optional=("best_solution",))
+
 
 @dataclass(frozen=True)
 class Aggregate:
@@ -264,6 +270,11 @@ class Aggregate:
     median_first_hit: Optional[float]
     mean_evaluations: float
     best_overall: Optional[Fitness]
+
+    def __post_init__(self) -> None:
+        require_ints(self, ("trials", "success_count"))
+        medians = ("median_best_fitness", "median_ratio", "median_first_hit")
+        require_numbers(self, ("success_rate", "mean_evaluations"), optional=(*medians, "best_overall"))
 
 
 @dataclass(frozen=True)
@@ -279,6 +290,11 @@ class ExperimentReport:
     records: tuple[TrialRecord, ...]
     aggregate: Aggregate
     format: str = REPORT_FORMAT
+
+    def __post_init__(self) -> None:
+        require_ints(self, ("n", "num_cells"))
+        require_numbers(self, (), optional=("known_opt",))
+        require_strs(self, ("problem_name", "direction", "format"))
 
 
 def resolve_seed_members(
@@ -450,7 +466,9 @@ def run_experiment(config: ExperimentConfig, problem: Optional[Problem] = None) 
 # One codec for instance files, configs and reports, driven by
 # ``dataclasses.fields``: fields are written in declaration order and tuples
 # become lists.  Reading refuses non-objects, unknown keys and missing
-# required fields; the dataclass constructors check the values.
+# required fields; the dataclass constructors check the values, and
+# ``_milestone`` checks each snapshot row.  Writing streams the text of
+# ``json.dump(doc, fh, indent=2)`` (see ``_json_pieces``).
 
 # Fields holding a dataclass or a tuple: name -> (the type of the value or of
 # each item, whether the value is a tuple).
@@ -478,7 +496,9 @@ def _layout(cls) -> tuple:
     return names, frozenset(names), required, tuple(name for name in names if name in _NESTED)
 
 
-def _to_json(obj) -> dict:
+def _to_json(obj, rows: bool = False) -> dict:
+    """``obj`` as JSON data.  With ``rows``, each tuple of milestones stays as
+    it is, for ``_json_pieces`` to encode straight from the fields."""
     names, _, _, nested = _layout(type(obj))
     out = {name: getattr(obj, name) for name in names}
     for name in nested:
@@ -487,11 +507,11 @@ def _to_json(obj) -> dict:
             continue
         kind, many = _NESTED[name]
         if not many:
-            out[name] = _to_json(value)
+            out[name] = _to_json(value, rows)
         elif kind in (str, int):
             out[name] = list(value)
-        else:
-            out[name] = [list(item) if kind is tuple else _to_json(item) for item in value]
+        elif not (rows and kind is Milestone):
+            out[name] = [list(item) if kind is tuple else _to_json(item, rows) for item in value]
     if isinstance(obj, ProblemSpec):
         return {name: value for name, value in out.items() if value is not None}
     return out
@@ -523,12 +543,32 @@ def _from_json(cls, data, what: str):
                 elif kind is tuple:
                     # An entry that is not a list stays as it is, for the constructor to refuse.
                     items = (tuple(item) if isinstance(item, list) else item for item in value)
+                elif kind is Milestone:
+                    items = map(_milestone, value)
                 else:
                     items = (_from_json(kind, item, name) for item in value)
                 data[name] = tuple(items)
             elif not (kind is str and isinstance(value, str)):
                 raise ValidationError(f"{name} must be a list, got {type(value).__name__}")
     return cls(**data)
+
+
+def _milestone(data) -> Milestone:
+    """A document's snapshot row.  Milestone checks none of its fields (a run
+    builds about 1,000 per trial), so each row read is checked here."""
+    if not (isinstance(data, dict) and data.keys() == _layout(Milestone)[1]):
+        _from_json(Milestone, data, "snapshots")  # refuses it, naming the field
+    row = Milestone(**data)
+    if not (
+        type(row.evaluations) is int
+        and type(row.occupied) is int
+        and type(row.best_fitness) in (int, float, type(None))
+        and type(row.best_solution) in (str, type(None))
+    ):
+        require_ints(row, ("evaluations", "occupied"))
+        require_numbers(row, (), optional=("best_fitness",))
+        require_strs(row, (), optional=("best_solution",))
+    return row
 
 
 def _read_text(path) -> str:
@@ -548,7 +588,7 @@ def _read_json(path, decode, what: str, format=None):
     field must equal ``format`` when one is given.  Every error names the file."""
     try:
         data = json.loads(_read_text(path))
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, or an int of over 4,300 digits
         raise ValidationError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(data, dict):
         raise ValidationError(f"{path}: expected a JSON object, got {type(data).__name__}")
@@ -591,9 +631,51 @@ def _check_writable(path) -> None:
         os.remove(real)
 
 
+@functools.cache
+def _encoder(item_separator: str):
+    # indent=None keeps JSONEncoder.encode on the C encoder.
+    return json.JSONEncoder(separators=(item_separator, ": "), check_circular=False).encode
+
+
+def _json_pieces(value, level: int = 0):
+    """The text of ``json.dumps(value, indent=2)`` in pieces, for ``value`` at
+    nesting ``level``; dict keys are strings.  A tuple of dataclass instances
+    with scalar fields (milestone rows) stands for a list of objects holding
+    their fields, and is encoded 512 rows to a C-encoder call."""
+    if not (value and isinstance(value, (dict, list, tuple))):
+        yield json.dumps(value)
+        return
+    is_dict = isinstance(value, dict)
+    inner = "\n" + "  " * (level + 1)
+    close = "\n" + "  " * level + ("}" if is_dict else "]")
+    if not is_dict and is_dataclass(value[0]):
+        names = _layout(type(value[0]))[0]
+        row = "{" + ",".join(f"{inner}  {json.dumps(name)}: %s" for name in names) + inner + "}"
+        fields_of = attrgetter(*names)
+        for start in range(0, len(value), 512):
+            block = value[start : start + 512]
+            # The encoder escapes the newlines inside strings: those left part the fields.
+            text = _encoder("\n")(list(chain.from_iterable(map(fields_of, block))))
+            rows = ("," + inner).join([row] * len(block)) % tuple(text[1:-1].split("\n"))
+            yield ("," if start else "[") + inner + rows
+        yield close
+        return
+    members = value.values() if is_dict else value
+    if not any(isinstance(member, (dict, list, tuple)) for member in members):
+        text = _encoder("," + inner)(value)
+        yield text[0] + inner + text[1:-1] + close
+        return
+    opening = "{" if is_dict else "["
+    for key in value if is_dict else range(len(value)):
+        yield opening + inner + (json.dumps(key) + ": " if is_dict else "")
+        yield from _json_pieces(value[key], level + 1)
+        opening = ","
+    yield close
+
+
 def _write_json(doc: dict, path) -> None:
     with _writing(path) as fh:
-        json.dump(doc, fh, indent=2)
+        fh.writelines(_json_pieces(doc))
         fh.write("\n")
 
 
@@ -610,9 +692,10 @@ def load_config(path) -> ExperimentConfig:
     return _read_json(path, functools.partial(_from_json, ExperimentConfig), "experiment config")
 
 
-def report_to_dict(report: ExperimentReport) -> dict:
-    # Documents open with their format, although the field is declared last.
-    return {"format": report.format, **_to_json(report)}
+def report_to_dict(report: ExperimentReport, rows: bool = False) -> dict:
+    """The document's JSON data, ``rows`` as for ``_to_json``.  Documents open
+    with their format, although the field is declared last."""
+    return {"format": report.format, **_to_json(report, rows)}
 
 
 def _instance_from_json(data: dict, what: str):
@@ -652,7 +735,7 @@ def export_report(report: ExperimentReport, path, form: str = "document") -> Non
     """Write the report: ``document`` is lossless JSON, ``rows`` one CSV line
     per trial (missing first_hit becomes -1, missing numbers become nan)."""
     if form == "document":
-        _write_json(report_to_dict(report), path)
+        _write_json(report_to_dict(report, rows=True), path)
     elif form == "rows":
         with _writing(path, newline="") as fh:
             writer = csv.writer(fh)

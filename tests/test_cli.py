@@ -395,6 +395,8 @@ def test_malformed_documents_exit_1_naming_the_file(star5, tmp_path, capsys):
         ("nan-penalty", {**doc, "penalty": float("nan")}, "penalty must be an integer"),
         ("latin-1", b'{"format": "qdpb-instance-v1", "kind": "\xe9t\xe9"}', "not valid UTF-8"),
         ("nested", b"[" * 100_000, "maximum recursion depth"),
+        # json.loads refuses an int of over 4,300 digits with a ValueError.
+        ("huge-int", b'{"format": "qdpb-instance-v1", "n": 1' + b"0" * 4300 + b"}", "Exceeds the limit"),
     ):
         path = tmp_path / f"{name}.json"
         path.write_bytes(bad if isinstance(bad, bytes) else json.dumps(bad).encode())

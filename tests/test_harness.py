@@ -1,21 +1,30 @@
 import concurrent.futures
 import dataclasses
 import json
+import re
+import tracemalloc
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from qdpb import algorithms, harness, problems
-from qdpb.algorithms import QualityTarget, RunConfig
+from qdpb.algorithms import Milestone, QualityTarget, RunConfig
 from qdpb.analysis import brute_force_opt
 from qdpb.errors import ParameterError, ValidationError
 from qdpb.harness import (
+    Aggregate,
     ExperimentConfig,
+    ExperimentReport,
     ProblemSpec,
+    TrialRecord,
     config_from_dict,
     config_to_dict,
     effective_workers,
     export_report,
+    load_config,
     load_report,
+    read_instance,
     resolve_problem,
     resolve_seed_members,
     run_experiment,
@@ -600,3 +609,113 @@ def test_load_report_rejects_malformed_documents(tmp_path):
         path.write_text(json.dumps({**data, "records": records}))
         with pytest.raises(ValidationError, match=f"malformed report field .*{detail}"):
             load_report(path)
+
+
+@pytest.mark.parametrize(
+    "where, field, value",
+    [
+        ("snapshot", "evaluations", 2.5),
+        ("snapshot", "occupied", "x"),
+        ("snapshot", "best_solution", 5),
+        ("record", "best_solution", 5),
+        ("record", "seed", float("nan")),
+        ("record", "trial", True),
+        ("aggregate", "trials", "1"),
+        ("report", "n", 2.0),
+    ],
+)
+def test_load_report_refuses_mistyped_values(where, field, value, tmp_path):
+    path = tmp_path / "report.json"
+    export_report(run_experiment(small_me_config(trials=1)), path, form="document")
+    data = json.loads(path.read_text())
+    record = data["records"][0]
+    part = {"snapshot": record["snapshots"][-1], "record": record, "aggregate": data["aggregate"]}
+    part.get(where, data)[field] = value
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValidationError, match=f"malformed report field .*{field} must be"):
+        load_report(path)
+
+
+def test_an_integer_of_over_4300_digits_is_refused_naming_the_file(tmp_path):
+    # json.loads raises a plain ValueError for it, not a JSONDecodeError.
+    path = tmp_path / "big.json"
+    path.write_text('{"format": "qdpb-report-v1", "n": 1' + "0" * 4300 + "}")
+    for reader in (read_instance, load_config, load_report):
+        with pytest.raises(ValidationError, match=f"{re.escape(str(path))}: not valid JSON .*Exceeds the limit"):
+            reader(path)
+
+
+# Text with every character class json escapes differently, and '%', which
+# the milestone row template must pass through.
+_TEXT = st.text(st.sampled_from('%\x1f\n"\\aé€😀\ud800\udfff') | st.characters(), max_size=6)
+_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=2**64, max_value=2**80).flatmap(lambda i: st.sampled_from([i, -i]))
+    | st.floats()
+    | st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0])
+    | _TEXT
+)
+_JSON = st.recursive(
+    _SCALARS,
+    lambda items: st.lists(items, max_size=3)
+    | st.lists(items, max_size=3).map(tuple)
+    | st.dictionaries(_TEXT, items, max_size=3),
+    max_leaves=20,
+)
+
+
+@given(_JSON)
+@example({})
+@example(())
+@example({"a": "a", "b": [()], "c": {"%s": [1]}})
+@example([[{}], ["\ud800"]])
+def test_the_document_writer_writes_the_text_of_json_dumps(value):
+    assert "".join(harness._json_pieces(value)) == json.dumps(value, indent=2)
+
+
+def report_with_rows(count: int) -> ExperimentReport:
+    """A one-trial report whose milestone log has ``count`` rows, built directly."""
+    rows = tuple(
+        Milestone(i, None, 0, None) if i < 3 else Milestone(i, i // 3, i % 31, "01" * 15) for i in range(count)
+    )
+    record = TrialRecord(0, 1000, count, None, count // 3, "01" * 15, None, 31, 180, rows)
+    aggregate = Aggregate(1, 0, 0.0, count // 3, None, None, float(count), count // 3)
+    return ExperimentReport(small_me_config(trials=1), "example2", 5, 6, "min", 2, (record,), aggregate)
+
+
+def test_milestone_rows_are_written_as_json_dumps_writes_their_dicts(tmp_path):
+    # 1,300 rows: the writer's blocks of 512, the last one partial.
+    report = report_with_rows(1_300)
+    path = tmp_path / "report.json"
+    export_report(report, path, form="document")
+    assert path.read_text() == json.dumps(harness.report_to_dict(report), indent=2) + "\n"
+    assert load_report(path) == report
+
+
+def test_exporting_a_long_milestone_log_takes_memory_independent_of_it(tmp_path):
+    report = report_with_rows(100_001)
+    path = tmp_path / "report.json"
+    tracemalloc.start()
+    try:
+        export_report(report, path, form="document")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.stat().st_size > 16_000_000
+    assert peak < 2_000_000, f"exporting 100,001 milestone rows peaked at {peak} bytes"
+
+
+def test_documents_and_instance_files_never_take_json_pure_python_encoder(tmp_path, monkeypatch):
+    report = run_experiment(small_me_config(trials=2))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("json's pure-Python encoder ran")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+    export_report(report, tmp_path / "report.json", form="document")
+    instance = example2_set_cover(Example2Params(5))
+    write_instance(instance, tmp_path / "instance.json")
+    assert load_report(tmp_path / "report.json") == report
+    assert read_instance(tmp_path / "instance.json") == instance
