@@ -34,23 +34,29 @@ judged like any other offspring.
 first hit and the milestone log.  Only an evaluation that can change the
 trace is noted; the loop counts the others.
 
-One fitness gate decides which offspring reach the keep step at all.  It is
-the weakest of three values: the container's floor (the population's worst
-fitness, or the archive's weakest incumbent once every cell is held), the
-best feasible fitness and, while the run watches for a hit, the target's
-threshold.  An offspring that does not pass it can be neither kept nor
-noted, so unless its evaluation ends a milestone interval the loop only
-counts it: in a run parked at a local optimum that is nearly every
-offspring.  The gate compares strictly only when the keep rule and the
-target both do, and it is recomputed after every accept and every note.
-It draws nothing from the stream and changes no trace.
+A fitness gate decides which offspring reach the keep step at all.  An
+offspring can change the trace only by beating the best feasible fitness or,
+while the run watches for a hit, by reaching the target's threshold; their
+weaker is the gate's cap.  It can change the population only by beating the
+worst member, and the archive only by beating the incumbent of its own cell.
+So the EA's gate is the weaker of its worst fitness and the cap, and each
+held archive cell has a bar, the weaker of its incumbent and the cap; an
+empty cell, and every cell before a feasible solution is seen, has none.
+An offspring that does not pass its gate can be neither kept nor noted, so
+the loop only counts it, and logs its milestone row if its evaluation ends
+an interval.  In a run parked at a local optimum, and in an archive once a
+feasible solution is seen, that is nearly every offspring.
+The gate compares strictly only when the keep rule and the target both do.
+An accept moves only the EA's gate or the accepted cell's bar; every gate
+is recomputed only when the best improves or the first hit is recorded.  It
+draws nothing from the stream and changes no trace.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import ceil, isfinite
-from typing import Callable, Optional
+from typing import Optional
 
 from .core import RandomSource, Solution, flip_sampler
 from .errors import ParameterError, require_bools, require_ints, require_numbers
@@ -217,11 +223,9 @@ class _Members:
     variables, each kept with its ``probe_word`` result ``(fitness, cell,
     feasible)``, and the keep rule's comparison ``beats``, bound at
     construction from ``direction`` and ``strict``, and ``weakest``, the
-    ``min`` or ``max`` that picks the worst of fitness values.  ``floor()``
-    is a fitness an offspring must beat to be kept, or None while any
-    offspring might be.  ``solutions`` builds
-    ``Solution``s when read.  Two stores are equal when they are of the same
-    kind and hold the same words and results.
+    ``min`` or ``max`` that picks the worst of fitness values.  ``solutions``
+    builds ``Solution``s when read.  Two stores are equal when they are of
+    the same kind and hold the same words and results.
     """
 
     __slots__ = ("n", "direction", "beats", "weakest", "words", "results")
@@ -260,11 +264,10 @@ class Archive(_Members):
     An occupant is replaced only by strictly better fitness under
     ``direction`` (or at-least-as-good with ``strict=False``), so cells never
     empty once filled and per-cell fitness can only move in the improving
-    direction.  An empty cell's word and result are None.  The floor is the
-    weakest incumbent once every cell is held, cached until the next accept.
+    direction.  An empty cell's word and result are None.
     """
 
-    __slots__ = ("num_cells", "occupied", "_floor")
+    __slots__ = ("num_cells", "occupied")
 
     def __init__(self, num_cells: int, n: int, direction: Direction, strict: bool = True):
         if num_cells < 1:
@@ -272,7 +275,6 @@ class Archive(_Members):
         super().__init__(n, direction, strict, num_cells)
         self.num_cells = num_cells
         self.occupied: list[int] = []  # fill order; supports O(1) uniform parent choice
-        self._floor: Optional[Fitness] = None
 
     def __len__(self) -> int:
         return len(self.occupied)
@@ -280,11 +282,6 @@ class Archive(_Members):
     def occupants(self) -> list[tuple[int, Solution, Fitness]]:
         n, words, results = self.n, self.words, self.results
         return [(c, Solution(n, words[c]), results[c][0]) for c in sorted(self.occupied)]
-
-    def floor(self) -> Optional[Fitness]:
-        if self._floor is None and len(self.occupied) == self.num_cells:
-            self._floor = self.weakest([result[0] for result in self.results])
-        return self._floor
 
     def consider(self, word: int, result: Result) -> bool:
         """Keep ``word`` in the cell its ``result`` names if that cell is
@@ -299,7 +296,6 @@ class Archive(_Members):
             return False
         self.words[cell] = word
         self.results[cell] = result
-        self._floor = None
         return True
 
 
@@ -343,6 +339,7 @@ class Population(_Members):
         return self._worst_cache
 
     def floor(self) -> Fitness:
+        """The fitness an offspring must beat to be kept."""
         return self.worst()[0]
 
     def replace_worst_if_better(self, word: int, result: Result) -> Optional[int]:
@@ -412,11 +409,17 @@ def _run(algorithm: str, problem: Problem, config: RunConfig) -> RunTrace:
     while no hit is recorded.
 
     Before either, the fitness gate of the module docstring turns away an
-    offspring that could change neither: ``gate`` is None while the floor
-    or the best is, and ``passes`` is the comparison an offspring's fitness
-    must pass it by.  An offspring that ties the gate may still be kept by
-    a relaxed keep rule or meet a non-strict target, so ``passes`` admits
-    ties unless both are strict (the best only improves strictly).
+    offspring that could change neither.  ``cap`` is the weaker of the best
+    and, while watching, the threshold, None before a feasible solution is
+    seen.  ``gate`` is the EA's gate, None for the archive and while ``cap``
+    is; ``bars`` maps each held archive cell to its bar, and is empty for
+    the EA and while ``cap`` is None.  A cell that is not a key of ``bars``
+    has no bar, so an offspring whose cell is outside the grid still reaches
+    ``Archive.consider``, which refuses it.  ``passes``
+    is the comparison an offspring's fitness must pass a gate by.  An
+    offspring that ties it may still be kept by a relaxed keep rule or meet
+    a non-strict target, so ``passes`` admits ties unless both are strict
+    (the best only improves strictly).
     """
     n = problem.n
     direction = problem.direction
@@ -450,18 +453,21 @@ def _run(algorithm: str, problem: Problem, config: RunConfig) -> RunTrace:
     # The first hit, and the best feasible fitness with its solution and milestone string.
     first_hit = best = best_solution = best_string = None
 
-    def note(word: int, result: Result) -> None:
-        """Account for evaluation number ``evals``, which produced ``word``."""
+    def note(word: int, result: Result) -> bool:
+        """Account for evaluation number ``evals``, which produced ``word``;
+        True when it improved the best or is the first hit, which moves the gates."""
         nonlocal first_hit, best, best_solution, best_string
         fitness, cell, feasible = result
         improved = feasible and (best is None or better(fitness, best))
         if improved:
             best, best_solution = fitness, Solution(n, word)
             best_string = best_solution.to_string()
-        if first_hit is None and target is not None and target.met(fitness, cell, feasible, direction):
+        hit = first_hit is None and target is not None and target.met(fitness, cell, feasible, direction)
+        if hit:
             first_hit = evals
         if improved or evals % interval == 0:
             milestones.append(Milestone(evals, best, occupancy(), best_string))
+        return improved or hit
 
     for word in init_words:
         result = probe_word(word)
@@ -476,20 +482,22 @@ def _run(algorithm: str, problem: Problem, config: RunConfig) -> RunTrace:
     reaches = None if target is None else comparison(direction, target.strict)
     threshold = None if target is None else target.threshold
     watching = target is not None and first_hit is None
-    floor, weakest = container.floor, container.weakest
+    weakest = container.weakest
     passes_kept = comparison(direction, config.strict)
     passes_watched = None if target is None else comparison(direction, config.strict and target.strict)
 
-    def regate() -> tuple[Optional[Fitness], Optional[Callable[[Fitness, Fitness], bool]]]:
-        """The gate and the comparison an offspring's fitness must pass it by."""
-        low = floor()
-        if low is None or best is None:
-            return None, None
-        if watching:
-            return weakest(low, best, threshold), passes_watched
-        return weakest(low, best), passes_kept
+    def regate() -> tuple:
+        """``(passes, cap, gate, bars)``, recomputed from the best and the watch."""
+        if best is None:
+            return None, None, None, {}
+        cap = weakest(best, threshold) if watching else best
+        passes = passes_watched if watching else passes_kept
+        if archive is None:
+            return passes, cap, weakest(population.floor(), cap), {}
+        held = archive.results
+        return passes, cap, None, {cell: weakest(held[cell][0], cap) for cell in archive.occupied}
 
-    gate, passes = regate()
+    passes, cap, gate, bars = regate()
     next_milestone = evals - evals % interval + interval
     # rng.randrange(len(slots)), inlined as in flip_sampler.  len(slots)
     # changes only when the archive fills a new cell, which only a kept
@@ -509,28 +517,39 @@ def _run(algorithm: str, problem: Problem, config: RunConfig) -> RunTrace:
             word = words[index]
             result = results[index]
         evals += 1
-        if gate is not None and evals != next_milestone and not passes(result[0], gate):
+        if (
+            gate is not None and not passes(result[0], gate)
+            or bars and (bar := bars.get(result[1])) is not None and not passes(result[0], bar)
+        ):
+            if evals == next_milestone:
+                milestones.append(Milestone(evals, best, occupancy(), best_string))
+                next_milestone += interval
             continue
-        changed = keep(word, result) is not rejected
-        if changed and len(slots) != size:
+        kept = keep(word, result) is not rejected
+        if kept and len(slots) != size:
             size = len(slots)
             k = size.bit_length()
-        fitness, _cell, feasible = result
+        fitness, cell, feasible = result
+        moved = False
         if (
             evals == next_milestone
             or (feasible and (best is None or better(fitness, best)))
             or (watching and reaches(fitness, threshold))
         ):
-            note(word, result)
-            changed = True
+            moved = note(word, result)
             if evals == next_milestone:
                 next_milestone += interval
             if first_hit is not None:
                 if config.stop_on_target:
                     break
                 watching = False
-        if changed:
-            gate, passes = regate()
+        if moved:
+            passes, cap, gate, bars = regate()
+        elif kept and cap is not None:
+            if archive is None:
+                gate = weakest(population.floor(), cap)
+            else:
+                bars[cell] = weakest(fitness, cap)
     if not milestones or milestones[-1].evaluations != evals:
         milestones.append(Milestone(evals, best, occupancy(), best_string))
     return RunTrace(

@@ -15,10 +15,11 @@ import functools
 import json
 import os
 import statistics
+from collections import deque
 from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 from fractions import Fraction
-from itertools import chain
-from operator import attrgetter
+from itertools import chain, repeat
+from operator import attrgetter, itemgetter
 from typing import Optional, Union
 
 from .algorithms import (
@@ -467,7 +468,7 @@ def run_experiment(config: ExperimentConfig, problem: Optional[Problem] = None) 
 # ``dataclasses.fields``: fields are written in declaration order and tuples
 # become lists.  Reading refuses non-objects, unknown keys and missing
 # required fields; the dataclass constructors check the values, and
-# ``_milestone`` checks each snapshot row.  Writing streams the text of
+# ``_milestones`` checks the snapshot rows.  Writing streams the text of
 # ``json.dump(doc, fh, indent=2)`` (see ``_json_pieces``).
 
 # Fields holding a dataclass or a tuple: name -> (the type of the value or of
@@ -544,7 +545,7 @@ def _from_json(cls, data, what: str):
                     # An entry that is not a list stays as it is, for the constructor to refuse.
                     items = (tuple(item) if isinstance(item, list) else item for item in value)
                 elif kind is Milestone:
-                    items = map(_milestone, value)
+                    items = _milestones(value)
                 else:
                     items = (_from_json(kind, item, name) for item in value)
                 data[name] = tuple(items)
@@ -553,21 +554,45 @@ def _from_json(cls, data, what: str):
     return cls(**data)
 
 
+# A snapshot row's fields in order, the types each may hold, in the same
+# order (bool is not an int here), and the setter of each field's slot.
+_MILESTONE_FIELDS = _layout(Milestone)[0]
+_MILESTONE_TYPES = ({int}, {int, float, type(None)}, {int}, {str, type(None)})
+_MILESTONE_SLOTS = tuple(getattr(Milestone, name).__set__ for name in _MILESTONE_FIELDS)
+
+
+def _milestones(rows: list) -> list[Milestone]:
+    """A document's snapshot rows.  Milestone checks none of its fields (a
+    run builds about 1,000 per trial), so they are checked here, a column
+    at a time; if any row fails, ``_milestone`` refuses the first that does,
+    naming the field.  The rows are built by setting their slots, which
+    costs about half of ``Milestone(**row)``: the frozen ``__init__`` calls
+    ``object.__setattr__`` for each field."""
+    try:
+        # A row that is not an object with every field raises here.
+        columns = list(zip(*map(itemgetter(*_MILESTONE_FIELDS), rows)))
+    except (KeyError, TypeError):
+        columns = None
+    if (
+        columns is None
+        or set(map(len, rows)) - {len(_MILESTONE_FIELDS)}
+        or not all(set(map(type, column)) <= types for column, types in zip(columns, _MILESTONE_TYPES))
+    ):
+        return [_milestone(row) for row in rows]
+    built = list(map(object.__new__, repeat(Milestone, len(rows))))
+    for set_slot, column in zip(_MILESTONE_SLOTS, columns):
+        deque(map(set_slot, built, column), maxlen=0)
+    return built
+
+
 def _milestone(data) -> Milestone:
-    """A document's snapshot row.  Milestone checks none of its fields (a run
-    builds about 1,000 per trial), so each row read is checked here."""
+    """One snapshot row, checked field by field."""
     if not (isinstance(data, dict) and data.keys() == _layout(Milestone)[1]):
         _from_json(Milestone, data, "snapshots")  # refuses it, naming the field
     row = Milestone(**data)
-    if not (
-        type(row.evaluations) is int
-        and type(row.occupied) is int
-        and type(row.best_fitness) in (int, float, type(None))
-        and type(row.best_solution) in (str, type(None))
-    ):
-        require_ints(row, ("evaluations", "occupied"))
-        require_numbers(row, (), optional=("best_fitness",))
-        require_strs(row, (), optional=("best_solution",))
+    require_ints(row, ("evaluations", "occupied"))
+    require_numbers(row, (), optional=("best_fitness",))
+    require_strs(row, (), optional=("best_solution",))
     return row
 
 

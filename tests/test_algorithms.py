@@ -97,25 +97,6 @@ def test_archive_bounds():
         Archive(0, 3, Direction.MAXIMIZE)
 
 
-def test_archive_floor_waits_for_every_cell_and_follows_each_accept():
-    a = Archive(3, 3, Direction.MAXIMIZE)
-    for cell, fitness in ((0, 4), (1, 2)):
-        a.consider(W("100"), R(fitness, cell))
-        assert a.floor() is None                 # a cell is still empty
-    a.consider(W("010"), R(7, 2))
-    assert a.floor() == 2
-    assert not a.consider(W("001"), R(2, 1))
-    assert a.floor() == 2
-    assert a.consider(W("001"), R(5, 1))         # the weakest incumbent improves
-    assert a.floor() == 4
-    cover = Archive(2, 3, Direction.MINIMIZE)
-    cover.consider(W("100"), R(3, 0))
-    cover.consider(W("010"), R(8, 1))
-    assert cover.floor() == 8
-    assert cover.consider(W("011"), R(6, 1))
-    assert cover.floor() == 6
-
-
 def test_map_elites_init_deterministic():
     problem = small_problem()
     a = run_map_elites(problem, RunConfig(budget=7, init_count=7, seed=3)).archive
@@ -746,6 +727,20 @@ def reference_cases(draw):
         target=QualityTarget(4103, required_cell=5, require_feasible=False),
     ))
 )
+# The cell bars' edges.  The bipartite archive holds -1 in its over-size
+# cells (5-9) and 0-20 in the others, so a bar read from another cell than
+# the offspring's turns away offspring that fill or improve their own.
+@example((0, "map-elites", RunConfig(budget=2000, init_count=1, seed=0)))
+# A relaxed archive keeps offspring that tie their cell's incumbent, so its
+# bars must admit ties.
+@example((2, "map-elites", RunConfig(budget=2000, init_count=1, seed=0, strict=False)))
+# A minimizing archive watching a non-strict target bound to its one
+# feasible cell: evaluation 13 ties the threshold, and the run goes on.
+@example(
+    (3, "map-elites", RunConfig(
+        budget=2000, init_count=4, seed=0, target=QualityTarget(9, required_cell=9), stop_on_target=False,
+    ))
+)
 def test_run_matches_the_reference_loop(case):
     index, engine, config = case
     problem = REFERENCE_PROBLEMS[index][0]
@@ -768,26 +763,38 @@ def test_run_matches_the_reference_loop(case):
 # The fitness gate: which offspring still reach the keep step
 
 
-def counted_keeps(monkeypatch):
-    """Patch the population's keep policy to log, per call, whether it kept the offspring."""
-    keep = Population.replace_worst_if_better
-    outcomes = []
+def counted_keeps(monkeypatch, archive=False):
+    """Patch the population's keep policy to log, per call, whether it kept
+    the offspring; with ``archive``, patch the archive's to log the
+    offspring's result and the result its cell held before the call."""
+    if not archive:
+        keep = Population.replace_worst_if_better
+        outcomes = []
 
-    def logged(self, word, result):
-        victim = keep(self, word, result)
-        outcomes.append(victim is not None)
-        return victim
+        def logged(self, word, result):
+            victim = keep(self, word, result)
+            outcomes.append(victim is not None)
+            return victim
 
-    monkeypatch.setattr(Population, "replace_worst_if_better", logged)
-    return outcomes
+        monkeypatch.setattr(Population, "replace_worst_if_better", logged)
+        return outcomes
+    consider = Archive.consider
+    calls = []
+
+    def considered(self, word, result):
+        calls.append((result, self.results[result[1]]))
+        return consider(self, word, result)
+
+    monkeypatch.setattr(Archive, "consider", considered)
+    return calls
 
 
 @pytest.mark.parametrize("strict", [True, False])
 def test_a_seeded_umbrella_trap_hands_keep_only_its_milestones(strict, monkeypatch):
     # Every offspring of the umbrella cover is worse or a tie.  Under the
-    # strict keep rule and a strict target the gate turns them all away but
-    # the one that ends each milestone interval; a relaxed rule keeps ties,
-    # so they all reach keep.
+    # strict keep rule and a strict target the gate turns them all away,
+    # including the ones that end a milestone interval, whose rows the loop
+    # logs itself; a relaxed rule keeps ties, so they all reach keep.
     params = Example2Params(12)
     problem = make_problem(example2_set_cover(params))
     trap = example2_local_optimum(params)
@@ -799,7 +806,7 @@ def test_a_seeded_umbrella_trap_hands_keep_only_its_milestones(strict, monkeypat
     trace = run_ea(problem, config)
     assert trace.first_hit is None and trace.best_fitness == 2**12
     if strict:
-        assert outcomes == [False] * 4
+        assert outcomes == []
     else:
         assert outcomes.count(True) > 5_000 and outcomes.count(False) <= 4
 
@@ -821,22 +828,67 @@ def test_without_a_target_the_ea_hands_keep_only_what_it_keeps(use_cover, monkey
     assert outcomes.count(True) > 20
 
 
+@pytest.mark.parametrize(
+    ("index", "strict", "target"),
+    [
+        (0, True, None),  # the over-size cells hold -1
+        (2, False, None),  # a relaxed rule keeps cell ties
+        (3, True, QualityTarget(12, strict=True)),
+        (1, False, QualityTarget(258, required_cell=2)),
+    ],
+    ids=["bipartite", "relaxed", "strict-target", "cell-target"],
+)
+def test_an_archive_hands_consider_only_what_can_change_it(index, strict, target, monkeypatch):
+    # Once a feasible solution is seen, an offspring can change the archive
+    # only by landing in an empty cell or beating its own cell's incumbent,
+    # and the trace only by beating the best or, while no hit is recorded,
+    # reaching the threshold.  The loop turns every other one away before
+    # consider, comparing strictly unless the keep rule or the watched
+    # target admits ties.
+    problem = REFERENCE_PROBLEMS[index][0]
+    maximize = problem.direction is Direction.MAXIMIZE
+    calls = counted_keeps(monkeypatch, archive=True)
+    config = RunConfig(budget=5_000, init_count=4, seed=3, strict=strict, target=target, stop_on_target=False)
+    trace = run_map_elites(problem, config)
+    improves = plain_beats(maximize, True)
+    best = hit = None
+    for number, (result, incumbent) in enumerate(calls):
+        fitness, cell, feasible = result
+        watching = target is not None and hit is None
+        passes = plain_beats(maximize, strict and (not watching or target.strict))
+        if number >= config.init_count and best is not None:
+            assert (
+                incumbent is None
+                or passes(fitness, incumbent[0])
+                or passes(fitness, best)
+                or (watching and passes(fitness, target.threshold))
+            ), (number, result, incumbent, best)
+        if feasible and (best is None or improves(fitness, best)):
+            best = fitness
+        if watching and target.met(fitness, cell, feasible, problem.direction):
+            hit = number
+    assert best == trace.best_fitness
+    assert (hit is None) == (trace.first_hit is None)
+
+
 def test_a_malformed_cell_still_raises_where_the_archive_sees_it():
     # The archive checks the cell of each result it is handed.  A gated
     # offspring is not handed to it, but every init member is, and so is
-    # every offspring while a cell is empty.  Here the word of all ones
-    # names a cell past the grid, so the last cell stays empty and the run
-    # raises when that word is first drawn, at init or later.
+    # every offspring whose cell has no bar.  Here the word of all ones
+    # names a cell past the grid, or -1, which a list indexed by the cell
+    # would read from its end.  Either has no bar, so the run raises when
+    # that word is first drawn, at init or later.
     base = small_problem()
     n = base.n
+    for bad in (n + 1, -1):
 
-    def cell_past_the_grid(word):
-        fitness, cell, feasible = base.probe_word(word)
-        return fitness, n + 1 if cell == n else cell, feasible
+        def malformed_cell(word, bad=bad):
+            fitness, cell, feasible = base.probe_word(word)
+            return fitness, bad if cell == n else cell, feasible
 
-    problem = dataclasses.replace(base, probe_word=cell_past_the_grid)
-    for init_count in (1, 200):
-        with pytest.raises(ParameterError, match=f"cell {n + 1} outside 0..{n}"):
-            run_map_elites(problem, RunConfig(budget=20_000, init_count=init_count, seed=0))
+        problem = dataclasses.replace(base, probe_word=malformed_cell)
+        for init_count in (1, 200):
+            with pytest.raises(ParameterError, match=f"cell {bad} outside 0..{n}"):
+                run_map_elites(problem, RunConfig(budget=20_000, init_count=init_count, seed=0))
     # The EA keeps no grid and checks no cell.
     assert run_ea(problem, RunConfig(budget=2_000, init_count=n + 1, seed=0)).evaluations_used == 2_000
