@@ -306,10 +306,11 @@ class Population(_Members):
     ``direction`` (or at least as good with ``strict=False``), and ties for
     worst are broken with draws from ``rng``, the run's stream.  The
     population starts empty and ``add`` admits the initial members.  The
-    worst-member scan is cached between evictions, which makes stagnating
-    runs (the interesting ones) cheap.  ``cell_counts`` maps each cell the
-    members' results name to how many members name it, so its length is the
-    population's occupancy.
+    worst-member scan is cached between evictions, so after an accept the
+    run loop's fitness gate (``floor``) and the next keep share one scan; a
+    stagnating run stops at the gate and never reaches keep.
+    ``cell_counts`` maps each cell the members' results name to how many
+    members name it, so its length is the population's occupancy.
     """
 
     __slots__ = ("rng", "_worst_cache", "cell_counts")

@@ -290,12 +290,11 @@ class ExperimentReport:
     known_opt: Optional[Fitness]
     records: tuple[TrialRecord, ...]
     aggregate: Aggregate
-    format: str = REPORT_FORMAT
 
     def __post_init__(self) -> None:
         require_ints(self, ("n", "num_cells"))
         require_numbers(self, (), optional=("known_opt",))
-        require_strs(self, ("problem_name", "direction", "format"))
+        require_strs(self, ("problem_name", "direction"))
 
 
 def resolve_seed_members(
@@ -610,15 +609,18 @@ def _read_text(path) -> str:
 
 def _read_json(path, decode, what: str, format=None):
     """``decode(obj, what)`` of the JSON object in ``path``, whose ``format``
-    field must equal ``format`` when one is given.  Every error names the file."""
+    field must equal ``format`` when one is given; ``obj`` is the object
+    without that field.  Every error names the file."""
     try:
         data = json.loads(_read_text(path))
     except (ValueError, RecursionError) as exc:  # JSONDecodeError, or an int of over 4,300 digits
         raise ValidationError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(data, dict):
         raise ValidationError(f"{path}: expected a JSON object, got {type(data).__name__}")
-    if format is not None and data.get("format") != format:
-        raise ValidationError(f"{path}: field 'format' must be {format!r}, got {data.get('format')!r}")
+    if format is not None:
+        got = data.pop("format", None)
+        if got != format:
+            raise ValidationError(f"{path}: field 'format' must be {format!r}, got {got!r}")
     try:
         return decode(data, what)
     except (ParameterError, ValidationError) as exc:
@@ -718,17 +720,16 @@ def load_config(path) -> ExperimentConfig:
 
 
 def report_to_dict(report: ExperimentReport, rows: bool = False) -> dict:
-    """The document's JSON data, ``rows`` as for ``_to_json``.  Documents open
-    with their format, although the field is declared last."""
-    return {"format": report.format, **_to_json(report, rows)}
+    """The document's JSON data, ``rows`` as for ``_to_json``, opening with
+    its format."""
+    return {"format": REPORT_FORMAT, **_to_json(report, rows)}
 
 
 def _instance_from_json(data: dict, what: str):
-    kind = data.get("kind")
+    kind = data.pop("kind", None)
     if not isinstance(kind, str) or kind not in _INSTANCE_KINDS:
         raise ValidationError(f"field 'kind' must be max-coverage or set-cover, got {kind!r}")
-    body = {key: value for key, value in data.items() if key not in ("format", "kind")}
-    return _from_json(_INSTANCE_KINDS[kind], body, what)
+    return _from_json(_INSTANCE_KINDS[kind], data, what)
 
 
 def read_instance(path):

@@ -6,9 +6,13 @@ the whole file takes a few minutes on one core.
 """
 
 import dataclasses
+import math
 import os
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy import stats
 
 from qdpb import acceptance
 from qdpb.acceptance import CRITERION_IDS, run_criterion
@@ -113,6 +117,23 @@ def test_c6_head_to_head_separation():
 
 def test_c7_invariant_suites():
     _check("c7")
+
+
+# Past x = 2000 the tail is below 1e-300 for every df up to 60.
+@settings(max_examples=300)
+@given(st.floats(0, 2000), st.integers(1, 60))
+@example(0.0, 1)
+@example(1516.4927228889155, 50)  # exp(-x/2) underflows; the tail is 1.1e-284
+def test_chi2_sf_matches_scipy(x, df):
+    expected = stats.chi2.sf(x, df)
+    if expected > 1e-300:
+        assert math.isclose(acceptance._chi2_sf(x, df), expected, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("n, pvalue", [(5, 0.8277799301269446), (30, 0.32325325123923543)], ids=["n5", "n30"])
+def test_c7_flip_count_pvalues_match_scipy(n, pvalue):
+    # scipy.stats.chisquare's p-values for the flip counts c7 samples.
+    assert math.isclose(acceptance._flip_count_pvalue(n), pvalue, rel_tol=1e-12)
 
 
 def test_registry_is_complete():

@@ -784,3 +784,22 @@ def test_verify_runs_a_fast_criterion(capsys):
     out = capsys.readouterr().out
     assert "c7 PASS" in out
     assert "all 1 criteria passed" in out
+
+
+def test_verify_runs_on_the_standard_library_alone():
+    # A None entry in sys.modules makes every import of that package raise.
+    code = (
+        "import sys\n"
+        "sys.modules['scipy'] = sys.modules['numpy'] = None\n"
+        "from qdpb.cli import main\n"
+        "sys.exit(main(['verify', '--only', 'c7']))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert re.search(r"^c7 PASS \(.*\) 7/7 invariant groups hold$", done.stdout, re.MULTILINE), done.stdout

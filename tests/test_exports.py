@@ -1,8 +1,7 @@
 """Every module's public export list names things that exist, every import and
-private name is used, each module imports only the layers below it, only
-``harness`` reads or writes JSON, no module reads the environment,
-starting the CLI loads neither scipy nor the process pool's modules, and a
-serial experiment loads neither numpy nor scipy."""
+private name is used, each module imports only the layers below it and the
+standard library, only ``harness`` reads or writes JSON, no module reads the
+environment, and starting the CLI loads none of the process pool's modules."""
 
 import ast
 import importlib
@@ -72,9 +71,10 @@ LAYERS = {
 }
 
 
-def package_imports(tree) -> set:
-    """The package modules a module's AST imports, at any depth."""
-    imported = set()
+def module_imports(tree) -> tuple[set, set]:
+    """The package modules and the top-level names of the other modules that
+    a module's AST imports, at any depth."""
+    imported, outside = set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
             module = node.module if not node.level else "qdpb" + (f".{node.module}" if node.module else "")
@@ -82,18 +82,30 @@ def package_imports(tree) -> set:
                 imported.update(alias.name for alias in node.names)
             elif module.startswith("qdpb."):
                 imported.add(module.split(".")[1])
+            else:
+                outside.add(module.split(".")[0])
         elif isinstance(node, ast.Import):
-            imported.update(a.name.split(".")[1] for a in node.names if a.name.startswith("qdpb."))
-    return imported
+            for alias in node.names:
+                if alias.name.startswith("qdpb."):
+                    imported.add(alias.name.split(".")[1])
+                else:
+                    outside.add(alias.name.split(".")[0])
+    return imported, outside
 
 
 def test_each_module_imports_only_the_layers_below_it():
+    # Outside the package, only the standard library: so neither starting
+    # the CLI nor a serial experiment can load numpy or scipy, whose imports
+    # take about a second and, for numpy, about 12 MB of RSS.
     paths = sorted(Path(qdpb.__file__).parent.glob("*.py"))
     assert {path.stem for path in paths} == set(LAYERS), "place a new module in LAYERS"
     for path in paths:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        stray = package_imports(tree) - LAYERS[path.stem]
+        imported, outside = module_imports(tree)
+        stray = imported - LAYERS[path.stem]
         assert not stray, f"{path.name} imports {sorted(stray)}, outside its layer"
+        foreign = outside - sys.stdlib_module_names
+        assert not foreign, f"{path.name} imports {sorted(foreign)}, outside the standard library"
 
 
 def test_only_harness_reads_and_writes_json():
@@ -162,36 +174,17 @@ def test_every_private_name_is_used():
     assert not unused, f"private names nothing uses: {unused}"
 
 
-def modules_loaded_at_start_up(*packages, then: str = "") -> str:
+def modules_loaded_at_start_up(*packages) -> str:
     """The sorted names of the loaded modules of ``packages`` after a fresh
-    interpreter imports the CLI and the modules it uses, and runs ``then``."""
+    interpreter imports the CLI and the modules it uses."""
     code = (
         "import sys\n"
         "import qdpb.acceptance, qdpb.analysis, qdpb.cli, qdpb.harness, qdpb.instances\n"
-        f"{then}\n"
         f"print(sorted(name for name in sys.modules if name.split('.')[0] in {packages!r}))\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(qdpb.__file__).parent.parent)}
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     return done.stdout.strip()
-
-
-def test_cli_start_up_loads_no_scipy():
-    # scipy.stats costs about a second to import; only c7's mutation-law check needs it.
-    assert modules_loaded_at_start_up("scipy") == "[]"
-
-
-def test_a_serial_experiment_loads_no_numpy_or_scipy():
-    # A serial run of either engine, scored and reported, stays in pure
-    # Python: importing numpy adds about 12 MB of RSS, half again the
-    # 22-25 MB peak of a benchmark engine workload.
-    run = (
-        "from qdpb.harness import ExperimentConfig, ProblemSpec, run_experiment\n"
-        "for algorithm in ('map-elites', 'ea'):\n"
-        "    run_experiment(ExperimentConfig(problem=ProblemSpec(kind='example1', n=9, delta='1/3'),"
-        " algorithm=algorithm, budget=2000, trials=2, master_seed=1))\n"
-    )
-    assert modules_loaded_at_start_up("numpy", "scipy", then=run) == "[]"
 
 
 def test_cli_start_up_loads_no_process_pool():
