@@ -31,8 +31,7 @@ instead of being probed again; it still counts as one evaluation and is
 judged like any other offspring.
 
 ``_run`` keeps the run's trace itself: the best feasible solution, the
-first hit and the milestone log.  Only an evaluation that can change the
-trace is noted; the loop counts the others.
+first hit and the milestone log.
 
 A fitness gate decides which offspring reach the keep step at all.  An
 offspring can change the trace only by beating the best feasible fitness or,
@@ -45,10 +44,13 @@ empty cell, and every cell before a feasible solution is seen, has none.
 An offspring that does not pass its gate can be neither kept nor noted, so
 the loop only counts it, and logs its milestone row if its evaluation ends
 an interval.  In a run parked at a local optimum, and in an archive once a
-feasible solution is seen, that is nearly every offspring.
-The gate compares strictly only when the keep rule and the target both do.
-An accept moves only the EA's gate or the accepted cell's bar; every gate
-is recomputed only when the best improves or the first hit is recorded.  It
+feasible solution is seen, that is nearly every offspring.  Every offspring
+past its gate takes one path: the keep policy, then ``note``, then, if
+either changed something (a new best, the first hit, or an accept that does
+not tie the gate it passed), every gate is recomputed.  An accept that ties
+its gate can only happen under a relaxed keep rule; it swaps a member for
+one of equal fitness, so it moves no gate.  The gate compares strictly only
+when the keep rule and, while the run watches, the target both do.  It
 draws nothing from the stream and changes no trace.
 """
 
@@ -56,7 +58,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import ceil, isfinite
-from typing import Optional
+from typing import Callable, Optional
 
 from .core import RandomSource, Solution, flip_sampler
 from .errors import ParameterError, require_bools, require_ints, require_numbers
@@ -95,12 +97,17 @@ class QualityTarget:
         require_ints(self, (), optional=("required_cell",))
         require_bools(self, ("strict", "require_feasible"))
 
-    def met(self, fitness: Fitness, cell: int, feasible: bool, direction: Direction) -> bool:
-        if self.require_feasible and not feasible:
-            return False
-        if self.required_cell is not None and cell != self.required_cell:
-            return False
-        return comparison(direction, self.strict)(fitness, self.threshold)
+    def met_under(self, direction: Direction) -> Callable[[Fitness, int, bool], bool]:
+        """Whether an evaluation's ``(fitness, cell, feasible)`` meets the
+        target under ``direction``, with the threshold comparison bound once
+        for a loop that asks after every evaluation."""
+        reaches, threshold = comparison(direction, self.strict), self.threshold
+        require_feasible, required_cell = self.require_feasible, self.required_cell
+        return lambda fitness, cell, feasible: (
+            (feasible or not require_feasible)
+            and (required_cell is None or cell == required_cell)
+            and reaches(fitness, threshold)
+        )
 
 
 # Milestone rows one run, or all trials of an experiment, may log.  A row
@@ -307,8 +314,8 @@ class Population(_Members):
     worst are broken with draws from ``rng``, the run's stream.  The
     population starts empty and ``add`` admits the initial members.  The
     worst-member scan is cached between evictions, so after an accept the
-    run loop's fitness gate (``floor``) and the next keep share one scan; a
-    stagnating run stops at the gate and never reaches keep.
+    run loop's fitness gate and the next keep share one scan; a stagnating
+    run stops at the gate and never reaches keep.
     ``cell_counts`` maps each cell the members' results name to how many
     members name it, so its length is the population's occupancy.
     """
@@ -338,10 +345,6 @@ class Population(_Members):
             value = self.weakest(fits)
             self._worst_cache = (value, [i for i, f in enumerate(fits) if f == value])
         return self._worst_cache
-
-    def floor(self) -> Fitness:
-        """The fitness an offspring must beat to be kept."""
-        return self.worst()[0]
 
     def replace_worst_if_better(self, word: int, result: Result) -> Optional[int]:
         """Evict one worst member if ``word`` beats it; ties for worst are
@@ -402,23 +405,22 @@ def _run(algorithm: str, problem: Problem, config: RunConfig) -> RunTrace:
     Each init member is probed, kept and noted in turn.  Each step then picks
     a parent uniformly from ``slots`` (the archive's occupied cells, or the mu
     population indices), XORs its word with a flip word, probes the child
-    unless the flip word is 0 (a copy) and hands it to the keep policy.
-    ``note`` keeps the trace: the best feasible solution, the first hit and
-    the milestone log.  The loop counts every evaluation itself and notes one
-    only if it can change the trace: it ends a milestone interval, it is
-    feasible and beats the best so far, or it reaches the target's threshold
-    while no hit is recorded.
+    unless the flip word is 0 (a copy), hands it to the keep policy and then
+    to ``note``, which keeps the trace: the best feasible solution, the first
+    hit and the milestone log.  When ``note`` reports a new best or the first
+    hit, or the keep policy accepted an offspring that does not tie the gate
+    it passed, ``regate`` recomputes the gates.
 
-    Before either, the fitness gate of the module docstring turns away an
-    offspring that could change neither.  ``cap`` is the weaker of the best
-    and, while watching, the threshold, None before a feasible solution is
-    seen.  ``gate`` is the EA's gate, None for the archive and while ``cap``
-    is; ``bars`` maps each held archive cell to its bar, and is empty for
-    the EA and while ``cap`` is None.  A cell that is not a key of ``bars``
-    has no bar, so an offspring whose cell is outside the grid still reaches
-    ``Archive.consider``, which refuses it.  ``passes``
-    is the comparison an offspring's fitness must pass a gate by.  An
-    offspring that ties it may still be kept by a relaxed keep rule or meet
+    Before all that, the fitness gate of the module docstring turns away an
+    offspring that could change nothing; the loop counts it and logs its
+    milestone row itself.  ``gate`` is the EA's gate, None for the archive
+    and before a feasible solution is seen; ``bars`` maps each held archive
+    cell to its bar, and is empty for the EA and before a feasible solution
+    is seen.  A cell that is not a key of ``bars`` has no bar, so an
+    offspring whose cell is outside the grid still reaches
+    ``Archive.consider``, which refuses it.  ``passes`` is the comparison an
+    offspring's fitness must pass a gate by.  An offspring that ties it may
+    still be kept by a relaxed keep rule or, while no hit is recorded, meet
     a non-strict target, so ``passes`` admits ties unless both are strict
     (the best only improves strictly).
     """
@@ -448,6 +450,7 @@ def _run(algorithm: str, problem: Problem, config: RunConfig) -> RunTrace:
         admit, keep = population.add, population.replace_worst_if_better
         rejected = None
     better = comparison(direction)
+    hits = None if target is None else target.met_under(direction)
     interval = config.milestone_interval
     milestones: list[Milestone] = []
     evals = 0
@@ -463,7 +466,7 @@ def _run(algorithm: str, problem: Problem, config: RunConfig) -> RunTrace:
         if improved:
             best, best_solution = fitness, Solution(n, word)
             best_string = best_solution.to_string()
-        hit = first_hit is None and target is not None and target.met(fitness, cell, feasible, direction)
+        hit = first_hit is None and hits is not None and hits(fitness, cell, feasible)
         if hit:
             first_hit = evals
         if improved or evals % interval == 0:
@@ -478,27 +481,26 @@ def _run(algorithm: str, problem: Problem, config: RunConfig) -> RunTrace:
     # A target met by an init member ends the run before its first step.
     budget = evals if config.stop_on_target and first_hit is not None else config.budget
     getrandbits = rng.getrandbits
-    # The threshold comparison of target.met on its own: necessary for a hit,
-    # and cheap enough to test on every evaluation.
-    reaches = None if target is None else comparison(direction, target.strict)
-    threshold = None if target is None else target.threshold
-    watching = target is not None and first_hit is None
     weakest = container.weakest
-    passes_kept = comparison(direction, config.strict)
-    passes_watched = None if target is None else comparison(direction, config.strict and target.strict)
+    # The gate's comparison, indexed by whether the run watches for a hit.
+    passes_when = (
+        comparison(direction, config.strict),
+        comparison(direction, config.strict and (target is None or target.strict)),
+    )
 
     def regate() -> tuple:
-        """``(passes, cap, gate, bars)``, recomputed from the best and the watch."""
+        """``(passes, gate, bars)``, recomputed from the best, the first hit and the container."""
         if best is None:
-            return None, None, None, {}
-        cap = weakest(best, threshold) if watching else best
-        passes = passes_watched if watching else passes_kept
+            return None, None, {}
+        watching = target is not None and first_hit is None
+        cap = weakest(best, target.threshold) if watching else best
+        passes = passes_when[watching]
         if archive is None:
-            return passes, cap, weakest(population.floor(), cap), {}
+            return passes, weakest(population.worst()[0], cap), {}
         held = archive.results
-        return passes, cap, None, {cell: weakest(held[cell][0], cap) for cell in archive.occupied}
+        return passes, None, {cell: weakest(held[cell][0], cap) for cell in archive.occupied}
 
-    passes, cap, gate, bars = regate()
+    passes, gate, bars = regate()
     next_milestone = evals - evals % interval + interval
     # rng.randrange(len(slots)), inlined as in flip_sampler.  len(slots)
     # changes only when the archive fills a new cell, which only a kept
@@ -530,27 +532,13 @@ def _run(algorithm: str, problem: Problem, config: RunConfig) -> RunTrace:
         if kept and len(slots) != size:
             size = len(slots)
             k = size.bit_length()
-        fitness, cell, feasible = result
-        moved = False
-        if (
-            evals == next_milestone
-            or (feasible and (best is None or better(fitness, best)))
-            or (watching and reaches(fitness, threshold))
-        ):
-            moved = note(word, result)
-            if evals == next_milestone:
-                next_milestone += interval
-            if first_hit is not None:
-                if config.stop_on_target:
-                    break
-                watching = False
-        if moved:
-            passes, cap, gate, bars = regate()
-        elif kept and cap is not None:
-            if archive is None:
-                gate = weakest(population.floor(), cap)
-            else:
-                bars[cell] = weakest(fitness, cap)
+        if evals == next_milestone:
+            next_milestone += interval
+        # An accept that ties the gate it passed leaves every gate where it was.
+        if note(word, result) or kept and result[0] != (gate if gate is not None else bars.get(result[1])):
+            if config.stop_on_target and first_hit is not None:
+                break
+            passes, gate, bars = regate()
     if not milestones or milestones[-1].evaluations != evals:
         milestones.append(Milestone(evals, best, occupancy(), best_string))
     return RunTrace(

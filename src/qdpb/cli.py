@@ -128,13 +128,25 @@ def _build_config_from_flags(args):
     return config, problem
 
 
-def _cmd_run(args) -> int:
-    if args.rows is not None and args.document is not None:
-        if os.path.realpath(args.rows) == os.path.realpath(args.document):
-            raise ParameterError(f"--rows and --document name the same file {args.document!r}")
-    for path in (args.rows, args.document):
+def _check_outputs(args, config: ExperimentConfig) -> None:
+    """Refuse an output path whose real path is one of the run's input files
+    or the other output, or that cannot be written."""
+    inputs = {"--config": args.config}
+    if config.problem.kind == "file":
+        inputs["--instance" if args.config is None else "--config's problem path"] = config.problem.path
+    if args.seed_population is not None and args.seed_population.startswith("@"):
+        inputs["--seed-population"] = args.seed_population[1:]
+    taken = {os.path.realpath(path): name for name, path in inputs.items() if path is not None}
+    for flag, path in (("--rows", args.rows), ("--document", args.document)):
         if path is not None:
+            real = os.path.realpath(path)
+            if real in taken:
+                raise ParameterError(f"{taken[real]} and {flag} name the same file {path!r}")
+            taken[real] = flag
             harness._check_writable(path)
+
+
+def _cmd_run(args) -> int:
     problem = None
     if args.config is not None:
         given = [
@@ -150,6 +162,7 @@ def _cmd_run(args) -> int:
         if args.algo is None:
             raise ParameterError("run needs --algo map-elites|ea (or --config FILE)")
         config, problem = _build_config_from_flags(args)
+    _check_outputs(args, config)
     report = run_experiment(config, problem)
     agg = report.aggregate
     print(
@@ -165,7 +178,7 @@ def _cmd_run(args) -> int:
     if agg.median_ratio is not None:
         print(f"median ratio: {agg.median_ratio:g}")
     if agg.best_overall is not None:
-        print(f"best fitness: {agg.best_overall:g} (median {agg.median_best_fitness:g})")
+        print(f"best fitness: {agg.best_overall!r} (median {agg.median_best_fitness!r})")
     if args.rows is not None:
         export_report(report, args.rows, form="rows")
         print(f"wrote rows -> {args.rows}")
@@ -213,7 +226,7 @@ def _cmd_analyze(args) -> int:
     x = Solution.from_string(args.solution)
     fitness, cell, feasible = problem.probe(x)
     print(f"solution: {args.solution} (ones={x.ones()})")
-    print(f"fitness: {fitness:g}")
+    print(f"fitness: {fitness!r}")
     print(f"cell: {cell}")
     print(f"feasible: {'yes' if feasible else 'no'}")
     if feasible and problem.known_opt is not None and problem.known_opt > 0:

@@ -119,13 +119,6 @@ def test_population_worst_by_direction():
     assert pop2.worst() == (3, [0])
 
 
-def test_population_floor_is_the_worst_fitness():
-    pop = filled(Population(2, Direction.MAXIMIZE, RandomSource(0)), ["00", "01", "10"], [3, 1, 2])
-    assert pop.floor() == 1
-    pop.replace_worst_if_better(W("11"), R(5))
-    assert pop.floor() == 2
-
-
 def test_population_eviction_requires_strict_improvement():
     pop = filled(Population(2, Direction.MAXIMIZE, RandomSource(0)), ["10", "01"], [4, 7])
     assert pop.replace_worst_if_better(W("11"), R(4)) is None
@@ -244,14 +237,14 @@ def test_seed_population_validation():
 
 def test_quality_target_semantics():
     t = QualityTarget(threshold=10)
-    assert t.met(10, 0, True, Direction.MAXIMIZE)
-    assert not t.met(9, 0, True, Direction.MAXIMIZE)
-    assert not t.met(12, 0, False, Direction.MAXIMIZE)
-    assert QualityTarget(10, require_feasible=False).met(12, 0, False, Direction.MAXIMIZE)
-    assert not QualityTarget(10, strict=True).met(10, 0, True, Direction.MAXIMIZE)
-    assert QualityTarget(10, required_cell=3).met(11, 3, True, Direction.MAXIMIZE)
-    assert not QualityTarget(10, required_cell=3).met(11, 2, True, Direction.MAXIMIZE)
-    assert QualityTarget(10).met(9, 0, True, Direction.MINIMIZE)
+    assert t.met_under(Direction.MAXIMIZE)(10, 0, True)
+    assert not t.met_under(Direction.MAXIMIZE)(9, 0, True)
+    assert not t.met_under(Direction.MAXIMIZE)(12, 0, False)
+    assert QualityTarget(10, require_feasible=False).met_under(Direction.MAXIMIZE)(12, 0, False)
+    assert not QualityTarget(10, strict=True).met_under(Direction.MAXIMIZE)(10, 0, True)
+    assert QualityTarget(10, required_cell=3).met_under(Direction.MAXIMIZE)(11, 3, True)
+    assert not QualityTarget(10, required_cell=3).met_under(Direction.MAXIMIZE)(11, 2, True)
+    assert QualityTarget(10).met_under(Direction.MINIMIZE)(9, 0, True)
     for threshold in (math.nan, math.inf, -math.inf):
         with pytest.raises(ParameterError, match="threshold must be finite"):
             QualityTarget(threshold)
@@ -811,18 +804,25 @@ def test_a_seeded_umbrella_trap_hands_keep_only_its_milestones(strict, monkeypat
         assert outcomes.count(True) > 5_000 and outcomes.count(False) <= 4
 
 
-@pytest.mark.parametrize("use_cover", [False, True])
-def test_without_a_target_the_ea_hands_keep_only_what_it_keeps(use_cover, monkeypatch):
+@pytest.mark.parametrize(
+    ("use_cover", "strict"),
+    [(False, True), (True, True), (False, False), (True, False)],
+    ids=["False", "True", "False-relaxed", "True-relaxed"],
+)
+def test_without_a_target_the_ea_hands_keep_only_what_it_keeps(use_cover, strict, monkeypatch):
     # On both families every infeasible fitness is worse than every
     # feasible one, so the population's floor is never stronger than the
     # best feasible fitness: without a target the gate is the floor, and an
-    # offspring that passes it is kept.  Once a member is feasible, only the
-    # offspring that end the five milestone intervals can reach keep and be
-    # turned away there.  A gate left stale after an accept lets more through.
+    # offspring that passes it is kept, by either keep rule.  Once a member
+    # is feasible, only the offspring that end the five milestone intervals
+    # can reach keep and be turned away there.  A gate left stale after an
+    # accept lets more through; under the relaxed rule only an accept that
+    # ties the floor may leave the gate as it was.
     make = random_set_cover if use_cover else random_max_coverage
     problem = make_problem(make(10, 12, 0.3, 6 if use_cover else 4, RandomSource(2)))
     outcomes = counted_keeps(monkeypatch)
-    trace = run_ea(problem, RunConfig(budget=5_000, init_count=problem.num_cells, seed=8, milestone_every=1_000))
+    config = RunConfig(budget=5_000, init_count=problem.num_cells, seed=8, strict=strict, milestone_every=1_000)
+    trace = run_ea(problem, config)
     assert trace.milestones[0].best_fitness is not None  # a feasible init member
     assert outcomes.count(False) <= 5
     assert outcomes.count(True) > 20
@@ -835,8 +835,9 @@ def test_without_a_target_the_ea_hands_keep_only_what_it_keeps(use_cover, monkey
         (2, False, None),  # a relaxed rule keeps cell ties
         (3, True, QualityTarget(12, strict=True)),
         (1, False, QualityTarget(258, required_cell=2)),
+        (0, True, QualityTarget(20)),  # hit at evaluation 379: ties pass only before it
     ],
-    ids=["bipartite", "relaxed", "strict-target", "cell-target"],
+    ids=["bipartite", "relaxed", "strict-target", "cell-target", "loose-target"],
 )
 def test_an_archive_hands_consider_only_what_can_change_it(index, strict, target, monkeypatch):
     # Once a feasible solution is seen, an offspring can change the archive
@@ -865,7 +866,7 @@ def test_an_archive_hands_consider_only_what_can_change_it(index, strict, target
             ), (number, result, incumbent, best)
         if feasible and (best is None or improves(fitness, best)):
             best = fitness
-        if watching and target.met(fitness, cell, feasible, problem.direction):
+        if watching and target.met_under(problem.direction)(fitness, cell, feasible):
             hit = number
     assert best == trace.best_fitness
     assert (hit is None) == (trace.first_hit is None)

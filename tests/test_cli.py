@@ -238,6 +238,26 @@ def test_an_instance_with_optimum_zero_runs_and_is_analysed_without_a_ratio(tmp_
     assert dict(zip(header, row))["ratio"] == "nan"
 
 
+def test_analyze_prints_fitness_exactly(tmp_path, capsys):
+    path = str(tmp_path / "star30.json")
+    assert main(["gen-instance", "example2", "--n", "30", "--out", path]) == 0
+    assert main(["analyze", path, "--solution", "1" + "0" * 29]) == 0
+    assert "fitness: 1073741824\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("trials, median", [(3, "20925481"), (2, "20925481.0")])
+def test_run_prints_best_fitness_exactly(trials, median, tmp_path, capsys):
+    path = str(tmp_path / "cover.json")
+    assert main([
+        "gen-instance", "random-set-cover", "--n", "16", "--m-elements", "20", "--density", "0.2",
+        "--max-weight", "9000000", "--instance-seed", "3", "--out", path,
+    ]) == 0
+    assert main(["run", "--instance", path, "--algo", "map-elites", "--budget", "2000", "--trials", str(trials)]) == 0
+    out = capsys.readouterr().out
+    assert "OPT=20925481" in out
+    assert f"best fitness: 20925481 (median {median})\n" in out, out
+
+
 def test_analyze_rejects_wrong_length(star5, capsys):
     assert main(["analyze", star5, "--solution", "101"]) == 1
     assert "5" in capsys.readouterr().err
@@ -503,6 +523,39 @@ def test_rows_and_document_must_name_different_files(star5, tmp_path, capsys, mo
         out, err = capsys.readouterr()
         assert out == "" and "--rows and --document name the same file" in err, err
         assert not report.exists()
+
+
+def test_run_refuses_an_output_that_names_an_input(star5, tmp_path, capsys, monkeypatch):
+    def no_trials(*args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(harness, "_trial", no_trials)
+    monkeypatch.chdir(tmp_path)
+    members = tmp_path / "members.txt"
+    members.write_text("10000\n" * 5)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "problem": {"kind": "file", "path": star5}, "algorithm": "ea", "budget": 100, "trials": 1,
+        "master_seed": 0,
+    }))
+    (tmp_path / "link").symlink_to(star5)
+    flags = ["run", "--algo", "ea", "--instance", star5, "--budget", "100"]
+    cases = (
+        ([*flags, "--document", star5], "--instance and --document"),
+        ([*flags, "--rows", "link"], "--instance and --rows"),
+        ([*flags, "--seed-population", "@members.txt", "--rows", str(members)], "--seed-population and --rows"),
+        (["run", "--config", str(config), "--document", "config.json"], "--config and --document"),
+        (["run", "--config", str(config), "--rows", "x.csv", "--document", star5],
+         "--config's problem path and --document"),
+    )
+    inputs = {path: path.read_bytes() for path in (Path(star5), members, config)}
+    for argv, names in cases:
+        capsys.readouterr()
+        assert main(argv) == 1, argv
+        out, err = capsys.readouterr()
+        assert out == "" and f"error: {names} name the same file" in err, err
+        assert {path: path.read_bytes() for path in inputs} == inputs
+        assert not (tmp_path / "x.csv").exists()
 
 
 def test_run_refuses_a_milestone_log_over_the_row_limit(star5, tmp_path, capsys):
