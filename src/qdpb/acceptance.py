@@ -416,7 +416,7 @@ def _prefix_states(run, problem, init_count: int, seed: int, steps: int):
     """
     for budget in range(init_count, init_count + steps + 1):
         trace = run(problem, RunConfig(budget=budget, init_count=init_count, seed=seed))
-        yield trace.archive if trace.archive is not None else trace.population
+        yield trace.kept
 
 
 def _check_archive_cell_monotonicity() -> Optional[str]:

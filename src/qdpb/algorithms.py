@@ -213,7 +213,9 @@ class Milestone:
 
 @dataclass
 class RunTrace:
-    """Complete account of one run; same seed and config give an equal trace."""
+    """Complete account of one run; same seed and config give an equal trace.
+    ``kept`` is the container the run filled: the ``Archive`` for MAP-Elites,
+    the ``Population`` for the EA."""
 
     algorithm: str
     evaluations_used: int
@@ -221,8 +223,7 @@ class RunTrace:
     best_fitness: Optional[Fitness]
     best_solution: Optional[Solution]
     milestones: tuple[Milestone, ...]
-    archive: Optional["Archive"] = None
-    population: Optional["Population"] = None
+    kept: Archive | Population
 
 
 class _Members:
@@ -436,7 +437,7 @@ def _run(algorithm: str, problem: Problem, config: RunConfig) -> RunTrace:
         init_words = (rng.getrandbits(n) for _ in range(config.init_count))
     probe_word = problem.probe_word
     flip = flip_sampler(n, rng)  # the module global at run time, so a rebinding takes effect
-    archive = population = None
+    archive = None
     if algorithm == "map-elites":
         container = archive = Archive(problem.num_cells, n, direction, config.strict)
         words, results, slots = archive.words, archive.results, archive.occupied
@@ -444,10 +445,10 @@ def _run(algorithm: str, problem: Problem, config: RunConfig) -> RunTrace:
         admit = keep = archive.consider
         rejected = False  # what keep returns for an offspring it does not keep
     else:
-        container = population = Population(n, direction, rng, config.strict)
-        words, results, slots = population.words, population.results, range(config.init_count)
-        occupancy = population.cell_counts.__len__
-        admit, keep = population.add, population.replace_worst_if_better
+        container = Population(n, direction, rng, config.strict)
+        words, results, slots = container.words, container.results, range(config.init_count)
+        occupancy = container.cell_counts.__len__
+        admit, keep = container.add, container.replace_worst_if_better
         rejected = None
     better = comparison(direction)
     hits = None if target is None else target.met_under(direction)
@@ -496,7 +497,7 @@ def _run(algorithm: str, problem: Problem, config: RunConfig) -> RunTrace:
         cap = weakest(best, target.threshold) if watching else best
         passes = passes_when[watching]
         if archive is None:
-            return passes, weakest(population.worst()[0], cap), {}
+            return passes, weakest(container.worst()[0], cap), {}
         held = archive.results
         return passes, None, {cell: weakest(held[cell][0], cap) for cell in archive.occupied}
 
@@ -548,6 +549,5 @@ def _run(algorithm: str, problem: Problem, config: RunConfig) -> RunTrace:
         best_fitness=best,
         best_solution=best_solution,
         milestones=tuple(milestones),
-        archive=archive,
-        population=population,
+        kept=container,
     )

@@ -81,10 +81,6 @@ class RandomSource(random.Random):
         if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
             raise ParameterError(f"seed must be a non-negative integer, got {seed!r}")
         super().__init__(seed)
-        self.initial_seed = seed
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"RandomSource(seed={self.initial_seed})"
 
 
 @dataclass(frozen=True, slots=True)

@@ -338,7 +338,7 @@ def _trial(algorithm: str, run: RunConfig, problem: Problem, t: int) -> TrialRec
     seed = run.seed + t
     runner = run_map_elites if algorithm == "map-elites" else run_ea
     trace = runner(problem, replace(run, seed=seed))
-    metrics = qd_metrics(trace.archive if trace.archive is not None else trace.population)
+    metrics = qd_metrics(trace.kept)
     ratio = None  # undefined without a positive optimum
     if problem.known_opt is not None and problem.known_opt > 0 and trace.best_fitness is not None:
         ratio = approximation_ratio(trace.best_fitness, problem.known_opt)

@@ -99,8 +99,8 @@ def test_archive_bounds():
 
 def test_map_elites_init_deterministic():
     problem = small_problem()
-    a = run_map_elites(problem, RunConfig(budget=7, init_count=7, seed=3)).archive
-    b = run_map_elites(problem, RunConfig(budget=7, init_count=7, seed=3)).archive
+    a = run_map_elites(problem, RunConfig(budget=7, init_count=7, seed=3)).kept
+    b = run_map_elites(problem, RunConfig(budget=7, init_count=7, seed=3)).kept
     assert a == b
     assert 1 <= len(a) <= 7
     # Every occupant sits in the cell its descriptor names.
@@ -201,7 +201,7 @@ def test_population_cell_counts_follow_every_eviction(monkeypatch):
         init_count = draws.randint(1, problem.num_cells + 2)
         config = RunConfig(budget=600, init_count=init_count, seed=seed, strict=seed % 4 < 2)
         trace = run_ea(problem, config)
-        population = trace.population
+        population = trace.kept
         assert population.cell_counts == Counter(r[1] for r in population.results)
         assert len(population.cell_counts) == len({r[1] for r in population.results}) == trace.milestones[-1].occupied
     assert evictions >= 1_000, evictions
@@ -216,7 +216,7 @@ def test_milestone_occupancy_does_not_scan_the_population():
     trace = run_ea(problem, RunConfig(budget=mu, init_count=mu, seed=1))
     assert time.perf_counter() - start < 0.5
     assert len(trace.milestones) > 990
-    assert trace.milestones[-1].occupied == len({r[1] for r in trace.population.results})
+    assert trace.milestones[-1].occupied == len({r[1] for r in trace.kept.results})
 
 
 def test_seed_population_validation():
@@ -226,7 +226,7 @@ def test_seed_population_validation():
     with pytest.raises(ParameterError, match="seed member has 4 variables"):
         run_ea(problem, RunConfig(budget=2, init_count=1, seed=0, initial_population=(S("1010"),)))
     members = (S("000000"), S("100000"))
-    pop = run_ea(problem, RunConfig(budget=2, init_count=2, seed=0, initial_population=members)).population
+    pop = run_ea(problem, RunConfig(budget=2, init_count=2, seed=0, initial_population=members)).kept
     assert pop.solutions == list(members)
     assert pop.fitnesses == [problem.probe(x)[0] for x in members]
 
@@ -381,7 +381,7 @@ def test_seeded_ea_run_matches_seed_population():
     trace = run_ea(problem, cfg)
     assert trace.evaluations_used == 3000
     assert trace.first_hit is None
-    assert trace.population.solutions == [local] * 9  # nothing ever improved
+    assert trace.kept.solutions == [local] * 9  # nothing ever improved
     assert trace.best_fitness == problem.probe(local)[0]
 
 
@@ -458,8 +458,8 @@ def test_only_copies_skip_the_probe(engine, use_cover, monkeypatch):
 def test_kept_members_carry_their_probe_results():
     problem = small_problem(9)
     config = RunConfig(budget=306, init_count=6, seed=4, strict=False)
-    archive = run_map_elites(problem, config).archive
-    population = run_ea(problem, config).population
+    archive = run_map_elites(problem, config).kept
+    population = run_ea(problem, config).kept
     for cell in archive.occupied:
         assert archive.results[cell] == problem.probe(archive.solutions[cell])
     assert population.results == [problem.probe(x) for x in population.solutions]
@@ -507,7 +507,7 @@ def test_keep_rules_only_compare_fitness_values(engine, strict, use_cover):
         assert [(m.evaluations, m.occupied, m.best_solution) for m in cubed.milestones] == [
             (m.evaluations, m.occupied, m.best_solution) for m in plain.milestones
         ]
-        kept = [run.archive if run.archive is not None else run.population for run in runs]
+        kept = [run.kept for run in runs]
         assert kept[1].words == kept[0].words
         assert kept[1].fitnesses == [None if f is None else f**3 for f in kept[0].fitnesses]
 
@@ -746,10 +746,9 @@ def test_run_matches_the_reference_loop(case):
     assert trace.best_fitness == best
     assert (None if trace.best_solution is None else trace.best_solution.to_string()) == best_string
     assert [(m.evaluations, m.best_fitness, m.occupied, m.best_solution) for m in trace.milestones] == milestones
-    kept = trace.archive if engine == "map-elites" else trace.population
-    assert (kept.words, kept.results) == (words, results)
+    assert (trace.kept.words, trace.kept.results) == (words, results)
     if engine == "map-elites":
-        assert kept.occupied == filled
+        assert trace.kept.occupied == filled
 
 
 # ---------------------------------------------------------------------------

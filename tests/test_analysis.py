@@ -436,7 +436,7 @@ def test_qd_metrics_of_a_population_equals_its_archive_view(seed, n, mu, cover, 
     else:
         problem = make_problem(random_max_coverage(n, 9, 0.35, max(1, n // 3), rng))
     trace = run_ea(problem, RunConfig(budget=mu + 200, init_count=mu, seed=seed, strict=strict))
-    population = trace.population
+    population = trace.kept
     archive = Archive(problem.num_cells, problem.n, problem.direction)
     for word, result in zip(population.words, population.results):
         archive.consider(word, result)

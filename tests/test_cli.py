@@ -15,11 +15,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qdpb import cli, harness
+from qdpb import acceptance, cli, harness
 from qdpb.cli import main
 from qdpb.harness import read_instance, write_instance
 from qdpb.instances import Example2Params, example2_set_cover, random_max_coverage
 from qdpb.core import RandomSource
+from qdpb.errors import QdpbError
 from qdpb.problems import MaxCoverageInstance
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -172,12 +173,18 @@ def test_run_target_ratio_enumerates_once(tmp_path, monkeypatch, capsys):
     assert "OPT=" in capsys.readouterr().out
 
 
+def _random_instance(folder, n) -> str:
+    """A random max-coverage instance of ``n`` sets, in no recognized family."""
+    path = folder / f"rand{n}.json"
+    args = ["--n", str(n), "--m-elements", "8", "--density", "0.3", "--k", "3", "--instance-seed", "4"]
+    assert main(["gen-instance", "random-max-coverage", *args, "--out", str(path)]) == 0
+    return str(path)
+
+
 def test_oracle_enumerates_beyond_the_resolve_limit(tmp_path, monkeypatch, capsys):
     # resolve_problem enumerates only up to n=20 before a run; `qdpb oracle`
     # goes up to the oracle's own guard.
-    path = tmp_path / "rand21.json"
-    args = ["--n", "21", "--m-elements", "8", "--density", "0.3", "--k", "3", "--instance-seed", "4"]
-    assert main(["gen-instance", "random-max-coverage", *args, "--out", str(path)]) == 0
+    path = _random_instance(tmp_path, 21)
     calls = 0
     brute_force_opt = cli.brute_force_opt
 
@@ -188,11 +195,36 @@ def test_oracle_enumerates_beyond_the_resolve_limit(tmp_path, monkeypatch, capsy
 
     monkeypatch.setattr(cli, "brute_force_opt", counted)
     monkeypatch.setattr(harness, "brute_force_opt", counted)
-    assert harness.resolve_problem(harness.ProblemSpec(kind="file", path=str(path))).known_opt is None
+    assert harness.resolve_problem(harness.ProblemSpec(kind="file", path=path)).known_opt is None
     assert calls == 0
-    assert main(["oracle", str(path)]) == 0
+    assert main(["oracle", path]) == 0
     assert calls == 1
     assert "OPT=" in capsys.readouterr().out
+
+
+def test_oracle_past_the_enumeration_limit(tmp_path, capsys):
+    # n > 24: a recognized family prints its closed-form optimum, any other
+    # instance is refused.
+    star = tmp_path / "star30.json"
+    assert main(["gen-instance", "example2", "--n", "30", "--out", str(star)]) == 0
+    capsys.readouterr()
+    assert main(["oracle", str(star)]) == 0
+    assert "OPT=29 (closed form; instance too large to enumerate)" in capsys.readouterr().out
+    assert main(["oracle", _random_instance(tmp_path, 25)]) == 1
+    assert "n=25 is too large for exhaustive search" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "error, message", [(QdpbError("stale"), "runtime error: stale"), (KeyError("x"), "runtime error: KeyError: 'x'")]
+)
+def test_runtime_failures_exit_2(error, message, star5, monkeypatch, capsys):
+    def fail(problem):
+        raise error
+
+    monkeypatch.setattr(cli, "brute_force_opt", fail)
+    capsys.readouterr()
+    assert main(["oracle", star5]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_oracle_missing_file_exits_1(capsys):
@@ -207,6 +239,8 @@ def test_analyze_umbrella_solution(star5, capsys):
     assert "ratio: 8" in out
     assert "feasible: yes" in out
     assert "escape radius: 5" in out
+    assert main(["analyze", star5, "--solution", "01111", "--escape-radius"]) == 0
+    assert "escape radius: none (no strictly better solution exists)" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(
@@ -789,21 +823,36 @@ def test_hostile_configs_exit_0_or_1(config):
     assert proc.returncode in (0, 1), (config, proc.stderr[-2000:])
 
 
-def test_run_requires_enough_flags(capsys):
-    assert main(["run", "--algo", "ea"]) == 1
-    assert "instance" in capsys.readouterr().err
+def test_run_requires_enough_flags(star5, tmp_path, capsys):
+    run = ["run", "--algo", "ea", "--instance", star5, "--budget", "100"]
+    # Past n = 20 a run resolves no optimum for an unrecognized instance.
+    unknown_opt = ["run", "--algo", "ea", "--instance", _random_instance(tmp_path, 21), "--budget", "100"]
+    for argv, message in (
+        (["run", "--algo", "ea"], "run needs --instance"),
+        (["run", "--instance", star5, "--budget", "100"], "run needs --algo"),
+        (["run", "--algo", "ea", "--instance", star5], "run needs --budget"),
+        ([*run, "--target-fitness", "4", "--target-ratio", "1"], "give either --target-fitness or --target-ratio"),
+        ([*unknown_opt, "--target-ratio", "0.9"], "--target-ratio needs a known optimum"),
+        ([*run, "--target-strict"], "target modifiers need --target-fitness or --target-ratio"),
+        ([*run, "--target-fitness", "four"], "'four' is not a number"),
+    ):
+        capsys.readouterr()
+        assert main(argv) == 1, argv
+        assert message in capsys.readouterr().err, argv
 
 
 def test_run_seed_population_file(star5, tmp_path, capsys):
     members = tmp_path / "members.txt"
+    run = [
+        "run", "--algo", "ea", "--instance", star5,
+        "--seed-population", f"@{members}", "--budget", "100", "--trials", "1",
+    ]
     members.write_text("10000\n" * 5)
-    code = main(
-        [
-            "run", "--algo", "ea", "--instance", star5,
-            "--seed-population", f"@{members}", "--budget", "100", "--trials", "1",
-        ]
-    )
-    assert code == 0
+    assert main(run) == 0
+    members.write_text("\n  \n")
+    capsys.readouterr()
+    assert main(run) == 1
+    assert f"seed population file {str(members)!r} is empty" in capsys.readouterr().err
 
 
 def test_unknown_flag_exits_1(capsys):
@@ -823,6 +872,8 @@ def test_verify_list_and_unknown_criterion(capsys):
         assert cid in out
     assert main(["verify", "--only", "c99"]) == 1
     assert "c99" in capsys.readouterr().err
+    assert main(["verify", "--only", ","]) == 1
+    assert "--only got an empty criterion list" in capsys.readouterr().err
 
 
 def test_verify_refuses_a_criterion_named_twice(capsys):
@@ -832,11 +883,17 @@ def test_verify_refuses_a_criterion_named_twice(capsys):
     assert "c7 PASS" not in captured.out
 
 
-def test_verify_runs_a_fast_criterion(capsys):
+def test_verify_runs_a_fast_criterion(monkeypatch, capsys):
     assert main(["verify", "--only", "c7"]) == 0
     out = capsys.readouterr().out
     assert "c7 PASS" in out
     assert "all 1 criteria passed" in out
+    name, limit, _ = acceptance._CRITERIA["c7"]
+    monkeypatch.setitem(acceptance._CRITERIA, "c7", (name, limit, lambda: (False, "planted failure")))
+    assert main(["verify", "--only", "c7"]) == 1
+    out = capsys.readouterr().out
+    assert "planted failure" in out
+    assert out.endswith("FAILED: c7\n")
 
 
 def test_verify_runs_on_the_standard_library_alone():

@@ -55,18 +55,17 @@ def trace_digest(trace: RunTrace) -> str:
             [m.evaluations, m.best_fitness, m.occupied, m.best_solution] for m in trace.milestones
         ],
     }
-    if trace.archive is not None:
-        archive = trace.archive
+    kept = trace.kept
+    if trace.algorithm == "map-elites":
         data["archive"] = {
-            "solutions": [None if s is None else s.to_string() for s in archive.solutions],
-            "fitnesses": archive.fitnesses,
-            "occupied": archive.occupied,
+            "solutions": [None if s is None else s.to_string() for s in kept.solutions],
+            "fitnesses": kept.fitnesses,
+            "occupied": kept.occupied,
         }
-    if trace.population is not None:
-        population = trace.population
+    else:
         data["population"] = {
-            "solutions": [s.to_string() for s in population.solutions],
-            "fitnesses": population.fitnesses,
+            "solutions": [s.to_string() for s in kept.solutions],
+            "fitnesses": kept.fitnesses,
         }
     return digest(data)
 
@@ -260,7 +259,7 @@ def test_branch_trace_is_frozen(case_id):
 # On a trap nothing is kept or improved, so the trace bytes above are the
 # same for every seed and pin no draw.  The run's stream is the population's
 # ``rng``: its final state pins every draw a trap run made, in order.
-# case id -> sha256 of repr(trace.population.rng.getstate())
+# case id -> sha256 of repr(trace.kept.rng.getstate())
 TRAP_STATES = {
     "example1-ea-trap": "ce2c38f83b3fa9914971962a9ab828a9e0f176adcafcd215d5b4bce0ad1bb63f",
     "example2-ea-trap": "a769c7da0f2fc38ab32188a1dbddc5c82f944d43465efc917ab8db64eb3d710c",
@@ -272,7 +271,7 @@ TRAP_STATES = {
 @pytest.mark.parametrize("case_id", sorted(TRAP_STATES))
 def test_trap_run_draws_are_frozen(case_id):
     trace = run_case(case_id) if case_id in CASES else run_branch_case(case_id)
-    state = repr(trace.population.rng.getstate()).encode()
+    state = repr(trace.kept.rng.getstate()).encode()
     assert hashlib.sha256(state).hexdigest() == TRAP_STATES[case_id]
 
 

@@ -185,6 +185,10 @@ def test_config_rejects_bad_settings():
         small_me_config(trials=0)
     with pytest.raises(ParameterError, match="seed_population"):
         small_me_config(seed_population="local")
+    with pytest.raises(ParameterError, match="master_seed must be non-negative, got -1"):
+        small_me_config(master_seed=-1)
+    with pytest.raises(ParameterError, match="workers must be positive, got 0"):
+        small_me_config(workers=0)
 
 
 SPEC_NUMBERS = ("n", "m_elements", "k", "max_weight", "instance_seed", "density")
@@ -248,6 +252,8 @@ def test_resolve_seed_members_forms():
     assert all(s.to_string() == "10000" for s in local)
     single = resolve_seed_members("01110", problem, 3)
     assert [s.to_string() for s in single] == ["01110"] * 3
+    one = resolve_seed_members(("01110",), problem, 3)
+    assert [s.to_string() for s in one] == ["01110"] * 3
     explicit = resolve_seed_members(("10000", "01111"), problem, 2)
     assert explicit[1].to_string() == "01111"
     with pytest.raises(ParameterError, match="expected 1 or 4"):
@@ -597,14 +603,22 @@ def test_load_report_rejects_malformed_documents(tmp_path):
     path.write_text(json.dumps({"format": "something-else"}))
     with pytest.raises(ValidationError, match="qdpb-report-v1"):
         load_report(path)
+    path.write_text("[]")
+    with pytest.raises(ValidationError, match="expected a JSON object, got list"):
+        load_report(path)
     good = run_experiment(small_me_config(trials=1))
     export_report(good, path, form="document")
     data = json.loads(path.read_text())
     record = data["records"][0]
+    row = record["snapshots"][0]
+    partial_row = {k: v for k, v in row.items() if k != "occupied"}
     for records, detail in (
         ([{k: v for k, v in record.items() if k != "seed"}], "missing 'seed'"),
         ([{**record, "extra": 1}], "extra"),
         ([5], "must be an object"),
+        ([{**record, "snapshots": [partial_row]}], "snapshots is missing 'occupied'"),
+        ([{**record, "snapshots": [{**row, "extra": 1}]}], "unknown snapshots field.s.: extra"),
+        ([{**record, "snapshots": [5]}], "snapshots must be an object, got int"),
     ):
         path.write_text(json.dumps({**data, "records": records}))
         with pytest.raises(ValidationError, match=f"malformed report field .*{detail}"):
