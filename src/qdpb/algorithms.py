@@ -56,6 +56,7 @@ draws nothing from the stream and changes no trace.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from math import ceil, isfinite
 from typing import Callable, Optional
@@ -323,7 +324,7 @@ class Population(_Members):
 
     __slots__ = ("rng", "_worst_cache", "cell_counts")
 
-    def __init__(self, n: int, direction: Direction, rng: RandomSource, strict: bool = True):
+    def __init__(self, n: int, direction: Direction, rng: random.Random, strict: bool = True):
         super().__init__(n, direction, strict)
         self.rng = rng
         self._worst_cache: Optional[tuple[Fitness, list[int]]] = None

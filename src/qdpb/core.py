@@ -67,20 +67,16 @@ class Solution:
         return self.to_string()
 
 
-class RandomSource(random.Random):
-    """Seeded deterministic random stream.
+def RandomSource(seed: int) -> random.Random:
+    """``random.Random(seed)``, once ``seed`` is checked to be a non-negative int.
 
-    A thin subclass of :class:`random.Random` (Mersenne Twister) that insists
-    on an explicit non-negative integer seed and remembers it.  CPython
-    documents the core generator and its ``random()`` / ``getrandbits()``
-    streams as reproducible across releases and platforms, so one seed pins
-    down an entire run.
+    CPython documents the Mersenne Twister and its ``random()`` /
+    ``getrandbits()`` streams as reproducible across releases and platforms,
+    so one seed pins down an entire run.
     """
-
-    def __init__(self, seed: int):
-        if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-            raise ParameterError(f"seed must be a non-negative integer, got {seed!r}")
-        super().__init__(seed)
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        raise ParameterError(f"seed must be a non-negative integer, got {seed!r}")
+    return random.Random(seed)
 
 
 @dataclass(frozen=True, slots=True)
@@ -140,7 +136,7 @@ def _flip_count_cdf(n: int) -> tuple[float, ...]:
     return tuple(cdf)
 
 
-def flip_sampler(n: int, rng: RandomSource) -> Callable[[], int]:
+def flip_sampler(n: int, rng: random.Random) -> Callable[[], int]:
     """A function that draws one flip word per call: each of the ``n`` bits set
     independently with probability 1/n.
 
@@ -189,7 +185,7 @@ def flip_sampler(n: int, rng: RandomSource) -> Callable[[], int]:
     return flip
 
 
-def bitwise_mutate(x: Solution, rng: RandomSource) -> Solution:
+def bitwise_mutate(x: Solution, rng: random.Random) -> Solution:
     """Standard bit-wise mutation: flip each position independently with probability 1/n.
 
     Draws the same stream as one call of ``flip_sampler(x.n, rng)``.

@@ -17,10 +17,11 @@ directly into the trap.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import RandomSource, Solution
+from .core import Solution
 from .errors import ParameterError, ValidationError
 from .problems import (
     MaxCoverageInstance,
@@ -197,7 +198,7 @@ _DRAW_LIMIT = 2**22
 
 
 def random_max_coverage(
-    n: int, m_elements: int, density: float, k: int, rng: RandomSource
+    n: int, m_elements: int, density: float, k: int, rng: random.Random
 ) -> MaxCoverageInstance:
     """Random instance: each set keeps each element with probability ``density``.
 
@@ -214,7 +215,7 @@ def random_set_cover(
     m_elements: int,
     density: float,
     max_weight: int,
-    rng: RandomSource,
+    rng: random.Random,
 ) -> SetCoverInstance:
     """Random coverable instance with integer weights in 1..max_weight.
 
@@ -260,7 +261,7 @@ def _check_draws(n: int, m_elements: int, density: float) -> None:
         )
 
 
-def _random_nonempty_set(m_elements: int, density: float, rng: RandomSource) -> tuple[int, ...]:
+def _random_nonempty_set(m_elements: int, density: float, rng: random.Random) -> tuple[int, ...]:
     while True:
         s = tuple(e for e in range(m_elements) if rng.random() < density)
         if s:

@@ -1,4 +1,4 @@
-"""A hang guard for the whole suite.
+"""A hang guard for the whole suite, and a timer for tests that compare speeds.
 
 A test still running after ``HANG_LIMIT_S`` seconds dumps every thread's
 traceback to stderr and ends the test process, so a loop that never ends
@@ -7,8 +7,10 @@ traceback instead of stalling it.
 """
 
 import faulthandler
+import math
 import os
 import sys
+import time
 
 import pytest
 
@@ -33,3 +35,22 @@ def hang_guard(request):
     faulthandler.dump_traceback_later(HANG_LIMIT_S, exit=True, file=request.config.stash[_STDERR])
     yield
     faulthandler.cancel_dump_traceback_later()
+
+
+@pytest.fixture
+def best_times():
+    """Time zero-argument callables in turn, ``repeats`` rounds, and return
+    each one's fastest seconds.  A test bounds the ratio of two such times
+    taken in one process, which holds on a slow or busy machine where an
+    absolute bound would not."""
+
+    def measure(*runs, repeats=3):
+        best = [math.inf] * len(runs)
+        for _ in range(repeats):
+            for i, run in enumerate(runs):
+                start = time.perf_counter()
+                run()
+                best[i] = min(best[i], time.perf_counter() - start)
+        return best
+
+    return measure

@@ -2,7 +2,7 @@
 
 Each test runs the identical check exposed by ``qdpb verify`` and prints its
 one-line verdict.  The heavy criteria (c4-c6) run millions of evaluations;
-the whole file takes a few minutes on one core.
+the whole file took 22-23 s on 2 vCPUs.
 """
 
 import dataclasses
@@ -138,7 +138,7 @@ def test_c7_flip_count_pvalues_match_scipy(n, pvalue):
 
 def test_registry_is_complete():
     assert CRITERION_IDS == ("c1", "c2", "c3", "c4", "c5", "c6", "c7") == tuple(DETAILS)
-    with pytest.raises(Exception, match="unknown criterion"):
+    with pytest.raises(ParameterError, match="unknown criterion"):
         run_criterion("c8")
 
 

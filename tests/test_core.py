@@ -1,6 +1,7 @@
 """Unit and distribution tests for solutions, randomness, and mutation."""
 
 import math
+import random
 import time
 from bisect import bisect_right
 from fractions import Fraction
@@ -94,6 +95,7 @@ def test_random_source_requires_integer_seed():
 
 def test_random_source_same_seed_same_stream():
     a, b = RandomSource(99), RandomSource(99)
+    assert type(a) is random.Random
     assert [a.random() for _ in range(100)] == [b.random() for _ in range(100)]
     assert a.getrandbits(64) == b.getrandbits(64)
 
