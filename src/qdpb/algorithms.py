@@ -19,16 +19,18 @@ which the population takes from the run's stream), which is what makes
 traces reproducible.
 
 Inside a run a solution is its int bit word: mutation XORs the parent's
-word with a flip word from ``core.flip_sampler`` and ``Problem.probe_word``
-evaluates it.  Archive and population share one member store, ``_Members``,
-which keeps each member's word with its ``probe_word`` result ``(fitness,
-cell, feasible)``; each adds only its keep policy.  Everything read after
-the run (fitnesses, QD metrics) comes from those results.  A ``Solution`` is
-built only for what leaves the run: milestone strings, the best solution of
-the trace, and members read from a container.  An offspring
-whose flip word is 0 is a copy of its parent and reuses the parent's result
-instead of being probed again; it still counts as one evaluation and is
-judged like any other offspring.
+word with a flip word and ``Problem.probe_word`` evaluates it.  ``_run``
+draws each flip word inline, with the same draws in the same order as one
+call of the sampler ``core.flip_sampler`` returns, but without the call.
+Archive and population share one member store, ``_Members``, which keeps
+each member's word with its ``probe_word`` result ``(fitness, cell,
+feasible)``; each adds only its keep policy.  Everything read after the run
+(fitnesses, QD metrics) comes from those results.  A ``Solution`` is built
+only for what leaves the run: milestone strings, the best solution of the
+trace, and members read from a container.  An offspring whose flip word is
+0 is a copy of its parent and reuses the parent's result instead of being
+probed again; it still counts as one evaluation and is judged like any
+other offspring.
 
 ``_run`` keeps the run's trace itself: the best feasible solution, the
 first hit and the milestone log.
@@ -57,11 +59,12 @@ draws nothing from the stream and changes no trace.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from math import ceil, isfinite
 from typing import Callable, Optional
 
-from .core import RandomSource, Solution, flip_sampler
+from .core import RandomSource, Solution, flip_count_cdf
 from .errors import ParameterError, require_bools, require_ints, require_numbers
 from .problems import Direction, Fitness, Problem, Result, comparison
 
@@ -178,6 +181,11 @@ class RunConfig:
     def __post_init__(self) -> None:
         require_ints(self, ("budget", "init_count"), optional=("milestone_every",))
         require_bools(self, ("strict", "stop_on_target"))
+        if self.target is not None and not isinstance(self.target, QualityTarget):
+            raise ParameterError(f"target must be a QualityTarget or None, got {self.target!r}")
+        for x in self.initial_population or ():
+            if not isinstance(x, Solution):
+                raise ParameterError(f"initial_population members must be Solutions, got {x!r}")
         if self.init_count < 1:
             raise ParameterError(f"init_count must be positive, got {self.init_count}")
         if self.budget < self.init_count:
@@ -406,9 +414,12 @@ def _run(algorithm: str, problem: Problem, config: RunConfig) -> RunTrace:
 
     Each init member is probed, kept and noted in turn.  Each step then picks
     a parent uniformly from ``slots`` (the archive's occupied cells, or the mu
-    population indices), XORs its word with a flip word, probes the child
-    unless the flip word is 0 (a copy), hands it to the keep policy and then
-    to ``note``, which keeps the trace: the best feasible solution, the first
+    population indices) and draws its flip word inline, as
+    ``core.flip_sampler`` does: one uniform ``u`` and, unless ``u`` is below
+    P(no flip), the flip positions.  A copy (no flip) takes its parent's word
+    and result; any other child is the parent's word XOR the flip word,
+    probed.  The loop hands the child to the keep policy and then to
+    ``note``, which keeps the trace: the best feasible solution, the first
     hit and the milestone log.  When ``note`` reports a new best or the first
     hit, or the keep policy accepted an offspring that does not tie the gate
     it passed, ``regate`` recomputes the gates.
@@ -437,7 +448,6 @@ def _run(algorithm: str, problem: Problem, config: RunConfig) -> RunTrace:
     else:
         init_words = (rng.getrandbits(n) for _ in range(config.init_count))
     probe_word = problem.probe_word
-    flip = flip_sampler(n, rng)  # the module global at run time, so a rebinding takes effect
     archive = None
     if algorithm == "map-elites":
         container = archive = Archive(problem.num_cells, n, direction, config.strict)
@@ -504,24 +514,43 @@ def _run(algorithm: str, problem: Problem, config: RunConfig) -> RunTrace:
 
     passes, gate, bars = regate()
     next_milestone = evals - evals % interval + interval
-    # rng.randrange(len(slots)), inlined as in flip_sampler.  len(slots)
-    # changes only when the archive fills a new cell, which only a kept
-    # offspring can do; the population never grows.
+    # The parent: rng.randrange(len(slots)), inlined.  len(slots) changes
+    # only when the archive fills a new cell, which only a kept offspring can
+    # do; the population never grows.
     size = len(slots)
     k = size.bit_length()
-    while evals < budget:
+    # The flip word: core.flip_sampler's draw, inlined.
+    cdf = flip_count_cdf(n)
+    cdf0, cdf1 = cdf[0], cdf[1]
+    uniform = rng.random
+    bits = n.bit_length()
+    for evals in range(evals + 1, budget + 1):
         r = getrandbits(k)
         while r >= size:
             r = getrandbits(k)
         index = slots[r]
-        mask = flip()
-        if mask:
-            word = words[index] ^ mask
-            result = probe_word(word)
-        else:
+        u = uniform()
+        if u < cdf0:  # no flip: a copy, judged on its parent's result
             word = words[index]
             result = results[index]
-        evals += 1
+        else:
+            # The first position cannot repeat; the others are redrawn while they do.
+            r = getrandbits(bits)
+            while r >= n:
+                r = getrandbits(bits)
+            mask = 1 << r
+            if u >= cdf1:
+                count = bisect_right(cdf, u) - 1
+                while count:
+                    r = getrandbits(bits)
+                    while r >= n:
+                        r = getrandbits(bits)
+                    bit = 1 << r
+                    if not mask & bit:
+                        mask |= bit
+                        count -= 1
+            word = words[index] ^ mask
+            result = probe_word(word)
         if (
             gate is not None and not passes(result[0], gate)
             or bars and (bar := bars.get(result[1])) is not None and not passes(result[0], bar)

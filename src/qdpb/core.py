@@ -120,7 +120,7 @@ class FlipMask:
 
 
 @lru_cache(maxsize=None)
-def _flip_count_cdf(n: int) -> tuple[float, ...]:
+def flip_count_cdf(n: int) -> tuple[float, ...]:
     """P(Binomial(n, 1/n) <= k) for k = 0..n, from exact integer tallies.
 
     Entry k is sum_{j<=k} C(n,j) (n-1)^(n-j) / n^n evaluated with arbitrary
@@ -141,9 +141,11 @@ def flip_sampler(n: int, rng: random.Random) -> Callable[[], int]:
     independently with probability 1/n.
 
     Each call draws a binomial flip count, then that many distinct uniform
-    positions: the one implementation of the mutation law.  This standard
-    decomposition is identical in distribution to n independent coin flips
-    but needs about two draws per call instead of n.  The count is
+    positions.  This is the mutation law on its own; the run loop,
+    ``algorithms._run``, draws the same stream inline to save a call per
+    offspring, and a test pins it to this function draw for draw.  This
+    standard decomposition is identical in distribution to n independent
+    coin flips but needs about two draws per call instead of n.  The count is
     ``bisect_right(cdf, u)`` for one uniform ``u``; the two commonest counts
     are read off the first two CDF entries (0 flips, a copy, and 1 flip each
     take about 37 % of calls for large n), and only the rest bisect.  This
@@ -153,7 +155,7 @@ def flip_sampler(n: int, rng: random.Random) -> Callable[[], int]:
     """
     if n < 1:
         raise ParameterError(f"need at least one variable, got n={n}")
-    cdf = _flip_count_cdf(n)
+    cdf = flip_count_cdf(n)
     cdf0, cdf1 = cdf[0], cdf[1]
     random = rng.random
     getrandbits = rng.getrandbits

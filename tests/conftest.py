@@ -2,8 +2,8 @@
 
 A test still running after ``HANG_LIMIT_S`` seconds dumps every thread's
 traceback to stderr and ends the test process, so a loop that never ends
-(a flip count one too high in ``flip_sampler``, say) fails the run with a
-traceback instead of stalling it.
+(a flip count one too high in the run loop's flip draw, say) fails the run
+with a traceback instead of stalling it.
 """
 
 import faulthandler

@@ -5,6 +5,8 @@ import dataclasses
 import math
 import operator
 import pickle
+import random
+from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
 
@@ -23,7 +25,7 @@ from qdpb.algorithms import (
 )
 from qdpb.acceptance import _prefix_states as prefix_states
 from qdpb.analysis import brute_force_opt
-from qdpb.core import RandomSource, Solution
+from qdpb.core import RandomSource, Solution, flip_sampler
 from qdpb.errors import ParameterError
 from qdpb.instances import (
     Example1Params,
@@ -35,9 +37,9 @@ from qdpb.instances import (
     random_max_coverage,
     random_set_cover,
 )
-from qdpb.problems import Direction, comparison, make_problem
+from qdpb.problems import Direction, Problem, comparison, make_problem
 
-from test_core import plain_flip_sampler
+from test_core import ScriptedRandom, exact_flip_count_cdf, plain_flip_sampler
 
 S = Solution.from_string
 
@@ -287,6 +289,12 @@ def test_run_config_validation():
         RunConfig(budget=5, init_count=2, seed=0, initial_population=(S("1"),))
     with pytest.raises(ParameterError):
         RunConfig(budget=5, init_count=2, seed=0, milestone_every=0)
+    with pytest.raises(ParameterError):
+        RunConfig(budget=5, init_count=2, seed=0, target=5)
+    with pytest.raises(ParameterError):
+        RunConfig(budget=5, init_count=4, seed=0, initial_population=("0101",) * 4)
+    with pytest.raises(ParameterError):
+        RunConfig(budget=5, init_count=2, seed=0, initial_population=(S("01"), 1))
     assert RunConfig(budget=2000, init_count=5, seed=0).milestone_interval == 2
     assert RunConfig(budget=100, init_count=5, seed=0).milestone_interval == 1
 
@@ -433,6 +441,34 @@ def test_run_on_reference_families_smoke():
 # Copy offspring reuse their parent's probe result
 
 
+def record_uniform_draws(monkeypatch):
+    """Make each run draw from a ``random.Random`` that appends every
+    ``random()`` it returns to the list returned here.  The subclass
+    overrides ``getrandbits`` too, unchanged: one that overrode only
+    ``random`` would make ``randrange`` (the EA's tie-break) draw from
+    ``random()`` instead of ``getrandbits``, a different stream."""
+    draws = []
+
+    class Recording(random.Random):
+        def random(self):
+            u = super().random()
+            draws.append(u)
+            return u
+
+        def getrandbits(self, k):
+            return super().getrandbits(k)
+
+    monkeypatch.setattr(algorithms, "RandomSource", Recording)
+    return draws
+
+
+def copies_among(draws, n):
+    """How many of a run's ``random()`` draws gave no flip: each step draws
+    one, its flip count's uniform, and a copy is one below P(no flip)."""
+    no_flip = exact_flip_count_cdf(n)[0]
+    return sum(u < no_flip for u in draws)
+
+
 @pytest.mark.parametrize("engine", [run_map_elites, run_ea])
 @pytest.mark.parametrize("use_cover", [False, True])
 def test_only_copies_skip_the_probe(engine, use_cover, monkeypatch):
@@ -440,33 +476,73 @@ def test_only_copies_skip_the_probe(engine, use_cover, monkeypatch):
         base = make_problem(random_set_cover(10, 12, 0.3, 5, RandomSource(2)))
     else:
         base = make_problem(random_max_coverage(10, 12, 0.3, 4, RandomSource(2)))
-    probes = copies = 0
+    probes = 0
 
     def probe_word(word):
         nonlocal probes
         probes += 1
         return base.probe_word(word)
 
-    original_sampler = algorithms.flip_sampler
-
-    def sampler(n, rng):
-        flip = original_sampler(n, rng)
-
-        def counted():
-            nonlocal copies
-            mask = flip()
-            copies += mask == 0
-            return mask
-
-        return counted
-
-    monkeypatch.setattr(algorithms, "flip_sampler", sampler)
+    draws = record_uniform_draws(monkeypatch)
     problem = dataclasses.replace(base, probe_word=probe_word)
     trace = engine(problem, RunConfig(budget=3000, init_count=problem.num_cells, seed=8))
+    copies = copies_among(draws, problem.n)
+    monkeypatch.undo()
     assert trace.evaluations_used == 3000
     assert copies > 0
     assert probes == trace.evaluations_used - copies
     assert trace == engine(base, RunConfig(budget=3000, init_count=base.num_cells, seed=8))
+
+
+def flat_problem(n, probed):
+    """Every word of ``n`` variables scores 0, feasible, in cell 0; each word
+    probed is appended to ``probed``.  Under the strict keep rule no
+    offspring is ever kept, so a mu = 1 EA mutates its first member
+    throughout."""
+
+    def probe_word(word):
+        probed.append(word)
+        return 0, 0, True
+
+    return Problem("flat", n, 1, Direction.MAXIMIZE, probe_word)
+
+
+@pytest.mark.parametrize("n", [1, 2, 12, 13, 30, 60, 65])
+def test_the_loop_draws_what_flip_sampler_draws(n):
+    # The run loop draws each flip word itself; on a flat problem each step
+    # draws the parent index (always 0), then what one flip_sampler call
+    # draws, so c7's check of flip_sampler's law carries over to the engines.
+    probed = []
+    seed = 500 + n
+    trace = run_ea(flat_problem(n, probed), RunConfig(budget=3000, init_count=1, seed=seed))
+    replay = RandomSource(seed)
+    w0 = replay.getrandbits(n)
+    flip = flip_sampler(n, replay)
+    masks = []
+    for _ in range(trace.evaluations_used - 1):
+        assert replay.randrange(1) == 0
+        masks.append(flip())
+    assert trace.kept.words == [w0]
+    assert probed == [w0] + [w0 ^ mask for mask in masks if mask]
+    assert masks.count(0) == trace.evaluations_used - 1 - (len(probed) - 1)
+    assert trace.kept.rng.getstate() == replay.getstate()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 30, 60])
+def test_the_loop_flip_count_at_the_cdf_boundaries(n, monkeypatch):
+    # One step of the run loop on a scripted stream, as
+    # test_core.test_flip_count_at_the_cdf_boundaries does for flip_sampler:
+    # u == cdf[j] counts j + 1 flips, as bisect_right does; just below
+    # cdf[j] counts j.  The child of the all-zero word is its flip word.
+    cdf = exact_flip_count_cdf(n)
+    draws = cdf[:3] + [math.nextafter(c, 0) for c in cdf]
+    config = RunConfig(budget=2, init_count=1, seed=0, initial_population=(Solution(n, 0),))
+    for u in [u for u in draws if u < 1.0]:
+        monkeypatch.setattr(algorithms, "RandomSource", lambda seed, u=u: ScriptedRandom(u))
+        probed = []
+        assert run_ea(flat_problem(n, probed), config).evaluations_used == 2
+        child = probed[1] if len(probed) == 2 else 0
+        assert child.bit_count() == bisect_right(cdf, u), u
 
 
 def test_kept_members_carry_their_probe_results():

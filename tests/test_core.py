@@ -189,8 +189,9 @@ def test_flip_sampler_draws_the_plain_stream(n):
 
 
 class ScriptedRandom:
-    """``random()`` always returns ``u``; ``getrandbits`` counts 0, 1, 2, ...,
-    so drawn positions never repeat."""
+    """``random()`` always returns ``u``; ``getrandbits(k)`` counts 0, 1, 2,
+    ... modulo 2^k, so a flip word's positions come up in turn and, whatever
+    was drawn before, every position comes up within 2^k draws."""
 
     def __init__(self, u):
         self.u = u
@@ -201,7 +202,7 @@ class ScriptedRandom:
 
     def getrandbits(self, k):
         self.drawn += 1
-        return self.drawn - 1
+        return (self.drawn - 1) % (1 << k)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 8, 30, 60])

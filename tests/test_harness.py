@@ -33,6 +33,8 @@ from qdpb.harness import (
 from qdpb.instances import Example2Params, example2_set_cover
 from qdpb.problems import make_problem
 
+from test_algorithms import copies_among, record_uniform_draws
+
 
 def small_me_config(**overrides):
     base = dict(
@@ -449,31 +451,19 @@ def test_nothing_is_probed_again_after_a_run(algorithm, monkeypatch):
     # read the kept probe results instead of probing again.
     spec = ProblemSpec(kind="example1", n=9, delta="1/3")
     base = resolve_problem(spec)
-    probes = copies = 0
+    probes = 0
 
     def probe_word(word):
         nonlocal probes
         probes += 1
         return base.probe_word(word)
 
-    original_sampler = algorithms.flip_sampler
-
-    def sampler(n, rng):
-        flip = original_sampler(n, rng)
-
-        def counted():
-            nonlocal copies
-            mask = flip()
-            copies += mask == 0
-            return mask
-
-        return counted
-
-    monkeypatch.setattr(algorithms, "flip_sampler", sampler)
+    draws = record_uniform_draws(monkeypatch)
     config = ExperimentConfig(
         problem=spec, algorithm=algorithm, budget=500, trials=3, master_seed=6, workers=1
     )
     report = run_experiment(config, dataclasses.replace(base, probe_word=probe_word))
+    copies = copies_among(draws, base.n)
     assert [r.evaluations_used for r in report.records] == [500] * 3
     assert copies > 0
     assert probes == config.budget * config.trials - copies
