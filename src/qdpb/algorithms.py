@@ -18,19 +18,17 @@ then — only when an eviction has several tied victims — one tie-break draw,
 which the population takes from the run's stream), which is what makes
 traces reproducible.
 
-Inside a run a solution is its int bit word: mutation XORs the parent's
-word with a flip word and ``Problem.probe_word`` evaluates it.  ``_run``
-draws each flip word inline, with the same draws in the same order as one
-call of the sampler ``core.flip_sampler`` returns, but without the call.
-Archive and population share one member store, ``_Members``, which keeps
-each member's word with its ``probe_word`` result ``(fitness, cell,
-feasible)``; each adds only its keep policy.  Everything read after the run
-(fitnesses, QD metrics) comes from those results.  A ``Solution`` is built
-only for what leaves the run: milestone strings, the best solution of the
-trace, and members read from a container.  An offspring whose flip word is
-0 is a copy of its parent and reuses the parent's result instead of being
-probed again; it still counts as one evaluation and is judged like any
-other offspring.
+Inside a run a solution is its int bit word: mutation XORs the parent's word
+with a flip word, drawn inline as ``core.flip_sampler`` draws it, and
+``Problem.probe_word`` evaluates it.  Archive and population share one
+member store, ``_Members``, which keeps each member's word with its
+``probe_word`` result ``(fitness, cell, feasible)``; each adds only its keep
+policy.  Everything read after the run (fitnesses, QD metrics) comes from
+those results.  A ``Solution`` is built only for what leaves the run:
+milestone strings, the best solution of the trace, and members read from a
+container.  An offspring whose flip word is 0 is a copy of its parent and
+reuses the parent's result instead of being probed again; it still counts as
+one evaluation and is judged like any other offspring.
 
 ``_run`` keeps the run's trace itself: the best feasible solution, the
 first hit and the milestone log.

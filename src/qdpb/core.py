@@ -81,11 +81,8 @@ def RandomSource(seed: int) -> random.Random:
 
 @dataclass(frozen=True, slots=True)
 class FlipMask:
-    """A set of variable positions to invert, stored as a bitmask.
-
-    The empty mask is legal: applying it copies the parent, and those copy
-    events are part of the mutation distribution, not an error.
-    """
+    """A flip word of ``n`` bits, 0 (a copy) included.  Nothing in qdpb
+    builds one; the benchmark's tracer still counts constructions."""
 
     n: int
     word: int
@@ -95,28 +92,6 @@ class FlipMask:
             raise ParameterError(f"need at least one variable, got n={self.n}")
         if not 0 <= self.word < (1 << self.n):
             raise ParameterError(f"mask {self.word:#x} does not fit in {self.n} bits")
-
-    @property
-    def positions(self) -> frozenset[int]:
-        w = self.word
-        out = []
-        while w:
-            low = w & -w
-            out.append(low.bit_length() - 1)
-            w ^= low
-        return frozenset(out)
-
-    @classmethod
-    def from_positions(cls, n: int, positions) -> "FlipMask":
-        word = 0
-        for p in positions:
-            if not 0 <= p < n:
-                raise ParameterError(f"flip position {p} outside 0..{n - 1}")
-            word |= 1 << p
-        return cls(n, word)
-
-    def __len__(self) -> int:
-        return self.word.bit_count()
 
 
 @lru_cache(maxsize=None)
@@ -150,8 +125,8 @@ def flip_sampler(n: int, rng: random.Random) -> Callable[[], int]:
     are read off the first two CDF entries (0 flips, a copy, and 1 flip each
     take about 37 % of calls for large n), and only the rest bisect.  This
     draws the same stream as bisecting every time.  The count's CDF,
-    ``n.bit_length()`` and the ``rng`` methods are bound here, once per run;
-    binding draws nothing.
+    ``n.bit_length()`` and the ``rng`` methods are bound here, once per
+    sampler; binding draws nothing.
     """
     if n < 1:
         raise ParameterError(f"need at least one variable, got n={n}")

@@ -217,6 +217,10 @@ class ExperimentConfig:
             optional=("init_count", "workers", "milestone_every"),
         )
         require_bools(self, ("stop_on_target", "strict", "allow_unfair"))
+        if not isinstance(self.problem, ProblemSpec):
+            raise ParameterError(f"problem must be a ProblemSpec, got {self.problem!r}")
+        if self.target is not None and not isinstance(self.target, QualityTarget):
+            raise ParameterError(f"target must be a QualityTarget or None, got {self.target!r}")
         if isinstance(self.seed_population, tuple) and not all(
             isinstance(member, str) for member in self.seed_population
         ):

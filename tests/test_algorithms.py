@@ -39,7 +39,7 @@ from qdpb.instances import (
 )
 from qdpb.problems import Direction, Problem, comparison, make_problem
 
-from test_core import ScriptedRandom, exact_flip_count_cdf, plain_flip_sampler
+from test_core import exact_flip_count_cdf, plain_flip_sampler
 
 S = Solution.from_string
 
@@ -528,21 +528,47 @@ def test_the_loop_draws_what_flip_sampler_draws(n):
     assert trace.kept.rng.getstate() == replay.getstate()
 
 
+class ScriptedRandom:
+    """``random()`` always returns ``u``; ``getrandbits(k)`` counts 0, 1, 2,
+    ... modulo 2^k, so a flip word's positions come up in turn and, whatever
+    was drawn before, every position comes up within 2^k draws."""
+
+    def __init__(self, u):
+        self.u = u
+        self.drawn = 0
+
+    def random(self):
+        return self.u
+
+    def getrandbits(self, k):
+        self.drawn += 1
+        return (self.drawn - 1) % (1 << k)
+
+
+def loop_flip_word(n, u, monkeypatch):
+    """The flip word of one run-loop step on a stream whose ``random()`` is
+    ``u``: the child of the all-zero word."""
+    config = RunConfig(budget=2, init_count=1, seed=0, initial_population=(Solution(n, 0),))
+    monkeypatch.setattr(algorithms, "RandomSource", lambda seed: ScriptedRandom(u))
+    probed = []
+    assert run_ea(flat_problem(n, probed), config).evaluations_used == 2
+    return probed[1] if len(probed) == 2 else 0
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 8, 30, 60])
-def test_the_loop_flip_count_at_the_cdf_boundaries(n, monkeypatch):
-    # One step of the run loop on a scripted stream, as
-    # test_core.test_flip_count_at_the_cdf_boundaries does for flip_sampler:
+@pytest.mark.parametrize("draw", ["sampler", "loop"])
+def test_flip_count_at_the_cdf_boundaries(draw, n, monkeypatch):
+    # flip_sampler, and one step of the run loop, on a scripted stream:
     # u == cdf[j] counts j + 1 flips, as bisect_right does; just below
-    # cdf[j] counts j.  The child of the all-zero word is its flip word.
+    # cdf[j] counts j.
     cdf = exact_flip_count_cdf(n)
     draws = cdf[:3] + [math.nextafter(c, 0) for c in cdf]
-    config = RunConfig(budget=2, init_count=1, seed=0, initial_population=(Solution(n, 0),))
     for u in [u for u in draws if u < 1.0]:
-        monkeypatch.setattr(algorithms, "RandomSource", lambda seed, u=u: ScriptedRandom(u))
-        probed = []
-        assert run_ea(flat_problem(n, probed), config).evaluations_used == 2
-        child = probed[1] if len(probed) == 2 else 0
-        assert child.bit_count() == bisect_right(cdf, u), u
+        if draw == "sampler":
+            word = flip_sampler(n, ScriptedRandom(u))()
+        else:
+            word = loop_flip_word(n, u, monkeypatch)
+        assert word.bit_count() == bisect_right(cdf, u), u
 
 
 def test_kept_members_carry_their_probe_results():
@@ -959,6 +985,40 @@ def test_an_archive_hands_consider_only_what_can_change_it(index, strict, target
             hit = number
     assert best == trace.best_fitness
     assert (hit is None) == (trace.first_hit is None)
+
+
+def test_an_accept_that_ties_its_bar_rebuilds_no_bars(monkeypatch):
+    # Once its cells are filled, a relaxed archive keeps mostly offspring
+    # that tie their cell's incumbent.  Such an accept moves no bar, so the
+    # loop must not rebuild the bars for it.  Without a target each rebuild
+    # calls the archive's weakest once per held cell, and a rebuild is due
+    # only after init and after an accept that fills a cell or changes its
+    # fitness.
+    counts = Counter()
+
+    class CountedArchive(Archive):
+        def __init__(self, *args):
+            super().__init__(*args)
+            weakest = self.weakest
+
+            def counted(*values):
+                counts["weakest"] += 1
+                return weakest(*values)
+
+            self.weakest = counted
+
+        def consider(self, word, result):
+            held = self.results[result[1]]
+            kept = super().consider(word, result)
+            if kept:
+                counts["tie" if held is not None and held[0] == result[0] else "change"] += 1
+            return kept
+
+    monkeypatch.setattr(algorithms, "Archive", CountedArchive)
+    problem = make_problem(example1_max_coverage(Example1Params(9, Fraction(1, 3))))
+    run_map_elites(problem, RunConfig(budget=2_000, init_count=problem.num_cells, seed=3, strict=False))
+    assert counts["tie"] > 10 * counts["change"]
+    assert counts["weakest"] <= problem.num_cells * (1 + counts["change"])
 
 
 def test_a_malformed_cell_still_raises_where_the_archive_sees_it():

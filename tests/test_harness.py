@@ -191,6 +191,10 @@ def test_config_rejects_bad_settings():
         small_me_config(master_seed=-1)
     with pytest.raises(ParameterError, match="workers must be positive, got 0"):
         small_me_config(workers=0)
+    with pytest.raises(ParameterError, match="problem must be a ProblemSpec, got 'x'"):
+        small_me_config(problem="x")
+    with pytest.raises(ParameterError, match="target must be a QualityTarget or None, got 5"):
+        small_me_config(algorithm="ea", budget=50, trials=1, master_seed=1, target=5)
 
 
 SPEC_NUMBERS = ("n", "m_elements", "k", "max_weight", "instance_seed", "density")
