@@ -22,9 +22,9 @@ The seven checks:
   c6  head-to-head at equal budget on the bipartite n=30 instance: the
       archive search reliably hits the optimum region, the population search
       does not
-  c7  distributional and structural invariants (mutation law, greedy gain
-      inequality, monotone archives, the probe against its set-based
-      reference, evaluation conservation, determinism)
+  c7  distributional and structural invariants (the run loop's flip and
+      parent draws, greedy gain inequality, monotone archives, the probe
+      against its set-based reference, evaluation conservation, determinism)
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ import os
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Callable, Optional
 
 from .algorithms import QualityTarget, RunConfig, run_ea, run_map_elites
@@ -47,7 +48,7 @@ from .analysis import (
     reference_probe,
     trap_escape_probability_bound,
 )
-from .core import RandomSource, Solution, flip_sampler
+from .core import RandomSource, Solution
 from .errors import ParameterError
 from .harness import ExperimentConfig, ProblemSpec, run_experiment
 from .instances import (
@@ -59,7 +60,7 @@ from .instances import (
     random_max_coverage,
     random_set_cover,
 )
-from .problems import comparison, make_problem
+from .problems import Direction, Problem, comparison, make_problem
 
 __all__ = [
     "CriterionResult",
@@ -339,13 +340,6 @@ def _c6_head_to_head() -> tuple[bool, str]:
 # c7: invariants
 
 
-def _exact_flip_pmf(n: int) -> list[float]:
-    total = n**n
-    return [
-        float(Fraction(math.comb(n, k) * (n - 1) ** (n - k), total)) for k in range(n + 1)
-    ]
-
-
 def _chi2_sf(x: float, df: int) -> float:
     """P(X > x) for X chi-square with an integer ``df``: Q(df/2, x/2) in closed
     form (Abramowitz & Stegun 26.4.4-26.4.5), summed up from Q(1/2, h) =
@@ -361,15 +355,31 @@ def _chi2_sf(x: float, df: int) -> float:
     return q
 
 
+def _flat_run(run, n: int, cell_bits: int, init_count: int, budget: int, seed: int):
+    """The kept words and the offspring probed by a run on ``n`` variables where
+    every word scores 0, feasible, in the cell its top ``cell_bits`` bits name."""
+    probed = []
+
+    def probe_word(word):
+        probed.append(word)
+        return 0, word >> (n - cell_bits), True
+
+    problem = Problem("flat", n, 1 << cell_bits, Direction.MAXIMIZE, probe_word)
+    trace = run(problem, RunConfig(budget=budget, init_count=init_count, seed=seed))
+    return trace.kept.words, probed[init_count:]
+
+
 def _flip_count_pvalue(n: int) -> float:
-    """The Pearson chi-square p-value of 50,000 sampled flip counts at ``n``
-    against their exact law, the tail pooled so no expected count is below 5."""
+    """The Pearson chi-square p-value of the flip counts of 50,000 offspring
+    of a mu = 1 EA at ``n`` against their exact law, the tail pooled so no
+    expected count is below 5.  The EA keeps its one member, and a probed
+    child's count is its distance from it; the copies go unprobed."""
     samples = 50_000
-    flip = flip_sampler(n, RandomSource(7000 + n))
-    observed = [0] * (n + 1)
-    for _ in range(samples):
-        observed[flip().bit_count()] += 1
-    pmf = _exact_flip_pmf(n)
+    (member,), probed = _flat_run(run_ea, n, 0, 1, 1 + samples, 7000 + n)
+    observed = [samples - len(probed)] + [0] * n
+    for word in probed:
+        observed[(word ^ member).bit_count()] += 1
+    pmf = [float(Fraction(math.comb(n, k) * (n - 1) ** (n - k), n**n)) for k in range(n + 1)]
     cut = n + 1
     while cut > 1 and pmf[cut - 1] * samples < 5:
         cut -= 1
@@ -382,11 +392,29 @@ def _flip_count_pvalue(n: int) -> float:
     return _chi2_sf(statistic, len(obs) - 1)
 
 
+def _parent_pvalue() -> float:
+    """The Pearson chi-square p-value of the parent cells of a 40,000-evaluation
+    MAP-Elites run against a uniform pick.  64 init words fill the 8 cells of a
+    flat 64-bit problem (its top 3 bits); with occupants 16 or more bits apart,
+    a child of under 8 flips is nearest its parent.  Closer ones give p = 0."""
+    occupants, probed = _flat_run(run_map_elites, 64, 3, 64, 40_000, 7100)
+    if None in occupants or any((a ^ b).bit_count() < 16 for a, b in combinations(occupants, 2)):
+        return 0.0
+    observed = [0] * 8
+    for word in probed:
+        observed[min(range(8), key=lambda cell: (word ^ occupants[cell]).bit_count())] += 1
+    expected = len(probed) / 8
+    return _chi2_sf(sum((o - expected) ** 2 / expected for o in observed), 7)
+
+
 def _check_mutation_law() -> Optional[str]:
     for n in (5, 30):
         pvalue = _flip_count_pvalue(n)
         if pvalue <= 0.01:
             return f"mutation flip-count law rejected at n={n} (p={pvalue:.4f})"
+    pvalue = _parent_pvalue()
+    if pvalue <= 0.01:
+        return f"uniform parent law rejected (p={pvalue:.4f})"
     return None
 
 

@@ -19,7 +19,7 @@ which the population takes from the run's stream), which is what makes
 traces reproducible.
 
 Inside a run a solution is its int bit word: mutation XORs the parent's word
-with a flip word, drawn inline as ``core.flip_sampler`` draws it, and
+with a flip word, drawn inline as ``core.bitwise_mutate`` draws it, and
 ``Problem.probe_word`` evaluates it.  Archive and population share one
 member store, ``_Members``, which keeps each member's word with its
 ``probe_word`` result ``(fitness, cell, feasible)``; each adds only its keep
@@ -413,14 +413,15 @@ def _run(algorithm: str, problem: Problem, config: RunConfig) -> RunTrace:
     Each init member is probed, kept and noted in turn.  Each step then picks
     a parent uniformly from ``slots`` (the archive's occupied cells, or the mu
     population indices) and draws its flip word inline, as
-    ``core.flip_sampler`` does: one uniform ``u`` and, unless ``u`` is below
-    P(no flip), the flip positions.  A copy (no flip) takes its parent's word
-    and result; any other child is the parent's word XOR the flip word,
-    probed.  The loop hands the child to the keep policy and then to
-    ``note``, which keeps the trace: the best feasible solution, the first
-    hit and the milestone log.  When ``note`` reports a new best or the first
-    hit, or the keep policy accepted an offspring that does not tie the gate
-    it passed, ``regate`` recomputes the gates.
+    ``core.bitwise_mutate`` does: one uniform ``u`` and, unless ``u`` is below
+    P(no flip), the flip positions; only counts above 1 bisect the CDF.  A
+    copy (no flip) takes its parent's word and result; any other child is the
+    parent's word XOR the flip word, probed.  The loop hands the child to the
+    keep policy and then to ``note``, which keeps the trace: the best
+    feasible solution, the first hit and the milestone log.  When ``note``
+    reports a new best or the first hit, or the keep policy accepted an
+    offspring that does not tie the gate it passed, ``regate`` recomputes the
+    gates.
 
     Before all that, the fitness gate of the module docstring turns away an
     offspring that could change nothing; the loop counts it and logs its
@@ -517,7 +518,7 @@ def _run(algorithm: str, problem: Problem, config: RunConfig) -> RunTrace:
     # do; the population never grows.
     size = len(slots)
     k = size.bit_length()
-    # The flip word: core.flip_sampler's draw, inlined.
+    # The flip word: core.bitwise_mutate's draw, inlined.
     cdf = flip_count_cdf(n)
     cdf0, cdf1 = cdf[0], cdf[1]
     uniform = rng.random

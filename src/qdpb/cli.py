@@ -225,6 +225,7 @@ def _cmd_analyze(args) -> int:
     problem = resolve_problem(ProblemSpec(kind="file", path=args.instance))
     x = Solution.from_string(args.solution)
     fitness, cell, feasible = problem.probe(x)
+    radius = escape_radius(x, problem) if args.escape_radius else None  # raises past n = 20: before any output
     print(f"solution: {args.solution} (ones={x.ones()})")
     print(f"fitness: {fitness!r}")
     print(f"cell: {cell}")
@@ -232,8 +233,7 @@ def _cmd_analyze(args) -> int:
     if feasible and problem.known_opt is not None and problem.known_opt > 0:
         ratio = approximation_ratio(fitness, problem.known_opt)
         print(f"ratio: {ratio:g} (OPT={problem.known_opt})")
-    if args.escape_radius:
-        radius = escape_radius(x, problem)
+    if radius is not None:
         if radius > problem.n:
             print("escape radius: none (no strictly better solution exists)")
         else:

@@ -12,7 +12,6 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
 
 from .errors import ParameterError
 
@@ -20,7 +19,6 @@ __all__ = [
     "Solution",
     "RandomSource",
     "FlipMask",
-    "flip_sampler",
     "bitwise_mutate",
 ]
 
@@ -111,66 +109,19 @@ def flip_count_cdf(n: int) -> tuple[float, ...]:
     return tuple(cdf)
 
 
-def flip_sampler(n: int, rng: random.Random) -> Callable[[], int]:
-    """A function that draws one flip word per call: each of the ``n`` bits set
-    independently with probability 1/n.
-
-    Each call draws a binomial flip count, then that many distinct uniform
-    positions.  This is the mutation law on its own; the run loop,
-    ``algorithms._run``, draws the same stream inline to save a call per
-    offspring, and a test pins it to this function draw for draw.  This
-    standard decomposition is identical in distribution to n independent
-    coin flips but needs about two draws per call instead of n.  The count is
-    ``bisect_right(cdf, u)`` for one uniform ``u``; the two commonest counts
-    are read off the first two CDF entries (0 flips, a copy, and 1 flip each
-    take about 37 % of calls for large n), and only the rest bisect.  This
-    draws the same stream as bisecting every time.  The count's CDF,
-    ``n.bit_length()`` and the ``rng`` methods are bound here, once per
-    sampler; binding draws nothing.
-    """
-    if n < 1:
-        raise ParameterError(f"need at least one variable, got n={n}")
-    cdf = flip_count_cdf(n)
-    cdf0, cdf1 = cdf[0], cdf[1]
-    random = rng.random
-    getrandbits = rng.getrandbits
-    k = n.bit_length()
-
-    def flip() -> int:
-        u = random()
-        if u < cdf0:
-            return 0
-        # The first position, which cannot repeat: rng.randrange(n), inlined
-        # here and below because it runs once per drawn position.
-        r = getrandbits(k)
-        while r >= n:
-            r = getrandbits(k)
-        word = 1 << r
-        if u < cdf1:
-            return word
-        count = bisect_right(cdf, u) - 1
-        while count:
-            r = getrandbits(k)
-            while r >= n:
-                r = getrandbits(k)
-            bit = 1 << r
-            if not word & bit:
-                word |= bit
-                count -= 1
-        return word
-
-    return flip
-
-
 def bitwise_mutate(x: Solution, rng: random.Random) -> Solution:
     """Standard bit-wise mutation: flip each position independently with probability 1/n.
 
-    Draws the same stream as one call of ``flip_sampler(x.n, rng)``.
-    When no position flips (probability about 1/e) the offspring is a copy,
-    and ``x`` itself is returned: callers may test ``child is x`` to reuse
-    what they know about ``x``.
+    The plain spelling of the run loop's inline draw, on the same stream, for
+    callers outside a run: a flip count by CDF inversion, then that many
+    distinct positions, a repeat drawn again.  When no position flips
+    (probability about 1/e) the offspring is a copy, and ``x`` itself is
+    returned: callers may test ``child is x`` to reuse what they know about ``x``.
     """
-    mask = flip_sampler(x.n, rng)()
-    if not mask:
+    count = bisect_right(flip_count_cdf(x.n), rng.random())
+    if not count:
         return x
-    return Solution(x.n, x.word ^ mask)
+    positions = set()
+    while len(positions) < count:
+        positions.add(rng.randrange(x.n))
+    return Solution(x.n, x.word ^ sum(1 << p for p in positions))

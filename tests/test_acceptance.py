@@ -8,13 +8,14 @@ the whole file took 22-23 s on 2 vCPUs.
 import dataclasses
 import math
 import os
+from itertools import accumulate
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from qdpb import acceptance
+from qdpb import acceptance, algorithms
 from qdpb.acceptance import CRITERION_IDS, run_criterion
 from qdpb.analysis import brute_force_opt
 from qdpb.errors import ParameterError
@@ -103,10 +104,44 @@ def test_chi2_sf_matches_scipy(x, df):
         assert math.isclose(acceptance._chi2_sf(x, df), expected, rel_tol=1e-12)
 
 
-@pytest.mark.parametrize("n, pvalue", [(5, 0.8277799301269446), (30, 0.32325325123923543)], ids=["n5", "n30"])
+@pytest.mark.parametrize("n, pvalue", [(5, 0.03287219111804158), (30, 0.24760816220708118)], ids=["n5", "n30"])
 def test_c7_flip_count_pvalues_match_scipy(n, pvalue):
-    # scipy.stats.chisquare's p-values for the flip counts c7 samples.
+    # scipy.stats.chisquare's p-values for the flip counts c7 reads off a run.
     assert math.isclose(acceptance._flip_count_pvalue(n), pvalue, rel_tol=1e-12)
+
+
+def test_c7_parent_pvalue_matches_scipy():
+    # scipy.stats.chisquare's p-value for the parents c7 reads off a run.
+    assert math.isclose(acceptance._parent_pvalue(), 0.2556428696351935, rel_tol=1e-12)
+
+
+def test_c7_reads_the_flip_law_the_run_loop_draws(monkeypatch):
+    # The loop's flip-count CDF with each power one short,
+    # C(n, k) (n - 1)^(n - k - 1) / n^(n - 1): more copies and fewer flips.
+    def off_by_one_power(n):
+        tallies = accumulate(math.comb(n, k) * (n - 1) ** (n - k - 1) for k in range(n))
+        return tuple(min(1.0, acc / n ** (n - 1)) for acc in tallies) + (1.0,)
+
+    monkeypatch.setattr(algorithms, "flip_count_cdf", off_by_one_power)
+    passed, details = acceptance._c7_invariants()
+    assert not passed
+    assert details.startswith("invariant group 'mutation-law' failed: mutation flip-count law rejected")
+
+
+# Each separation criterion run with the other engine in place of the one
+# its claim is about, from random starts (the archive takes no seed
+# members): the claim is false there, so the criterion must fail.  c2 and
+# c6 still pass with the EA in place of the archive, so they have no case.
+@pytest.mark.parametrize("cid, null", [("c3", "ea"), ("c4", "map-elites"), ("c5", "map-elites")])
+def test_criterion_fails_under_its_null(cid, null, monkeypatch):
+    run_experiment = acceptance.run_experiment
+
+    def swapped(config):
+        return run_experiment(dataclasses.replace(config, algorithm=null, seed_population=None))
+
+    monkeypatch.setattr(acceptance, "run_experiment", swapped)
+    result = run_criterion(cid)
+    assert not result.passed, result.line()
 
 
 def test_registry_is_complete():

@@ -25,7 +25,7 @@ from qdpb.algorithms import (
 )
 from qdpb.acceptance import _prefix_states as prefix_states
 from qdpb.analysis import brute_force_opt
-from qdpb.core import RandomSource, Solution, flip_sampler
+from qdpb.core import RandomSource, Solution
 from qdpb.errors import ParameterError
 from qdpb.instances import (
     Example1Params,
@@ -39,7 +39,7 @@ from qdpb.instances import (
 )
 from qdpb.problems import Direction, Problem, comparison, make_problem
 
-from test_core import exact_flip_count_cdf, plain_flip_sampler
+from test_core import exact_flip_count_cdf, plain_flip_draw
 
 S = Solution.from_string
 
@@ -508,16 +508,16 @@ def flat_problem(n, probed):
 
 
 @pytest.mark.parametrize("n", [1, 2, 12, 13, 30, 60, 65])
-def test_the_loop_draws_what_flip_sampler_draws(n):
-    # The run loop draws each flip word itself; on a flat problem each step
-    # draws the parent index (always 0), then what one flip_sampler call
-    # draws, so c7's check of flip_sampler's law carries over to the engines.
+def test_the_loop_draws_the_plain_flip_stream(n):
+    # The run loop draws each flip word itself, with fast paths for 0 and 1
+    # flips; on a flat problem each step draws the parent index (always 0),
+    # then what the plain spelling of the mutation law draws.
     probed = []
     seed = 500 + n
     trace = run_ea(flat_problem(n, probed), RunConfig(budget=3000, init_count=1, seed=seed))
     replay = RandomSource(seed)
     w0 = replay.getrandbits(n)
-    flip = flip_sampler(n, replay)
+    flip = plain_flip_draw(n, replay)
     masks = []
     for _ in range(trace.evaluations_used - 1):
         assert replay.randrange(1) == 0
@@ -555,19 +555,14 @@ def loop_flip_word(n, u, monkeypatch):
     return probed[1] if len(probed) == 2 else 0
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 8, 30, 60])
-@pytest.mark.parametrize("draw", ["sampler", "loop"])
-def test_flip_count_at_the_cdf_boundaries(draw, n, monkeypatch):
-    # flip_sampler, and one step of the run loop, on a scripted stream:
-    # u == cdf[j] counts j + 1 flips, as bisect_right does; just below
-    # cdf[j] counts j.
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 30, 60], ids=lambda n: f"loop-{n}")
+def test_flip_count_at_the_cdf_boundaries(n, monkeypatch):
+    # One step of the run loop on a scripted stream: u == cdf[j] counts
+    # j + 1 flips, as bisect_right does; just below cdf[j] counts j.
     cdf = exact_flip_count_cdf(n)
     draws = cdf[:3] + [math.nextafter(c, 0) for c in cdf]
     for u in [u for u in draws if u < 1.0]:
-        if draw == "sampler":
-            word = flip_sampler(n, ScriptedRandom(u))()
-        else:
-            word = loop_flip_word(n, u, monkeypatch)
+        word = loop_flip_word(n, u, monkeypatch)
         assert word.bit_count() == bisect_right(cdf, u), u
 
 
@@ -671,7 +666,7 @@ def reference_run(engine, problem, config):
     """The run loop written plainly: every offspring is probed (copies too)
     and every evaluation is noted, with no event filter.  Parents are drawn
     with ``rng.randrange`` and flip words with the test's plain spelling of
-    the mutation law, not ``flip_sampler``.  The members are kept in plain
+    the mutation law, not the loop's inline draw.  The members are kept in plain
     lists with their own keep rules, not the library's containers: a word
     and result per cell with a fill-order list for the archive, and for the
     population a scan for the worst fitness on every offspring, with a
@@ -690,7 +685,7 @@ def reference_run(engine, problem, config):
         init_words = [x.word for x in config.initial_population]
     else:
         init_words = [rng.getrandbits(n) for _ in range(config.init_count)]
-    flip = plain_flip_sampler(n, rng)
+    flip = plain_flip_draw(n, rng)
     if engine == "map-elites":
         words, results, filled = [None] * problem.num_cells, [None] * problem.num_cells, []
         slots = filled

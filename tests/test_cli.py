@@ -292,6 +292,16 @@ def test_run_prints_best_fitness_exactly(trials, median, tmp_path, capsys):
     assert f"best fitness: 20925481 (median {median})\n" in out, out
 
 
+def test_analyze_refuses_the_escape_radius_past_its_limit_before_printing(tmp_path, capsys):
+    path = str(tmp_path / "bip30.json")
+    assert main(["gen-instance", "example1", "--n", "30", "--delta", "1/10", "--out", path]) == 0
+    capsys.readouterr()
+    assert main(["analyze", path, "--solution", "0" * 30, "--escape-radius"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "escape radius search is limited to n <= 20, got n=30" in err
+
+
 def test_analyze_rejects_wrong_length(star5, capsys):
     assert main(["analyze", star5, "--solution", "101"]) == 1
     assert "5" in capsys.readouterr().err

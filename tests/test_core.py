@@ -11,12 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qdpb.core import (
-    RandomSource,
-    Solution,
-    bitwise_mutate,
-    flip_sampler,
-)
+from qdpb.core import RandomSource, Solution, bitwise_mutate
 from qdpb.errors import ParameterError
 
 bitstrings = st.text(alphabet="01", min_size=1, max_size=64)
@@ -107,13 +102,6 @@ def test_random_source_different_seeds_diverge():
 # Masks and mutation
 
 
-@given(st.integers(1, 64), st.integers(0, 2**32))
-def test_sample_flip_mask_shape(n, seed):
-    flip = flip_sampler(n, RandomSource(seed))
-    for _ in range(20):
-        assert 0 <= flip() < 1 << n
-
-
 def test_mutation_preserves_length_and_determinism():
     rng = RandomSource(4242)
     x = Solution(20, rng.getrandbits(20))
@@ -126,15 +114,12 @@ def test_mutation_preserves_length_and_determinism():
 
 @given(st.integers(1, 70), st.integers(0, 2**32))
 def test_bitwise_mutate_draws_the_flip_mask_stream(n, seed):
-    # bitwise_mutate must flip what one bound flip_sampler draws, draw for
-    # draw, and return x itself exactly when the flip word is 0; binding the
-    # sampler draws nothing.
+    # bitwise_mutate must flip what the plain spelling draws, draw for draw,
+    # and return x itself exactly when the flip word is 0.
     rng, rng_flip = RandomSource(seed), RandomSource(seed)
     x = Solution(n, rng.getrandbits(n))
     rng_flip.getrandbits(n)
-    before = rng_flip.getstate()
-    flip = flip_sampler(n, rng_flip)
-    assert rng_flip.getstate() == before
+    flip = plain_flip_draw(n, rng_flip)
     for _ in range(30):
         child = bitwise_mutate(x, rng)
         mask = flip()
@@ -144,9 +129,9 @@ def test_bitwise_mutate_draws_the_flip_mask_stream(n, seed):
     assert rng.getstate() == rng_flip.getstate()
 
 
-def plain_flip_sampler(n, rng):
-    """The mutation law written plainly, independent of ``flip_sampler``: a
-    flip count by ``bisect_right`` over the exact CDF, then that many
+def plain_flip_draw(n, rng):
+    """The mutation law written plainly, independent of the library: a flip
+    count by ``bisect_right`` over the exact CDF, then that many
     distinct positions, each drawn with ``rng.randrange(n)`` and redrawn
     while it repeats one already drawn."""
     cdf = exact_flip_count_cdf(n)
@@ -161,16 +146,6 @@ def plain_flip_sampler(n, rng):
     return flip
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 8, 12, 13, 30, 60, 64, 65])
-def test_flip_sampler_draws_the_plain_stream(n):
-    # Same flip words and the same final generator state, draw for draw.
-    for seed in (0, 7, 2024):
-        rng, rng_plain = RandomSource(seed), RandomSource(seed)
-        flip, plain = flip_sampler(n, rng), plain_flip_sampler(n, rng_plain)
-        assert [flip() for _ in range(20_000)] == [plain() for _ in range(20_000)]
-        assert rng.getstate() == rng_plain.getstate()
-
-
 def test_n_equal_one_always_flips():
     rng = RandomSource(3)
     x = Solution.from_string("0")
@@ -183,9 +158,9 @@ def test_n_equal_one_always_flips():
 # ---------------------------------------------------------------------------
 # Mutation distribution against exact arithmetic oracles.  The sampled law
 # is checked by c7 (acceptance._check_mutation_law), which chi-square-tests
-# flip_sampler's counts at n = 5 and 30.  The stream pin above ties
-# flip_sampler to the plain spelling, which draws its counts from the exact
-# CDF below, and test_algorithms pins the run loop to flip_sampler.
+# the flip counts a run draws at n = 5 and 30.  The stream pins tie
+# bitwise_mutate here, and the run loop in test_algorithms, to the plain
+# spelling, which draws its counts from the exact CDF below.
 
 
 def exact_flip_count_pmf(n):
