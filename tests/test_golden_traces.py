@@ -296,8 +296,25 @@ def test_trial_records_are_frozen():
     [
         (make_problem(random_max_coverage(16, 30, 0.2, 4, RandomSource(31))), ("1000000101000010", 25, 1)),
         (make_problem(random_set_cover(16, 24, 0.2, 9, RandomSource(32))), ("0001000001100111", 26, 2)),
+        # oracle-random20's shapes, at n = 20 and at the oracle's guard size
+        (
+            make_problem(random_max_coverage(20, 40, 0.15, 5, RandomSource(33))),
+            ("11011000000000001000", 33, 2),
+        ),
+        (
+            make_problem(random_set_cover(20, 30, 0.15, 10, RandomSource(34))),
+            ("10010101111001000001", 50, 1),
+        ),
+        (
+            make_problem(random_max_coverage(24, 40, 0.15, 5, RandomSource(35))),
+            ("000000100100010000110000", 36, 1),
+        ),
+        (
+            make_problem(random_set_cover(24, 30, 0.15, 10, RandomSource(36))),
+            ("001100001000000010101011", 47, 1),
+        ),
     ],
-    ids=["max-coverage", "set-cover"],
+    ids=["max-coverage", "set-cover", "max-coverage-n20", "set-cover-n20", "max-coverage-n24", "set-cover-n24"],
 )
 def test_brute_force_results_are_frozen(problem, expected):
     result = brute_force_opt(problem)
