@@ -13,7 +13,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, compress, islice, repeat
 from typing import Optional, Union
 
 from .core import Solution
@@ -57,15 +57,12 @@ class OracleResult:
 
 def _subset_tables(masks, weights, start: int, bits: int) -> tuple[list[int], list[int]]:
     """The union mask and the weight sum of every subset of the ``bits``
-    variables from ``start`` on, indexed by the subset's word: each extends a
-    smaller subset by its lowest variable."""
-    unions = [0] * (1 << bits)
-    sums = [0] * (1 << bits)
-    for word in range(1, 1 << bits):
-        low = word & -word
-        i = start + low.bit_length() - 1
-        unions[word] = unions[word ^ low] | masks[i]
-        sums[word] = sums[word ^ low] + weights[i]
+    variables from ``start`` on, indexed by the subset's word: variable i
+    doubles each table, its subsets after the ones without it."""
+    unions, sums = [0], [0]
+    for mask, weight in zip(masks[start : start + bits], weights[start : start + bits]):
+        unions += [union | mask for union in unions]
+        sums += [total + weight for total in sums]
     return unions, sums
 
 
@@ -97,29 +94,30 @@ def _best_coverage(inst: MaxCoverageInstance, low_bits: int) -> tuple[Optional[i
     unit = (1,) * inst.n
     low_unions, low_sums = _subset_tables(masks, unit, 0, low_bits)
     high_unions, high_sums = _subset_tables(masks, unit, low_bits, inst.n - low_bits)
-    # The low words with at most ``cap`` ones, their unions, and the largest
-    # of those unions, per cap.
-    words_by_cap = [
-        [low for low, ones in enumerate(low_sums) if ones <= cap] for cap in range(low_bits + 1)
-    ]
+    # The low words by union size, largest first and ties in word order, and
+    # per cap, those with at most ``cap`` ones, their unions and their
+    # negated union sizes.  A cap never exceeds k.
+    negated = [-union.bit_count() for union in low_unions]
+    order = sorted(range(1 << low_bits), key=negated.__getitem__)
+    caps = range(min(inst.k, low_bits) + 1)
+    words_by_cap = [[low for low in order if low_sums[low] <= cap] for cap in caps]
     unions_by_cap = [[low_unions[low] for low in words] for words in words_by_cap]
-    top_by_cap = [max(map(int.bit_count, unions)) for unions in unions_by_cap]
-    every = low_unions[-1]
+    negated_by_cap = [[negated[low] for low in words] for words in words_by_cap]
     best_word, best_fitness, count = None, -1, 0
     for high, (union, weight) in enumerate(zip(high_unions, high_sums)):
         cap = inst.k - weight
         if cap < 0:
             continue
         cap = min(cap, low_bits)
-        # Neither its own union plus the largest allowed low union, nor its
-        # union with every low set, would reach a tie.
-        size = union.bit_count()
-        if size + top_by_cap[cap] < best_fitness or (union | every).bit_count() < best_fitness:
+        # A low word whose union is smaller than best - size reaches no tie.
+        end = bisect_right(negated_by_cap[cap], union.bit_count() - best_fitness)
+        if not end:
             continue
-        fitnesses = list(map(int.bit_count, map(union.__or__, unions_by_cap[cap])))
+        fitnesses = list(map(int.bit_count, map(union.__or__, islice(unions_by_cap[cap], end))))
         top = max(fitnesses)
         if top > best_fitness:
-            best_word = (high << low_bits) | words_by_cap[cap][fitnesses.index(top)]
+            tied = compress(words_by_cap[cap], map(top.__eq__, fitnesses))
+            best_word = (high << low_bits) | min(tied)
             best_fitness, count = top, fitnesses.count(top)
         elif top == best_fitness:
             count += fitnesses.count(top)
@@ -133,13 +131,14 @@ def _best_cover(inst: SetCoverInstance, low_bits: int) -> tuple[Optional[int], F
     high_unions, high_sums = _subset_tables(masks, inst.weights, low_bits, inst.n - low_bits)
     full = low_unions[-1] | high_unions[-1]
     # Positions: the low words by weight sum, ties in word order.  holding[i]
-    # has one bit per position whose word holds low set i, and covers[j], the
-    # OR of holding[i] over the low sets holding element j, one per position
-    # whose word covers j; ends[p] is the position after p's weight group.
+    # has one bit per position whose word holds low set i: in the words'
+    # binary digits, last position first, every low_bits-th digit from the
+    # one of set i.  covers[j], the OR of holding[i] over the low sets holding
+    # element j, has one per position whose word covers j.
     order = sorted(range(1 << low_bits), key=low_sums.__getitem__)
     sums = [low_sums[low] for low in order]
-    ends = [bisect_right(sums, s) for s in sums]
-    holding = [sum(1 << p for p, low in enumerate(order) if low >> i & 1) for i in range(low_bits)]
+    digits = "".join(map(format, reversed(order), repeat(f"0{low_bits}b")))
+    holding = [int(digits[low_bits - 1 - i :: low_bits], 2) for i in range(low_bits)]
     covers = [0] * full.bit_length()
     for i in range(low_bits):
         elements = masks[i]
@@ -161,14 +160,16 @@ def _best_cover(inst: SetCoverInstance, low_bits: int) -> tuple[Optional[int], F
         if not fits:
             continue
         # The lowest position is the lightest cover, and the smallest word of
-        # its weight; the others of that weight tie with it.
+        # its weight; the others of that weight, up to the group's end, tie.
         first = (fits & -fits).bit_length() - 1
         fitness = weight + sums[first]
-        ties = (fits & ((1 << ends[first]) - 1)).bit_count()
+        if fitness > best_fitness:
+            continue
+        ties = (fits & ((1 << bisect_right(sums, sums[first])) - 1)).bit_count()
         if fitness < best_fitness:
             best_word = (high << low_bits) | order[first]
             best_fitness, count = fitness, ties
-        elif fitness == best_fitness:
+        else:
             count += ties
     return best_word, best_fitness, count
 
@@ -183,9 +184,9 @@ def brute_force_opt(problem: Problem) -> OracleResult:
     against the low subsets that complete a feasible word.
 
     For coverage those are the low subsets with at most k - ones(high) ones,
-    scored by the size of the joint union.  A high subset is skipped when its
-    own union plus the largest allowed low union, or its union with every
-    low set, falls short of the best coverage so far.
+    sorted by union size, largest first.  A high subset scores, by the size
+    of the joint union, only the prefix of them whose union size is at least
+    the best coverage so far minus its own: no later one can reach a tie.
 
     For set cover the masks hold only the minimal elements, those whose
     signature (the word of the sets that contain them) holds no other's: a
@@ -196,9 +197,10 @@ def brute_force_opt(problem: Problem) -> OracleResult:
     completion, and the bits of that weight count the ties.  A high subset
     that alone outweighs the best cover so far is skipped.
 
-    The high subsets go in ascending order and the low completions of one
-    weight in ascending order, so ties are counted and the reported solution
-    is the one with the numerically smallest bit word.  It never calls
+    The high subsets go in ascending order, and a new best takes the
+    smallest of its tied low words (for set cover, the first of its weight
+    group), so ties are counted and the reported solution is the one with
+    the numerically smallest bit word.  It never calls
     ``probe_word``, so it checks the evaluator instead of repeating it.
     Guarded to n <= 24.
     """

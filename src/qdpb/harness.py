@@ -119,9 +119,9 @@ _KIND_TABLE = {
 PROBLEM_KINDS = tuple(_KIND_TABLE)
 
 # resolve_problem enumerates unrecognized instances up to this size before a
-# run (2-5 ms for coverage at n=20, k=5, m=40 and 2-3 ms for set cover at
-# n=20, m=30, density 0.15, on a 2-vCPU guest, CPython 3.11); larger ones
-# report no ratio column.  Use
+# run (1.6-2.8 ms for coverage at n=20, k=5, m=40 and 1.3-2.5 ms for set
+# cover at n=20, m=30, density 0.15, over instance seeds 1-20 on a 2-vCPU
+# guest, CPython 3.11); larger ones report no ratio column.  Use
 # `qdpb oracle` to enumerate up to brute_force_opt's own guard.
 _AUTO_OPT_LIMIT = 20
 # A constructed family's canonical local optimum, for seed_population="local".

@@ -162,6 +162,40 @@ def test_brute_force_equals_a_probe_word_enumeration(inst):
 
 
 @st.composite
+def spread_coverages(draw):
+    """Coverage at n = 1..14 over 4..40 elements: distinct sets, each of a
+    size drawn first, so union sizes spread and the size-ordered cut skips
+    low words; k anywhere in 1..n."""
+    n = draw(st.integers(1, 14))
+    m = draw(st.integers(4, 40))
+    sets: list[tuple[int, ...]] = []
+    while len(sets) < n:
+        size = draw(st.integers(0, m))
+        chosen = tuple(sorted(draw(st.permutations(range(m)))[:size]))
+        if chosen not in sets:
+            sets.append(chosen)
+    return MaxCoverageInstance(n=n, m_elements=m, k=draw(st.integers(1, n)), sets=tuple(sets))
+
+
+@settings(max_examples=60, deadline=None)
+@given(spread_coverages())
+# All sets equal at k = n: every nonempty word ties.
+@example(MaxCoverageInstance(n=9, m_elements=5, k=9, sets=((0, 1, 2),) * 9))
+# The optimum 0b0101 pairs set 2 with low set 0, the smaller of the two low
+# unions that tie with it, and 0b0110 with low set 1 ties.
+@example(MaxCoverageInstance(n=4, m_elements=5, k=2, sets=((0,), (0, 1, 2), (1, 2, 3), (4,))))
+# Under set 2's cap of one low set, its best partner is low set 1, whose
+# union is the smaller of the two.
+@example(MaxCoverageInstance(n=4, m_elements=10, k=2, sets=((0, 1, 2, 3, 4), (6, 7), (0, 1, 2, 3, 4, 5), (9,))))
+# The optimum is both low sets and no high one: a cap that reaches k.
+@example(MaxCoverageInstance(n=4, m_elements=4, k=2, sets=((0, 1), (2, 3), (0,), (2,))))
+def test_brute_force_coverage_with_spread_unions(inst):
+    problem = make_problem(inst)
+    result = brute_force_opt(problem)
+    assert (result.fitness, result.optima_count, result.solution.word) == probe_enumeration(problem)
+
+
+@st.composite
 def dominated_covers(draw):
     """Set covers at n = 1..10 over up to 40 elements, each set the union of
     a few blocks from a pool of at most five, so sets nest and repeat and
