@@ -119,10 +119,11 @@ _KIND_TABLE = {
 PROBLEM_KINDS = tuple(_KIND_TABLE)
 
 # resolve_problem enumerates unrecognized instances up to this size before a
-# run (1.6-2.8 ms for coverage at n=20, k=5, m=40 and 1.3-2.5 ms for set
-# cover at n=20, m=30, density 0.15, over instance seeds 1-20 on a 2-vCPU
-# guest, CPython 3.11); larger ones report no ratio column.  Use
-# `qdpb oracle` to enumerate up to brute_force_opt's own guard.
+# run (0.9-1.7 ms for coverage at n=20, k=5, m=40 and 0.7-1.5 ms for set
+# cover at n=20, m=30, density 0.15, best of 3 over instance seeds 1-20,
+# pinned to one core of a 2-vCPU guest, CPython 3.11); larger ones report no
+# ratio column.  Use `qdpb oracle` to enumerate up to brute_force_opt's own
+# guard.
 _AUTO_OPT_LIMIT = 20
 # A constructed family's canonical local optimum, for seed_population="local".
 _LOCAL_OPTIMA = {Example1Params: example1_local_optimum, Example2Params: example2_local_optimum}
