@@ -7,9 +7,10 @@ green test run and a clean ``qdpb verify`` are the same statement.
 
 The seven checks:
 
-  c1  exhaustive oracle, a second enumeration scored by the set-based
-      ``reference_probe``, and the greedy baselines agree on a batch of
-      random instances
+  c1  the exhaustive oracle's whole answer (optimum, optima count, smallest
+      optimal word) equals a second enumeration scored by the set-based
+      ``reference_probe``, and the greedy baselines meet their bounds, on a
+      batch of random instances
   c2  the archive-based search reaches the (1 - 1/e) quality level in the
       full-size cell of the bipartite family within the stated budget
   c3  the archive-based search finds a harmonic-factor cover of the
@@ -24,7 +25,8 @@ The seven checks:
       does not
   c7  distributional and structural invariants (the run loop's flip and
       parent draws, greedy gain inequality, monotone archives, the probe
-      against its set-based reference, evaluation conservation, determinism)
+      against its set-based reference on every word, on both sides of the
+      table limit, evaluation conservation, determinism)
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ from .instances import (
     random_max_coverage,
     random_set_cover,
 )
-from .problems import Direction, Problem, comparison, make_problem
+from .problems import Direction, Problem, make_problem
 
 __all__ = [
     "CriterionResult",
@@ -90,29 +92,31 @@ class CriterionResult:
 
 
 def _independent_enumeration(problem):
-    """``(best, count, None)`` over every word, descending, scored by the set-based
-    ``reference_probe`` (unlike the oracle), or ``(None, 0, fault)`` naming the
-    first word whose ``probe_word`` triple differs or whose cell is off the grid."""
-    better = comparison(problem.direction)
+    """``(best, count, smallest optimal word, None)`` over every word, descending,
+    scored by the set-based ``reference_probe`` and compared with plain ``>``/``<``
+    (unlike the oracle and the engines), or ``(None, 0, None, fault)`` naming the
+    first word whose ``probe_word`` triple differs or whose cell is off the grid.
+    The scan keeps the last tie it reaches, which is the smallest."""
+    maximize = problem.direction is Direction.MAXIMIZE
     probe_word = problem.probe_word
-    best = None
+    best = smallest = None
     count = 0
     for word in range((1 << problem.n) - 1, -1, -1):
         x = Solution(problem.n, word)
         result = reference_probe(x, problem.instance)
         probed = probe_word(word)
         if probed != result:
-            return None, 0, f"{problem.name}: probe {probed} != reference {result} on {x.to_string()}"
+            return None, 0, None, f"{problem.name}: probe {probed} != reference {result} on {x.to_string()}"
         if not 0 <= probed[1] < problem.num_cells:
-            return None, 0, f"{problem.name}: descriptor {probed[1]} outside the cell range"
+            return None, 0, None, f"{problem.name}: descriptor {probed[1]} outside the cell range"
         fitness, _cell, feasible = result
         if not feasible:
             continue
-        if best is None or better(fitness, best):
-            best, count = fitness, 1
+        if best is None or (fitness > best if maximize else fitness < best):
+            best, count, smallest = fitness, 1, word
         elif fitness == best:
-            count += 1
-    return best, count, None
+            count, smallest = count + 1, word
+    return best, count, smallest, None
 
 
 def _c1_oracle_agreement() -> tuple[bool, str]:
@@ -121,8 +125,7 @@ def _c1_oracle_agreement() -> tuple[bool, str]:
         inst = random_max_coverage(12, 14, 0.35, 4, RandomSource(1000 + seed))
         problem = make_problem(inst)
         result = brute_force_opt(problem)
-        best, count, fault = _independent_enumeration(problem)
-        if fault is not None or (result.fitness, result.optima_count) != (best, count):
+        if _independent_enumeration(problem) != (result.fitness, result.optima_count, result.solution.word, None):
             return False, f"coverage instance seed={1000 + seed}: oracle disagreement"
         greedy_value = problem.probe(greedy_max_coverage(inst))[0]
         if greedy_value < (1 - 1 / math.e) * result.fitness - 1e-9:
@@ -132,8 +135,7 @@ def _c1_oracle_agreement() -> tuple[bool, str]:
         inst = random_set_cover(12, 10, 0.3, 8, RandomSource(2000 + seed))
         problem = make_problem(inst)
         result = brute_force_opt(problem)
-        best, count, fault = _independent_enumeration(problem)
-        if fault is not None or (result.fitness, result.optima_count) != (best, count):
+        if _independent_enumeration(problem) != (result.fitness, result.optima_count, result.solution.word, None):
             return False, f"cover instance seed={2000 + seed}: oracle disagreement"
         greedy_value, _cell, feasible = problem.probe(greedy_set_cover(inst))
         if not feasible:
@@ -471,14 +473,24 @@ def _check_population_worst_monotonicity() -> Optional[str]:
     return None
 
 
+def _probe_oracle_instances():
+    """Two small instances, then one of each kind at n = 12, a table lookup,
+    and at n = 13, the chunk walk and its memo."""
+    return (
+        example1_max_coverage(Example1Params(9, Fraction(1, 3))),
+        example2_set_cover(Example2Params(8)),
+        example1_max_coverage(Example1Params(12, Fraction(1, 4))),
+        example2_set_cover(Example2Params(12)),
+        random_max_coverage(13, 11, 0.3, 4, RandomSource(31)),
+        random_set_cover(13, 11, 0.3, 7, RandomSource(32)),
+    )
+
+
 def _check_probe_oracle() -> Optional[str]:
     # Every word, not a sample: a wrong entry in one of the probe's 8-bit
     # chunk tables shows only on the 1 in 256 words whose byte selects it.
-    for inst in (
-        example1_max_coverage(Example1Params(9, Fraction(1, 3))),
-        example2_set_cover(Example2Params(8)),
-    ):
-        _best, _count, fault = _independent_enumeration(make_problem(inst))
+    for inst in _probe_oracle_instances():
+        *_, fault = _independent_enumeration(make_problem(inst))
         if fault is not None:
             return fault
     return None

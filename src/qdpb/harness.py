@@ -413,7 +413,10 @@ def run_experiment(config: ExperimentConfig, problem: Optional[Problem] = None) 
     """Run all trials and aggregate.  Deterministic in everything but wall time.
 
     ``problem`` is ``config.problem`` already resolved, for a caller that
-    needed it first; without it the spec is resolved here.
+    needed it first; without it the spec is resolved here.  Pooled trials
+    (more than one effective worker) score with the factory's ``probe_word``:
+    each worker rebuilds the problem from its instance, so a problem without
+    one is refused, and a swapped ``probe_word`` runs only serially.
     """
     if problem is None:
         problem = resolve_problem(config.problem)
@@ -440,6 +443,10 @@ def run_experiment(config: ExperimentConfig, problem: Optional[Problem] = None) 
     )
     check_run(config.algorithm, problem, run)
     workers = effective_workers(config)
+    if workers > 1 and problem.instance is None:
+        raise ParameterError(
+            f"problem {problem.name!r} has no instance for {workers} pool workers to rebuild; run it with workers=1"
+        )
     trials = range(config.trials)
     if workers > 1:
         # Imported here: multiprocessing and what it loads would cost every

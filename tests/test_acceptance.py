@@ -18,6 +18,7 @@ from scipy import stats
 from qdpb import acceptance, algorithms
 from qdpb.acceptance import CRITERION_IDS, run_criterion
 from qdpb.analysis import brute_force_opt
+from qdpb.core import Solution
 from qdpb.errors import ParameterError
 
 
@@ -91,6 +92,32 @@ def test_c1_catches_a_planted_evaluator_fault(calls_before, details, monkeypatch
     passed, found = acceptance._c1_oracle_agreement()
     assert calls == calls_before + 1 and not passed
     assert found == details
+
+
+def test_c1_checks_the_word_the_oracle_reports(monkeypatch):
+    # The oracle's first answer names another word, with the right fitness and count.
+    def another_word(problem):
+        monkeypatch.setattr(acceptance, "brute_force_opt", brute_force_opt)  # the later answers are right
+        result = brute_force_opt(problem)
+        return dataclasses.replace(result, solution=Solution(problem.n, result.solution.word ^ 1))
+
+    monkeypatch.setattr(acceptance, "brute_force_opt", another_word)
+    assert acceptance._c1_oracle_agreement() == (False, "coverage instance seed=1000: oracle disagreement")
+
+
+def test_c7_checks_the_probe_past_the_table_limit(monkeypatch):
+    # Above n = 12, word 0 answers word 1's triple, as a memo stored under
+    # the walk's emptied remainder instead of the word would.
+    make_problem = acceptance.make_problem
+
+    def faulty_make_problem(inst):
+        problem = make_problem(inst)
+        probe_word = problem.probe_word
+        return problem if inst.n <= 12 else dataclasses.replace(problem, probe_word=lambda w: probe_word(w or 1))
+
+    monkeypatch.setattr(acceptance, "make_problem", faulty_make_problem)
+    passed, details = acceptance._c7_invariants()
+    assert not passed and details.startswith("invariant group 'probe-oracle' failed: max-coverage: probe ")
 
 
 # Past x = 2000 the tail is below 1e-300 for every df up to 60.

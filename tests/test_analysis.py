@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qdpb.acceptance import _independent_enumeration
 from qdpb.algorithms import Archive, Population, RunConfig, run_ea
 from qdpb.analysis import (
     approximation_ratio,
@@ -43,27 +44,6 @@ from qdpb.problems import (
 )
 
 S = Solution.from_string
-
-
-def reverse_enumeration(problem):
-    """Independent oracle: scan words downward, track best feasible, tie count
-    and the smallest optimal word (the last one the scan reaches).
-
-    Words are scored by the set-based ``reference_probe`` and compared with
-    plain ``>``/``<``, sharing no code with ``brute_force_opt``'s evaluator."""
-    maximize = problem.direction is Direction.MAXIMIZE
-    best_fitness = None
-    count = 0
-    smallest = None
-    for word in range((1 << problem.n) - 1, -1, -1):
-        fitness, _cell, feasible = reference_probe(Solution(problem.n, word), problem.instance)
-        if not feasible:
-            continue
-        if best_fitness is None or ((fitness > best_fitness) if maximize else (fitness < best_fitness)):
-            best_fitness, count, smallest = fitness, 1, word
-        elif fitness == best_fitness:
-            count, smallest = count + 1, word
-    return best_fitness, count, smallest
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +84,7 @@ def test_brute_force_agrees_with_reverse_enumeration(seed, cover):
     else:
         problem = make_problem(random_max_coverage(7, 9, 0.35, 3, rng))
     result = brute_force_opt(problem)
-    assert (result.fitness, result.optima_count, result.solution.word) == reverse_enumeration(problem)
+    assert _independent_enumeration(problem) == (result.fitness, result.optima_count, result.solution.word, None)
 
 
 def probe_enumeration(problem):
@@ -220,7 +200,7 @@ def dominated_covers(draw):
 def test_brute_force_cover_with_dominated_elements(inst):
     problem = make_problem(inst)
     result = brute_force_opt(problem)
-    assert (result.fitness, result.optima_count, result.solution.word) == reverse_enumeration(problem)
+    assert _independent_enumeration(problem) == (result.fitness, result.optima_count, result.solution.word, None)
 
 
 @pytest.mark.parametrize("density", [0.15, 0.7])
@@ -229,7 +209,7 @@ def test_brute_force_cover_with_many_elements(density):
     # covers) or 90 (at 0.7, optimum 0b10001011110) are minimal.
     problem = make_problem(random_set_cover(12, 2000, density, 8, RandomSource(1)))
     result = brute_force_opt(problem)
-    assert (result.fitness, result.optima_count, result.solution.word) == reverse_enumeration(problem)
+    assert _independent_enumeration(problem) == (result.fitness, result.optima_count, result.solution.word, None)
 
 
 def test_brute_force_never_probes():

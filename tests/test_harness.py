@@ -340,6 +340,17 @@ def test_each_worker_builds_the_problem_once(monkeypatch):
     assert report.records == run_experiment(dataclasses.replace(config, workers=1)).records
 
 
+@pytest.fixture
+def no_pool(monkeypatch):
+    """Two CPUs, and a process pool that fails the test if it is started."""
+
+    def started(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", started)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+
+
 @pytest.mark.parametrize(
     "setting, message",
     [
@@ -349,14 +360,16 @@ def test_each_worker_builds_the_problem_once(monkeypatch):
         ({"algorithm": "ea", "seed_population": "0101"}, "seed member has 4 variables, problem has 5"),
     ],
 )
-def test_bad_run_settings_are_refused_before_any_worker_starts(setting, message, monkeypatch):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a process pool was started")
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+def test_bad_run_settings_are_refused_before_any_worker_starts(setting, message, no_pool):
     with pytest.raises(ParameterError, match=message):
         run_experiment(small_me_config(workers=2, trials=2, **setting))
+
+
+def test_a_problem_workers_cannot_rebuild_is_refused_before_any_worker_starts(no_pool):
+    problem = dataclasses.replace(make_problem(example2_set_cover(Example2Params(5))), instance=None)
+    with pytest.raises(ParameterError, match="has no instance for 2 pool workers to rebuild"):
+        run_experiment(small_me_config(workers=2, trials=2), problem)
+    assert run_experiment(small_me_config(workers=1, trials=2), problem).aggregate.trials == 2
 
 
 def test_milestone_rows_are_bounded_over_all_trials():
@@ -372,7 +385,7 @@ def test_milestone_rows_are_bounded_over_all_trials():
     small_me_config(budget=260_000, milestone_every=10_000, trials=50)
 
 
-def test_ea_populations_are_bounded_before_any_run_or_worker_starts(monkeypatch):
+def test_ea_populations_are_bounded_before_any_run_or_worker_starts(no_pool):
     limit = algorithms._POPULATION_LIMIT
     message = f"population of {limit + 1:,} members is over the {limit:,} member limit"
     unfair = dict(algorithm="ea", allow_unfair=True, budget=limit + 1)
@@ -389,13 +402,7 @@ def test_ea_populations_are_bounded_before_any_run_or_worker_starts(monkeypatch)
     unprobed = dataclasses.replace(problem, probe_word=no_probe)
     with pytest.raises(ParameterError, match=message):
         algorithms.run_ea(unprobed, RunConfig(budget=limit + 1, init_count=limit + 1, seed=0))
-
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a process pool was started")
-
     # The default count, one member per cell, on a problem with more cells than the limit.
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
     wide = dataclasses.replace(problem, num_cells=limit + 1)
     with pytest.raises(ParameterError, match=message):
         run_experiment(small_me_config(**unfair, workers=2, trials=2), wide)
